@@ -23,14 +23,11 @@ from .errors import ConfigError, NumericError
 from .imaging import (
     ImageGrid,
     Volume,
-    crop_background,
-    hflip,
     normalize_range,
     normalize_volume,
     normalize_with_range,
     read_pgm,
     read_volume,
-    resize_to_height,
     volume_range,
     write_pgm,
     write_volume,

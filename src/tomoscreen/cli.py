@@ -278,23 +278,12 @@ def _cohort_ids(cfg: RunConfig) -> list[tuple[str, bool]]:
     return ids
 
 
-def _score_optimized(opt, lo: float, hi: float) -> float:
-    """Ensemble score of a composite, on the volume's intensity scale."""
-    return ensemble_image_score(
-        default_ensemble(), normalize_with_range(opt.image, lo, hi)
-    )
-
-
-def _condensed_case_scores(vol, threshold: float, iou: float):
-    """(model score, center-slice baseline score) for one volume."""
+def _composite(vol, threshold: float, iou: float):
+    """Condense a volume; returns the composite and the composite put on
+    the volume's intensity scale."""
     lo, hi = volume_range(vol)
     opt = condense_volume(vol, default_condense_scorer(), threshold, iou)
-    model = _score_optimized(opt, lo, hi)
-    center = ensemble_image_score(
-        default_ensemble(),
-        normalize_with_range(vol.slices[vol.n_slices // 2], lo, hi),
-    )
-    return model, center
+    return opt, normalize_with_range(opt.image, lo, hi)
 
 
 def _select_threshold(cfg: RunConfig, threads: int) -> float:
@@ -385,13 +374,12 @@ def cmd_phantom_gen(args) -> int:
 def _condense_one_volume(vol, threshold: float, iou: float, case_dir: Path):
     """Condense a volume and write its composite artifacts; returns the
     ensemble score of the composite."""
-    lo, hi = volume_range(vol)
-    opt = condense_volume(vol, default_condense_scorer(), threshold, iou)
+    opt, image = _composite(vol, threshold, iou)
     case_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(opt.image, case_dir / "optimized.pgm")
     write_pgm(ImageGrid(opt.provenance.astype(np.float64)), case_dir / "provenance.pgm")
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
-    score = _score_optimized(opt, lo, hi)
+    score = ensemble_image_score(default_ensemble(), image)
     write_json(
         {
             "score": score,
@@ -514,9 +502,7 @@ def cmd_train_mil(args) -> int:
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
         vol, truth = generate_case(base, case_id, cancer, cfg.contrast_range)
-        lo, hi = volume_range(vol)
-        opt = condense_volume(vol, detector, 0.0, cfg.iou_threshold)
-        image = normalize_with_range(opt.image, lo, hi)
+        _, image = _composite(vol, 0.0, cfg.iou_threshold)
         candidates = tuple(detector.detect(image))
         if not candidates:
             return None
@@ -732,12 +718,18 @@ def cmd_report(args) -> int:
     base = _phantom_base(cfg)
     profiles = reader_profiles(cfg.n_readers)
     ids = _cohort_ids(cfg)
+    scorers = default_ensemble()
 
     def one(item: tuple[str, bool]):
         case_id, cancer = item
         vol, truth = generate_case(base, case_id, cancer, cfg.contrast_range)
-        model, center = _condensed_case_scores(vol, threshold, cfg.iou_threshold)
-        return truth, model, center
+        _, image = _composite(vol, threshold, cfg.iou_threshold)
+        center = normalize_with_range(vol.slice(vol.n_slices // 2), *volume_range(vol))
+        return (
+            truth,
+            ensemble_image_score(scorers, image),
+            ensemble_image_score(scorers, center),
+        )
 
     scored = _parallel_map(one, ids, args.threads)
 
@@ -859,13 +851,24 @@ def _overrides(args) -> dict:
     return {name: getattr(args, name, None) for name in _OVERRIDE_FIELDS}
 
 
+def _thread_count(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output directory (never an input directory)")
     p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=1,
         help="worker threads; any value produces identical outputs",
     )

@@ -59,6 +59,19 @@ def choose_score_threshold(
     return positives[k - 1]
 
 
+def _slice_boxes(vol: Volume, scorer: ScorerHandle, first: int, last: int) -> list[ScoredBox]:
+    """Boxes detected on slices first..last (inclusive), each tagged with
+    its slice.
+
+    The volume is normalized once with a single volume-level affine, so
+    box scores are comparable across slices.
+    """
+    norm = normalize_volume(vol)
+    return [
+        box.with_slice(i) for i in range(first, last + 1) for box in scorer.detect(norm.slice(i))
+    ]
+
+
 def aggregate_boxes(
     vol: Volume,
     scorer: ScorerHandle,
@@ -67,19 +80,11 @@ def aggregate_boxes(
 ) -> list[ScoredBox]:
     """Detect on every slice in the trimmed range and NMS the pooled set.
 
-    The volume is normalized once with a single volume-level affine, so
-    box scores are comparable across slices. Each kept box carries the
-    slice it came from; overlap comparison is purely in x-y, ignoring
-    slice separation.
+    Each kept box carries the slice it came from; overlap comparison is
+    purely in x-y, ignoring slice separation.
     """
-    first, last = slice_range(vol.n_slices)
-    norm = normalize_volume(vol)
-    pooled: list[ScoredBox] = []
-    for i in range(first, last + 1):
-        for box in scorer.detect(norm.slices[i]):
-            if box.score >= score_threshold:
-                pooled.append(box.with_slice(i))
-    return nms(pooled, iou_threshold)
+    pooled = _slice_boxes(vol, scorer, *slice_range(vol.n_slices))
+    return nms([b for b in pooled if b.score >= score_threshold], iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
     Boxes reaching past the grid are clipped and the event recorded.
     """
     center = vol.n_slices // 2
-    canvas = vol.slices[center].data.copy()
+    canvas = vol.data[center].copy()
     h, w = canvas.shape
     provenance = np.full((h, w), center, dtype=np.int32)
     warnings: list[str] = []
@@ -136,7 +141,7 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
             log.warning(msg)
         if x0 >= x1 or y0 >= y1:
             continue
-        canvas[y0:y1, x0:x1] = vol.slices[box.slice_index].data[y0:y1, x0:x1]
+        canvas[y0:y1, x0:x1] = vol.data[box.slice_index, y0:y1, x0:x1]
         provenance[y0:y1, x0:x1] = box.slice_index
 
     return OptimizedImage(
@@ -167,12 +172,7 @@ def study_max_box_score(vol: Volume, scorer: ScorerHandle) -> float:
     pairs of (this score, cancer label) over a validation cohort go into
     choose_score_threshold. Returns 0.0 when nothing fires.
     """
-    first, last = slice_range(vol.n_slices)
-    norm = normalize_volume(vol)
-    best = 0.0
-    for i in range(first, last + 1):
-        best = max(best, mil_image_score(scorer.detect(norm.slices[i])))
-    return best
+    return mil_image_score(_slice_boxes(vol, scorer, *slice_range(vol.n_slices)))
 
 
 def slice_max_score(vol: Volume, scorer: ScorerHandle) -> float:
@@ -181,5 +181,4 @@ def slice_max_score(vol: Volume, scorer: ScorerHandle) -> float:
     No edge trim and no cross-slice suppression; this is what scoring a
     stack slice-by-slice and taking the best slice would report.
     """
-    norm = normalize_volume(vol)
-    return max(mil_image_score(scorer.detect(s)) for s in norm.slices)
+    return mil_image_score(_slice_boxes(vol, scorer, 0, vol.n_slices - 1))

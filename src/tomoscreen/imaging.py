@@ -1,9 +1,10 @@
-"""Intensity grids, volumes, preprocessing transforms, and portable file IO.
+"""Intensity grids, volumes, intensity normalization, and portable file IO.
 
-Images are immutable 2D float64 grids. The on-disk format is binary PGM
-(P5) with maxval 65535, big-endian samples; volumes are a directory of one
-PGM per slice plus a manifest.json. Writing quantizes to 16-bit unsigned,
-so round trips are bit-exact for integer-valued grids in [0, 65535].
+Images are immutable 2D float64 grids; a volume is one immutable 3D
+float64 array. The on-disk format is binary PGM (P5) with maxval 65535,
+big-endian samples; volumes are a directory of one PGM per slice plus a
+manifest.json. Writing quantizes to 16-bit unsigned, so round trips are
+bit-exact for integer-valued grids in [0, 65535].
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ NORM_HI = 127.5
 PGM_MAXVAL = 65535
 
 
-def _as_readonly(data: np.ndarray) -> np.ndarray:
+def _as_readonly(data: np.ndarray, ndim: int) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"image data must be 2D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"image must be at least 1x1, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"expected {ndim}D data, got shape {arr.shape}")
+    if 0 in arr.shape:
+        raise ValueError(f"every axis needs length >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("image data contains non-finite values")
+        raise ValueError("data contains non-finite values")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -39,7 +40,7 @@ class ImageGrid:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_readonly(self.data))
+        object.__setattr__(self, "data", _as_readonly(self.data, 2))
 
     @property
     def width(self) -> int:
@@ -53,94 +54,38 @@ class ImageGrid:
         return isinstance(other, ImageGrid) and np.array_equal(self.data, other.data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume:
-    """An ordered stack of co-registered slices sharing one grid shape."""
+    """An ordered stack of co-registered slices. `data` is read-only,
+    shape (n_slices, height, width)."""
 
-    slices: tuple[ImageGrid, ...]
+    data: np.ndarray
 
     def __post_init__(self):
-        slices = tuple(self.slices)
-        if len(slices) < 1:
-            raise ValueError("volume needs at least one slice")
-        w, h = slices[0].width, slices[0].height
-        for i, s in enumerate(slices):
-            if (s.width, s.height) != (w, h):
-                raise ValueError(
-                    f"slice {i} is {s.width}x{s.height}, expected {w}x{h}"
-                )
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "data", _as_readonly(self.data, 3))
 
     @property
     def n_slices(self) -> int:
-        return len(self.slices)
-
-    @property
-    def width(self) -> int:
-        return self.slices[0].width
+        return self.data.shape[0]
 
     @property
     def height(self) -> int:
-        return self.slices[0].height
+        return self.data.shape[1]
 
-    def stack(self) -> np.ndarray:
-        """Slices as one (n_slices, height, width) array (copy)."""
-        return np.stack([s.data for s in self.slices])
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
 
-
-def resize_to_height(img: ImageGrid, target_height: int) -> ImageGrid:
-    """Bilinear resize to `target_height`, preserving aspect ratio.
-
-    Output width is round(width * target_height / height), at least 1.
-    Sampling uses the half-pixel-center convention, so resizing to the
-    source height is an exact identity and constant images stay constant.
-    """
-    if target_height < 1:
-        raise ValueError("target_height must be >= 1")
-    src = img.data
-    h, w = src.shape
-    out_h = int(target_height)
-    out_w = max(1, int(np.floor(w * out_h / h + 0.5)))
-    if (out_h, out_w) == (h, w):
-        return ImageGrid(src.copy())
-
-    def axis_coords(n_out: int, n_src: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        scale = n_src / n_out
-        pos = (np.arange(n_out) + 0.5) * scale - 0.5
-        pos = np.clip(pos, 0.0, n_src - 1.0)
-        lo = np.floor(pos).astype(np.intp)
-        hi = np.minimum(lo + 1, n_src - 1)
-        return lo, hi, pos - lo
-
-    y0, y1, fy = axis_coords(out_h, h)
-    x0, x1, fx = axis_coords(out_w, w)
-
-    # lerp form a + (b - a) * f keeps constants and on-grid samples exact
-    top = src[np.ix_(y0, x0)]
-    top = top + (src[np.ix_(y0, x1)] - top) * fx[None, :]
-    bot = src[np.ix_(y1, x0)]
-    bot = bot + (src[np.ix_(y1, x1)] - bot) * fx[None, :]
-    out = top + (bot - top) * fy[:, None]
-    return ImageGrid(out)
+    def slice(self, i: int) -> ImageGrid:
+        """Slice i as a 2D grid (a read-only view, no copy)."""
+        return ImageGrid(self.data[i])
 
 
-def crop_background(
-    img: ImageGrid, threshold: float = 0.0
-) -> tuple[ImageGrid, tuple[int, int]]:
-    """Crop to the tightest rectangle of pixels with intensity > threshold.
-
-    Returns the crop and its (x, y) offset in the original image. If no
-    pixel exceeds the threshold the original image is returned with
-    offset (0, 0).
-    """
-    mask = img.data > threshold
-    if not mask.any():
-        return img, (0, 0)
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    y0, y1 = rows[0], rows[-1] + 1
-    x0, x1 = cols[0], cols[-1] + 1
-    return ImageGrid(img.data[y0:y1, x0:x1].copy()), (int(x0), int(y0))
+def _affine(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map [lo, hi] onto [-127.5, 127.5]; a degenerate range maps to zeros."""
+    if hi == lo:
+        return np.zeros_like(data)
+    return (data - lo) / (hi - lo) * (NORM_HI - NORM_LO) + NORM_LO
 
 
 def normalize_range(img: ImageGrid) -> ImageGrid:
@@ -149,20 +94,12 @@ def normalize_range(img: ImageGrid) -> ImageGrid:
     The minimum maps to -127.5 and the maximum to +127.5 exactly; a
     constant image maps to all zeros.
     """
-    lo = img.data.min()
-    hi = img.data.max()
-    if hi == lo:
-        return ImageGrid(np.zeros_like(img.data))
-    span = NORM_HI - NORM_LO
-    out = (img.data - lo) / (hi - lo) * span + NORM_LO
-    return ImageGrid(out)
+    return ImageGrid(_affine(img.data, img.data.min(), img.data.max()))
 
 
 def volume_range(vol: Volume) -> tuple[float, float]:
     """(min, max) intensity over every slice of the volume."""
-    lo = min(s.data.min() for s in vol.slices)
-    hi = max(s.data.max() for s in vol.slices)
-    return float(lo), float(hi)
+    return float(vol.data.min()), float(vol.data.max())
 
 
 def normalize_with_range(img: ImageGrid, lo: float, hi: float) -> ImageGrid:
@@ -173,10 +110,7 @@ def normalize_with_range(img: ImageGrid, lo: float, hi: float) -> ImageGrid:
     same intensity scale as the normalized volume. Values outside
     [lo, hi] extrapolate rather than clip. Degenerate range maps to zeros.
     """
-    if hi == lo:
-        return ImageGrid(np.zeros_like(img.data))
-    span = NORM_HI - NORM_LO
-    return ImageGrid((img.data - lo) / (hi - lo) * span + NORM_LO)
+    return ImageGrid(_affine(img.data, lo, hi))
 
 
 def normalize_volume(vol: Volume) -> Volume:
@@ -185,13 +119,7 @@ def normalize_volume(vol: Volume) -> Volume:
     A shared mapping keeps slice intensities mutually comparable, which
     per-slice normalization would destroy. A constant volume maps to zeros.
     """
-    lo, hi = volume_range(vol)
-    return Volume(tuple(normalize_with_range(s, lo, hi) for s in vol.slices))
-
-
-def hflip(img: ImageGrid) -> ImageGrid:
-    """Column-reversed image. An involution: hflip(hflip(img)) == img."""
-    return ImageGrid(img.data[:, ::-1].copy())
+    return Volume(_affine(vol.data, *volume_range(vol)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +161,21 @@ def read_pgm(path: str | Path) -> ImageGrid:
     raw = Path(path).read_bytes()
     if raw[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    (width, height, maxval), pos = _read_pgm_tokens(raw[2:], 3)
+    try:
+        (width, height, maxval), pos = _read_pgm_tokens(raw[2:], 3)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     pos += 2  # magic bytes
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")
     if not 0 < maxval <= PGM_MAXVAL:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace byte after maxval
-    dtype = ">u2" if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
     n = width * height
-    data = np.frombuffer(raw, dtype=dtype, count=n, offset=pos)
-    if data.size != n:
+    if len(raw) - pos < n * dtype.itemsize:
         raise ValueError(f"{path}: truncated raster")
+    data = np.frombuffer(raw, dtype=dtype, count=n, offset=pos)
     return ImageGrid(data.reshape(height, width).astype(np.float64))
 
 
@@ -253,8 +184,8 @@ def write_volume(vol: Volume, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = [f"slice_{i:04d}.pgm" for i in range(vol.n_slices)]
-    for name, img in zip(names, vol.slices):
-        write_pgm(img, directory / name)
+    for i, name in enumerate(names):
+        write_pgm(vol.slice(i), directory / name)
     manifest = {
         "width": vol.width,
         "height": vol.height,
@@ -266,17 +197,43 @@ def write_volume(vol: Volume, directory: str | Path) -> None:
     )
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def read_volume(directory: str | Path) -> Volume:
-    """Read a volume written by write_volume."""
+    """Read a volume written by write_volume.
+
+    A malformed manifest, or a slice that disagrees with it, raises
+    ValueError naming the offending file.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    slices = []
-    for name in manifest["slices"]:
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("slices"), list)
+        and all(isinstance(name, str) for name in manifest["slices"])
+        and all(_is_count(manifest.get(k)) for k in ("slice_count", "width", "height"))
+    ):
+        raise ValueError(
+            f"{path}: manifest needs a 'slices' list of file names and positive "
+            "integer 'slice_count', 'width' and 'height'"
+        )
+    names = manifest["slices"]
+    if len(names) != manifest["slice_count"]:
+        raise ValueError(f"{path}: manifest slice_count mismatch")
+    shape = (manifest["height"], manifest["width"])
+    planes = []
+    for name in names:
         img = read_pgm(directory / name)
-        slices.append(img)
-    vol = Volume(tuple(slices))
-    if vol.n_slices != manifest["slice_count"]:
-        raise ValueError(f"{directory}: manifest slice_count mismatch")
-    if (vol.width, vol.height) != (manifest["width"], manifest["height"]):
-        raise ValueError(f"{directory}: manifest dimensions mismatch")
-    return vol
+        if img.data.shape != shape:
+            raise ValueError(
+                f"{directory / name}: slice is {img.width}x{img.height}, "
+                f"manifest says {shape[1]}x{shape[0]}"
+            )
+        planes.append(img.data)
+    return Volume(np.stack(planes))

@@ -242,9 +242,8 @@ def generate_volume(
             weight = _slice_weight(s - les.center_slice, les.slice_extent)
             lesion_cover.setdefault(s, []).append((les, weight))
 
-    slices = []
-    for i in range(cfg.n_slices):
-        canvas = np.full((cfg.height, cfg.width), BACKGROUND_LEVEL, dtype=np.float64)
+    data = np.full((cfg.n_slices, cfg.height, cfg.width), BACKGROUND_LEVEL)
+    for i, canvas in enumerate(data):
         if common is not None:
             canvas += common_amp * common
         if slice_amp > 0:
@@ -263,22 +262,20 @@ def generate_volume(
             canvas += sigma * rng_stream(cfg.seed, "noise", i).standard_normal(
                 (cfg.height, cfg.width)
             )
-        slices.append(ImageGrid(canvas))
 
     truth = PhantomTruth(
         case_id=case_id,
         lesions=tuple(lesions),
         label=any(les.malignant for les in lesions),
     )
-    return Volume(tuple(slices)), truth
+    return Volume(data), truth
 
 
 def project_dm(vol: Volume) -> ImageGrid:
     """Mean projection across slices, normalized. Stands in for a single
     projection view of the same anatomy: slice-local contrast is diluted
     by roughly slice_extent / n_slices."""
-    mean = vol.stack().mean(axis=0)
-    return normalize_range(ImageGrid(mean))
+    return normalize_range(ImageGrid(vol.data.mean(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 The reference scorer is deliberately classical: a difference of two
 Gaussian smoothings as the blob response, local maxima above a floor,
 one fixed box size per scorer. Image-level suspicion is the maximum box
-score; an ensemble averages several scorers over both horizontal
-orientations; breast scores average views and a study takes the worse
-(higher) breast.
+score; an ensemble averages several scorers; breast scores average
+views and a study takes the worse (higher) breast.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, maximum_filter
 
 from .boxes import ScoredBox
-from .imaging import ImageGrid, hflip
+from .imaging import ImageGrid
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 
@@ -31,7 +30,7 @@ class ScorerHandle(Protocol):
 
 
 def _sigmoid(z: np.ndarray | float):
-    # exp(-logaddexp(0, -z)) never overflows and round-trips hflip exactly
+    # exp(-logaddexp(0, -z)) never overflows
     return np.exp(-np.logaddexp(0.0, -z))
 
 
@@ -139,15 +138,15 @@ def mil_image_score(boxes: list[ScoredBox]) -> float:
 
 
 def ensemble_image_score(scorers: list[ScorerHandle], img: ImageGrid) -> float:
-    """Mean of max-box scores over every scorer and both horizontal flips."""
+    """Mean of max-box scores over the scorers.
+
+    There is no mirrored second pass: BlobScorer's symmetric kernels make
+    its detections on a column-reversed image the mirror of those on the
+    image, with equal scores, so a flip would only repeat each term.
+    """
     if not scorers:
         raise ValueError("ensemble needs at least one scorer")
-    mirrored = hflip(img)
-    scores = []
-    for s in scorers:
-        scores.append(mil_image_score(s.detect(img)))
-        scores.append(mil_image_score(s.detect(mirrored)))
-    return math.fsum(scores) / len(scores)
+    return math.fsum(mil_image_score(s.detect(img)) for s in scorers) / len(scorers)
 
 
 @dataclass(frozen=True)

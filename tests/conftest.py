@@ -18,8 +18,8 @@ settings.load_profile("default")
 
 
 def make_volume(arrays) -> Volume:
-    """Volume from a list of 2D float arrays."""
-    return Volume(tuple(ImageGrid(np.asarray(a, dtype=np.float64)) for a in arrays))
+    """Volume from a list of equally shaped 2D float arrays (or a 3D array)."""
+    return Volume(np.asarray(arrays, dtype=np.float64))
 
 
 def constant_slice_volume(n_slices: int, height: int = 40, width: int = 40) -> Volume:

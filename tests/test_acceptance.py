@@ -330,7 +330,7 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
             ensemble_image_score(ensemble, normalize_with_range(opt.image, lo, hi))
         )
         scores["center"].append(
-            ensemble_image_score(ensemble, norm.slices[vol.n_slices // 2])
+            ensemble_image_score(ensemble, norm.slice(vol.n_slices // 2))
         )
         scores["projection"].append(ensemble_image_score(ensemble, project_dm(vol)))
         scores["slice_max"].append(slice_max_score(vol, detector))
@@ -392,8 +392,7 @@ def test_criterion_07_provenance_and_pixel_origin():
         footprint = (cols + 0.5 - center_x) ** 2 + (rows + 0.5 - center_y) ** 2 < radius**2
         hits += bool(np.all(opt.provenance[footprint] == center_slice))
 
-        stacked = np.stack([s.data for s in vol.slices])
-        picked = np.take_along_axis(stacked, opt.provenance[None], axis=0)[0]
+        picked = np.take_along_axis(vol.data, opt.provenance[None], axis=0)[0]
         assert np.array_equal(picked, opt.image.data)
     verdict(7, hits == 100, f"{hits}/100 footprints traced to the lesion slice")
 

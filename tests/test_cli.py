@@ -5,11 +5,13 @@ import filecmp
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tomoscreen.cli as cli_module
 from tomoscreen.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -24,7 +26,7 @@ from tomoscreen.cli import (
     synthetic_birads,
 )
 from tomoscreen.errors import ConfigError
-from tomoscreen.imaging import ImageGrid, write_pgm
+from tomoscreen.imaging import ImageGrid, Volume, write_pgm, write_volume
 from tomoscreen.miltrain import load_scorer
 from tomoscreen.phantom import read_truth
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
@@ -214,6 +216,74 @@ class TestExitCodes:
     def test_cohort_mode_requires_cases_source(self, tmp_path):
         code = main(["condense", "run", "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_rejected_at_parse_time(self, tmp_path, monkeypatch, capsys, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(cli_module, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["phantom", "gen", "--out", str(out), "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+        assert threading.active_count() == before
+
+
+class TestMalformedVolume:
+    """A broken volume directory ends in exit 2 with the bad file's path."""
+
+    @staticmethod
+    def volume(tmp_path) -> Path:
+        directory = tmp_path / "vol"
+        write_volume(Volume(np.full((3, 40, 40), 1000.0)), directory)
+        return directory
+
+    @staticmethod
+    def condense(directory: Path, tmp_path) -> int:
+        return main(["condense", "run", "--volume", str(directory), "--out", str(tmp_path / "o")])
+
+    def test_truncated_slice(self, tmp_path, capsys):
+        directory = self.volume(tmp_path)
+        path = directory / "slice_0001.pgm"
+        path.write_bytes(path.read_bytes()[:-10])
+        assert self.condense(directory, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "truncated raster" in err
+
+    @pytest.mark.parametrize("key", ["slices", "slice_count", "width", "height"])
+    def test_manifest_missing_key(self, tmp_path, capsys, key):
+        directory = self.volume(tmp_path)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        assert self.condense(directory, tmp_path) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("slices", "slice_0000.pgm"),
+            ("slices", [0, 1, 2]),
+            ("slice_count", "3"),
+            ("width", 40.0),
+            ("height", None),
+            ("height", True),
+            ("height", 0),
+        ],
+    )
+    def test_manifest_wrong_type(self, tmp_path, capsys, key, value):
+        directory = self.volume(tmp_path)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        assert self.condense(directory, tmp_path) == EXIT_CONFIG
+        assert str(path) in capsys.readouterr().err
 
 
 class TestPhantomGen:

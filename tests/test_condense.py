@@ -175,7 +175,7 @@ class TestBuildOptimizedImage:
     def test_no_boxes_keeps_center_slice(self):
         vol = constant_slice_volume(10)
         opt = build_optimized_image(vol, [])
-        assert np.array_equal(opt.image.data, vol.slices[5].data)
+        assert np.array_equal(opt.image.data, vol.data[5])
         assert np.all(opt.provenance == 5)
         assert opt.kept_boxes == [] and opt.clip_warnings == ()
 
@@ -238,8 +238,7 @@ class TestBuildOptimizedImage:
             s = int(rng.integers(0, 8))
             boxes.append(box(x0, y0, x0 + float(w), y0 + float(h), float(rng.random()), s=s))
         opt = build_optimized_image(vol, boxes)
-        stacked = vol.stack()
-        expected = np.take_along_axis(stacked, opt.provenance[None, :, :], axis=0)[0]
+        expected = np.take_along_axis(vol.data, opt.provenance[None, :, :], axis=0)[0]
         assert np.array_equal(opt.image.data, expected)
 
     def test_provenance_shape_guard(self):
@@ -288,7 +287,7 @@ class TestCondenseVolume:
         lo, hi = volume_range(vol)
         ensemble = default_ensemble()
         opt_score = ensemble_image_score(ensemble, normalize_with_range(opt.image, lo, hi))
-        ctr_score = ensemble_image_score(ensemble, normalize_volume(vol).slices[10])
+        ctr_score = ensemble_image_score(ensemble, normalize_volume(vol).slice(10))
         assert opt_score > ctr_score
 
 
@@ -318,7 +317,7 @@ class TestStudyMaxBoxScore:
         first, last = slice_range(n)
         norm = normalize_volume(vol)
         direct = max(
-            mil_image_score(scorer.detect(norm.slices[i]))
+            mil_image_score(scorer.detect(norm.slice(i)))
             for i in range(first, last + 1)
         )
         assert study_max_box_score(vol, scorer) == direct

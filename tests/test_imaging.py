@@ -1,4 +1,4 @@
-"""Image grid, volume, preprocessing, and PGM round-trip behavior."""
+"""Image grid, volume, normalization, and PGM round-trip behavior."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,11 @@ from hypothesis.extra import numpy as hnp
 from tomoscreen.imaging import (
     ImageGrid,
     Volume,
-    crop_background,
-    hflip,
     normalize_range,
     normalize_volume,
     normalize_with_range,
     read_pgm,
     read_volume,
-    resize_to_height,
     volume_range,
     write_pgm,
     write_volume,
@@ -27,6 +24,7 @@ finite_images = hnp.arrays(
     shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
     elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
 )
+
 
 
 class TestImageGrid:
@@ -60,65 +58,36 @@ class TestImageGrid:
 class TestVolume:
     def test_requires_matching_shapes(self):
         with pytest.raises(ValueError):
-            Volume((ImageGrid(np.zeros((2, 2))), ImageGrid(np.zeros((3, 2)))))
+            Volume([np.zeros((2, 2)), np.zeros((3, 2))])
+        with pytest.raises(ValueError):
+            Volume(np.zeros((2, 2)))
 
     def test_requires_at_least_one_slice(self):
         with pytest.raises(ValueError):
-            Volume(())
+            Volume(np.zeros((0, 2, 2)))
 
     def test_stack_shape(self):
-        vol = Volume(tuple(ImageGrid(np.full((4, 5), i)) for i in range(3)))
-        assert vol.stack().shape == (3, 4, 5)
+        vol = Volume(np.stack([np.full((4, 5), i) for i in range(3)]))
+        assert vol.data.shape == (3, 4, 5) and vol.data.dtype == np.float64
         assert vol.n_slices == 3 and (vol.height, vol.width) == (4, 5)
 
-
-class TestResize:
-    def test_same_height_is_identity(self):
-        img = ImageGrid(np.random.default_rng(0).random((7, 9)))
-        out = resize_to_height(img, 7)
-        assert np.array_equal(out.data, img.data)
-
-    def test_output_width_preserves_aspect(self):
-        img = ImageGrid(np.zeros((10, 15)))
-        out = resize_to_height(img, 20)
-        assert (out.height, out.width) == (20, 30)
-
-    def test_constant_stays_constant(self):
-        img = ImageGrid(np.full((6, 8), 3.25))
-        out = resize_to_height(img, 17)
-        assert np.allclose(out.data, 3.25)
-
-    @given(finite_images, st.integers(1, 30))
-    def test_bilinear_respects_range(self, data, target):
-        img = ImageGrid(data)
-        out = resize_to_height(img, target)
-        assert out.data.min() >= data.min() - 1e-9
-        assert out.data.max() <= data.max() + 1e-9
-
-    def test_rejects_bad_height(self):
+    def test_data_and_slices_are_read_only(self):
+        vol = Volume(np.zeros((3, 4, 5)))
         with pytest.raises(ValueError):
-            resize_to_height(ImageGrid(np.zeros((3, 3))), 0)
+            vol.data[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vol.slice(1).data[0, 0] = 1.0
 
+    def test_slice_is_the_plane(self):
+        data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        vol = Volume(data)
+        assert vol.slice(1) == ImageGrid(data[1])
 
-class TestCropBackground:
-    def test_all_background_returns_original(self):
-        img = ImageGrid(np.zeros((4, 4)))
-        out, offset = crop_background(img)
-        assert out == img and offset == (0, 0)
-
-    def test_tight_crop_with_offset(self):
-        data = np.zeros((6, 7))
-        data[2:4, 3:6] = 5.0
-        out, offset = crop_background(ImageGrid(data))
-        assert offset == (3, 2)
-        assert out.data.shape == (2, 3)
-        assert np.all(out.data == 5.0)
-
-    def test_threshold_applies_strictly(self):
-        data = np.full((3, 3), 2.0)
-        data[1, 1] = 7.0
-        out, offset = crop_background(ImageGrid(data), threshold=2.0)
-        assert out.data.shape == (1, 1) and offset == (1, 1)
+    def test_rejects_non_finite(self):
+        bad = np.zeros((2, 2, 2))
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(ValueError):
+            Volume(bad)
 
 
 class TestNormalize:
@@ -140,19 +109,18 @@ class TestNormalize:
         assert np.all(np.diff(flat_out[order]) >= -1e-9)
 
     def test_volume_range_spans_all_slices(self):
-        vol = Volume(
-            (ImageGrid(np.full((2, 2), 3.0)), ImageGrid(np.array([[0.0, 9.0], [4.0, 4.0]])))
-        )
+        vol = Volume([np.full((2, 2), 3.0), np.array([[0.0, 9.0], [4.0, 4.0]])])
         assert volume_range(vol) == (0.0, 9.0)
 
     def test_normalize_with_range_matches_volume_affine(self):
         rng = np.random.default_rng(3)
-        vol = Volume(tuple(ImageGrid(rng.random((4, 4)) * 50) for _ in range(3)))
+        vol = Volume(rng.random((3, 4, 4)) * 50)
         lo, hi = volume_range(vol)
         norm = normalize_volume(vol)
         for i in range(3):
-            per_slice = normalize_with_range(vol.slices[i], lo, hi)
-            assert np.array_equal(per_slice.data, norm.slices[i].data)
+            per_slice = normalize_with_range(vol.slice(i), lo, hi)
+            assert per_slice.data.tobytes() == norm.slice(i).data.tobytes()
+
 
     def test_normalize_with_range_extrapolates(self):
         img = ImageGrid(np.array([[20.0]]))
@@ -166,26 +134,15 @@ class TestNormalize:
     def test_normalize_volume_shares_one_affine(self):
         a = np.array([[0.0, 1.0]])
         b = np.array([[3.0, 4.0]])
-        norm = normalize_volume(Volume((ImageGrid(a), ImageGrid(b))))
+        norm = normalize_volume(Volume([a, b]))
         # 0 -> -127.5 and 4 -> 127.5; interior values keep their ratios
-        assert norm.slices[0].data[0, 0] == -127.5
-        assert norm.slices[1].data[0, 1] == 127.5
-        assert norm.slices[0].data[0, 1] == pytest.approx(-127.5 + 255.0 / 4)
+        assert norm.data[0, 0, 0] == -127.5
+        assert norm.data[1, 0, 1] == 127.5
+        assert norm.data[0, 0, 1] == pytest.approx(-127.5 + 255.0 / 4)
 
     def test_constant_volume_maps_to_zero(self):
-        vol = Volume(tuple(ImageGrid(np.full((2, 2), 9.0)) for _ in range(2)))
-        assert all(np.all(s.data == 0.0) for s in normalize_volume(vol).slices)
-
-
-class TestHflip:
-    @given(finite_images)
-    def test_involution(self, data):
-        img = ImageGrid(data)
-        assert hflip(hflip(img)) == img
-
-    def test_reverses_columns(self):
-        img = ImageGrid(np.array([[1.0, 2.0, 3.0]]))
-        assert np.array_equal(hflip(img).data, [[3.0, 2.0, 1.0]])
+        vol = Volume(np.full((2, 2, 2), 9.0))
+        assert np.all(normalize_volume(vol).data == 0.0)
 
 
 class TestPgm:
@@ -217,25 +174,34 @@ class TestPgm:
     def test_rejects_truncated_raster(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated raster") as exc:
             read_pgm(path)
+        assert str(path) in str(exc.value)
+
+    def test_rejects_truncated_16bit_raster(self, tmp_path):
+        # 2x1 samples at maxval 65535 need 4 raster bytes; 3 are present
+        path = tmp_path / "short16.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\x00\x01\x02")
+        with pytest.raises(ValueError, match="truncated raster"):
+            read_pgm(path)
+
+    def test_garbled_header_names_the_file(self, tmp_path):
+        path = tmp_path / "garbled.pgm"
+        path.write_bytes(b"P5\n4 x4\n255\n" + bytes(16))
+        with pytest.raises(ValueError) as exc:
+            read_pgm(path)
+        assert str(path) in str(exc.value)
 
     def test_volume_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        vol = Volume(
-            tuple(
-                ImageGrid(rng.integers(0, 65536, size=(5, 6)).astype(np.float64))
-                for _ in range(4)
-            )
-        )
+        vol = Volume(rng.integers(0, 65536, size=(4, 5, 6)).astype(np.float64))
         write_volume(vol, tmp_path / "vol")
         back = read_volume(tmp_path / "vol")
         assert back.n_slices == 4
-        for a, b in zip(vol.slices, back.slices):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(back.data, vol.data)
 
     def test_volume_manifest_mismatch_detected(self, tmp_path):
-        vol = Volume((ImageGrid(np.zeros((2, 2))),))
+        vol = Volume(np.zeros((1, 2, 2)))
         write_volume(vol, tmp_path / "vol")
         manifest = (tmp_path / "vol" / "manifest.json").read_text()
         (tmp_path / "vol" / "manifest.json").write_text(
@@ -243,3 +209,19 @@ class TestPgm:
         )
         with pytest.raises(ValueError):
             read_volume(tmp_path / "vol")
+
+
+    def test_manifest_that_is_not_an_object_or_not_json(self, tmp_path):
+        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        for text in ("[1, 2]", "{not json"):
+            (tmp_path / "manifest.json").write_text(text)
+            with pytest.raises(ValueError) as exc:
+                read_volume(tmp_path)
+            assert str(tmp_path / "manifest.json") in str(exc.value)
+
+    def test_slice_with_wrong_dimensions_names_the_slice(self, tmp_path):
+        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        write_pgm(ImageGrid(np.ones((3, 5))), tmp_path / "slice_0001.pgm")
+        with pytest.raises(ValueError) as exc:
+            read_volume(tmp_path)
+        assert str(tmp_path / "slice_0001.pgm") in str(exc.value)

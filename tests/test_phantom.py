@@ -80,25 +80,25 @@ class TestGenerateVolume:
         contrast = 137.0
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(contrast)])
         # lesion center sits on the center of pixel (32, 32)
-        value = vol.slices[5].data[32, 32]
+        value = vol.data[5, 32, 32]
         assert value - BACKGROUND_LEVEL == contrast
 
     def test_flat_background_off_lesion(self):
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0)])
-        assert vol.slices[5].data[2, 2] == BACKGROUND_LEVEL
-        assert np.all(vol.slices[0].data == BACKGROUND_LEVEL)
+        assert vol.data[5, 2, 2] == BACKGROUND_LEVEL
+        assert np.all(vol.data[0] == BACKGROUND_LEVEL)
 
     def test_bit_identical_across_runs(self):
         cfg = quiet_cfg(seed=99, clutter_density=1.5, noise_sigma=12.0)
         lesions = [centered_lesion(80.0)]
         a, _ = generate_volume(cfg, lesions)
         b, _ = generate_volume(cfg, lesions)
-        assert np.array_equal(a.stack(), b.stack())
+        assert np.array_equal(a.data, b.data)
 
     def test_different_seeds_differ(self):
         a, _ = generate_volume(quiet_cfg(seed=1, noise_sigma=10.0), [])
         b, _ = generate_volume(quiet_cfg(seed=2, noise_sigma=10.0), [])
-        assert not np.array_equal(a.stack(), b.stack())
+        assert not np.array_equal(a.data, b.data)
 
     def test_no_lesions_means_negative_label(self):
         _, truth = generate_volume(quiet_cfg(), [])
@@ -124,16 +124,16 @@ class TestGenerateVolume:
 
     def test_lesion_fades_away_from_center_slice(self):
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0, slice_extent=3)])
-        peak = vol.slices[5].data[32, 32]
-        adjacent = vol.slices[6].data[32, 32]
+        peak = vol.data[5, 32, 32]
+        adjacent = vol.data[6, 32, 32]
         assert BACKGROUND_LEVEL < adjacent < peak
-        assert vol.slices[8].data[32, 32] == BACKGROUND_LEVEL
+        assert vol.data[8, 32, 32] == BACKGROUND_LEVEL
 
     def test_edge_slices_are_noisier(self):
         cfg = quiet_cfg(seed=4, noise_sigma=10.0, n_slices=20)
         vol, _ = generate_volume(cfg, [])
-        edge_sd = vol.slices[0].data.std()
-        interior_sd = vol.slices[10].data.std()
+        edge_sd = vol.data[0].std()
+        interior_sd = vol.data[10].std()
         assert edge_sd > 3 * interior_sd
 
     def test_edge_slice_count_is_floor_ten_percent(self):
@@ -163,7 +163,7 @@ class TestProjectDm:
         vol, _ = generate_volume(
             quiet_cfg(n_slices=10), [centered_lesion(c, slice_extent=1)]
         )
-        mean_stack = vol.stack().mean(axis=0)
+        mean_stack = vol.data.mean(axis=0)
         assert mean_stack[32, 32] - BACKGROUND_LEVEL == pytest.approx(c / 10, abs=1e-9)
         # and project_dm is exactly the normalization of that mean
         span = mean_stack.max() - mean_stack.min()
@@ -181,7 +181,7 @@ class TestCases:
         cfg = quiet_cfg(noise_sigma=8.0, clutter_density=1.0)
         a, ta = generate_case(cfg, "cancer-0001", True)
         b, tb = generate_case(cfg, "cancer-0001", True)
-        assert np.array_equal(a.stack(), b.stack())
+        assert np.array_equal(a.data, b.data)
         assert ta == tb
 
     def test_cancer_case_has_one_malignant_lesion(self):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tomoscreen.boxes import ScoredBox
-from tomoscreen.imaging import ImageGrid, hflip, normalize_range
-from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_volume
+from tomoscreen.imaging import ImageGrid, normalize_range, normalize_volume
+from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
 from tomoscreen.scorer import (
     BOX_SIZE_FACTOR,
     DEFAULT_RADIUS_PRIORS,
@@ -45,30 +46,75 @@ def lesion_slice(contrast=150.0, width=96, height=96, cx=48.5, cy=48.5, radius=8
         malignant=True,
     )
     vol, _ = generate_volume(cfg, [les])
-    return normalize_range(vol.slices[0]), les
+    return normalize_range(vol.slice(0)), les
 
 
 class StubScorer:
-    """Returns a fixed score keyed on image orientation.
+    """Returns one box with a fixed score and records every image it sees."""
 
-    The probe image carries a single bright pixel at (0, 0); after hflip
-    it lands at (0, w-1), so detect() can tell the orientations apart.
-    """
-
-    def __init__(self, score_upright: float, score_mirrored: float):
-        self.score_upright = score_upright
-        self.score_mirrored = score_mirrored
+    def __init__(self, score: float):
+        self.score = score
+        self.seen: list[ImageGrid] = []
 
     def detect(self, img: ImageGrid) -> list[ScoredBox]:
-        upright = img.data[0, 0] > img.data[0, -1]
-        score = self.score_upright if upright else self.score_mirrored
-        return [ScoredBox(0.0, 0.0, 1.0, 1.0, score)]
+        self.seen.append(img)
+        return [ScoredBox(0.0, 0.0, 1.0, 1.0, self.score)]
 
 
 def probe_image() -> ImageGrid:
     data = np.zeros((4, 6))
     data[0, 0] = 1.0
     return ImageGrid(data)
+
+
+def mirrored(img: ImageGrid) -> ImageGrid:
+    return ImageGrid(img.data[:, ::-1])
+
+
+def mirror_box(box: ScoredBox, width: int) -> tuple[float, ...]:
+    return (width - box.x_max, box.y_min, width - box.x_min, box.y_max, box.score)
+
+
+def as_tuples(boxes: list[ScoredBox]) -> list[tuple[float, ...]]:
+    return sorted((b.x_min, b.y_min, b.x_max, b.y_max, b.score) for b in boxes)
+
+
+def assert_mirror_equivariant(scorer: BlobScorer, img: ImageGrid) -> None:
+    """Response and boxes on the column-reversed image are the exact
+    mirror of those on the image, scores included, bit for bit."""
+    flipped = mirrored(img)
+    direct = scorer.response(img)
+    assert scorer.response(flipped).tobytes() == direct[:, ::-1].tobytes()
+    w = img.width
+    expected = sorted(mirror_box(b, w) for b in scorer.detect(img))
+    assert as_tuples(scorer.detect(flipped)) == expected
+
+
+def phantom_slices() -> list[ImageGrid]:
+    """Normalized slices of noisy, cluttered cohort cases, with and
+    without a lesion."""
+    cfg = PhantomConfig(
+        width=96,
+        height=128,
+        n_slices=6,
+        background_texture_scale=24.0,
+        clutter_density=1.0,
+        noise_sigma=18.0,
+        seed=11,
+    )
+    slices = []
+    for k in range(2):
+        vol, _ = generate_case(cfg, f"mirror-{k}", cancer=k % 2 == 0)
+        norm = normalize_volume(vol)
+        slices += [norm.slice(i) for i in range(norm.n_slices)]
+    return slices
+
+
+odd_width_images = hnp.arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(9, 40), st.integers(4, 20).map(lambda k: 2 * k + 1)),
+    elements=st.floats(-127.5, 127.5, allow_nan=False, allow_infinity=False),
+)
 
 
 class TestBlobScorer:
@@ -105,9 +151,9 @@ class TestBlobScorer:
         img, _ = lesion_slice(cx=30.5, cy=60.5)
         scorer = BlobScorer(radius_prior=8.0, response_floor=1.0, response_scale=6.0)
         direct = scorer.detect(img)
-        mirrored = scorer.detect(hflip(img))
-        assert len(direct) == len(mirrored) == 1
-        d, m = direct[0], mirrored[0]
+        flipped = scorer.detect(mirrored(img))
+        assert len(direct) == len(flipped) == 1
+        d, m = direct[0], flipped[0]
         w = img.data.shape[1]
         assert m.x_min == pytest.approx(w - d.x_max, abs=1.0)
         assert m.x_max == pytest.approx(w - d.x_min, abs=1.0)
@@ -193,14 +239,32 @@ class TestMilImageScore:
         assert mil_image_score(more) >= mil_image_score(boxes)
 
 
+class TestMirrorEquivariance:
+    """BlobScorer is exactly equivariant under column reversal, which is
+    why the ensemble needs no mirrored second pass."""
+
+    def test_default_ensemble_on_phantom_slices(self):
+        for img in phantom_slices():
+            for scorer in default_ensemble():
+                assert_mirror_equivariant(scorer, img)
+
+    @given(odd_width_images)
+    def test_default_ensemble_on_odd_width_images(self, data):
+        img = ImageGrid(data)
+        for scorer in default_ensemble():
+            assert_mirror_equivariant(scorer, img)
+
+
 class TestEnsembleImageScore:
-    def test_mean_over_scorers_and_flips(self):
-        scorers = [StubScorer(0.1, 0.2), StubScorer(0.3, 0.5), StubScorer(0.7, 0.9)]
-        got = ensemble_image_score(scorers, probe_image())
-        assert got == pytest.approx((0.1 + 0.2 + 0.3 + 0.5 + 0.7 + 0.9) / 6, abs=1e-15)
+    def test_mean_over_scorers(self):
+        scorers = [StubScorer(0.1), StubScorer(0.3), StubScorer(0.9)]
+        img = probe_image()
+        assert ensemble_image_score(scorers, img) == math.fsum([0.1, 0.3, 0.9]) / 3
+        # each scorer runs once, on the image exactly as presented
+        assert all(len(s.seen) == 1 and s.seen[0] is img for s in scorers)
 
     def test_permutation_invariant(self):
-        a = [StubScorer(0.1, 0.2), StubScorer(0.3, 0.5), StubScorer(0.7, 0.9)]
+        a = [StubScorer(0.1), StubScorer(0.3), StubScorer(0.7)]
         b = [a[2], a[0], a[1]]
         img = probe_image()
         assert ensemble_image_score(a, img) == ensemble_image_score(b, img)
@@ -208,15 +272,6 @@ class TestEnsembleImageScore:
     def test_empty_scorer_list_rejected(self):
         with pytest.raises(ValueError):
             ensemble_image_score([], probe_image())
-
-    def test_invariant_under_presented_orientation(self):
-        # flipping the input swaps which stub branch fires per scorer, but
-        # the six-term mean contains the same terms either way
-        scorers = [StubScorer(0.15, 0.85), StubScorer(0.4, 0.6)]
-        img = probe_image()
-        assert ensemble_image_score(scorers, img) == pytest.approx(
-            ensemble_image_score(scorers, hflip(img)), abs=1e-15
-        )
 
     def test_real_detector_on_lesion_slice(self):
         img, _ = lesion_slice(contrast=200.0)
