@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 CSV_FIELDS = ("x_min", "y_min", "x_max", "y_max", "score", "slice_index")
+_NMS_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,19 @@ def nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
 
     alive = np.ones(len(boxes), dtype=bool)
     kept: list[int] = []
-    for idx in order:
-        if not alive[idx]:
-            continue
-        kept.append(idx)
-        alive[idx] = False
-        cand = np.flatnonzero(alive)
-        if cand.size == 0:
-            break
-        iw = np.minimum(x1[idx], x1[cand]) - np.maximum(x0[idx], x0[cand])
-        ih = np.minimum(y1[idx], y1[cand]) - np.maximum(y0[idx], y0[cand])
+    # one numpy pass gives the IOU rows of a block of boxes in visiting
+    # order (at most _NMS_BLOCK x n floats); the greedy walk only reads them
+    for start in range(0, len(order), _NMS_BLOCK):
+        block = order[start:start + _NMS_BLOCK]
+        b = np.array(block)[:, None]
+        iw = np.minimum(x1[b], x1) - np.maximum(x0[b], x0)
+        ih = np.minimum(y1[b], y1) - np.maximum(y0[b], y0)
         inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-        overlap = inter / (areas[idx] + areas[cand] - inter)
-        alive[cand[overlap > iou_threshold]] = False
+        suppress = inter / (areas[b] + areas - inter) > iou_threshold
+        for idx, row in zip(block, suppress):
+            if alive[idx]:
+                kept.append(idx)
+                alive[row] = False
     return [boxes[i] for i in kept]
 
 

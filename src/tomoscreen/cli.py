@@ -339,8 +339,27 @@ def synthetic_birads(
     return grades
 
 
-def _auc_metric(cases: list[CaseRecord]) -> float:
-    return roc_and_auc(cases).auc
+def _operating(roc, cfg: RunConfig) -> dict:
+    """The `operating` summary block: each rate read off the curve at the
+    other's target."""
+    return {
+        "specificity_target": 0.9,
+        "sensitivity_at_target": sensitivity_at_specificity(roc, 0.9),
+        "sensitivity_target": cfg.target_sensitivity,
+        "specificity_at_target": specificity_at_sensitivity(roc, cfg.target_sensitivity),
+    }
+
+
+def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig, out: Path):
+    """Write panels.csv; return the panel count, the `readers` summary
+    block, (reader, sensitivity, specificity) plot markers and the
+    paired model-vs-readers delta."""
+    panels = enumerate_panels(cases, reader_ids)
+    write_panels_csv(panels, out / "panels.csv")
+    points = {r: reader_operating_point(cases, r) for r in reader_ids}
+    delta = paired_delta_pvalue(cases, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed)
+    readers = {r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()}
+    return len(panels), readers, [(r, se, sp) for r, (se, sp) in sorted(points.items())], delta
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +562,7 @@ def cmd_eval_roc(args) -> int:
     out = _out_dir(args, cfg)
     cases = read_cases_csv(args.cases)
     roc = roc_and_auc(cases)
-    boot = bootstrap_ci(
-        _auc_metric,
-        cases,
-        n_resamples=cfg.n_resamples,
-        seed=cfg.seed,
-        vector_metric=auc_mann_whitney,
-    )
+    boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
     write_roc_csv(roc, out / "roc.csv")
     write_roc_svg([("model", roc)], out / "roc.svg")
     summary = {
@@ -559,14 +572,7 @@ def cmd_eval_roc(args) -> int:
         "auc_ci": [boot.lo, boot.hi],
         "n_resamples": boot.n_resamples,
         "n_redraws": boot.n_redraws,
-        "operating": {
-            "specificity_target": 0.9,
-            "sensitivity_at_target": sensitivity_at_specificity(roc, 0.9),
-            "sensitivity_target": cfg.target_sensitivity,
-            "specificity_at_target": specificity_at_sensitivity(
-                roc, cfg.target_sensitivity
-            ),
-        },
+        "operating": _operating(roc, cfg),
         "seed": cfg.seed,
     }
     write_json(summary, out / "summary.json")
@@ -622,26 +628,14 @@ def cmd_eval_readers(args) -> int:
     reader_ids = sorted({r for c in cases for r in (c.reader_birads or {})})
     if not reader_ids:
         raise ConfigError(f"{args.cases}: no birads_<reader> columns found")
-    panels = enumerate_panels(cases, reader_ids)
-    write_panels_csv(panels, out / "panels.csv")
-    points = {r: reader_operating_point(cases, r) for r in reader_ids}
-    delta = paired_delta_pvalue(
-        cases, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed
-    )
+    n_panels, readers, markers, delta = _reader_study(cases, reader_ids, cfg, out)
     roc = roc_and_auc(cases)
-    write_roc_svg(
-        [("model", roc)],
-        out / "readers.svg",
-        points=[(r, se, sp) for r, (se, sp) in sorted(points.items())],
-    )
+    write_roc_svg([("model", roc)], out / "readers.svg", points=markers)
     write_json(
         {
             "n_cases": len(cases),
-            "readers": {
-                r: {"sensitivity": se, "specificity": sp}
-                for r, (se, sp) in points.items()
-            },
-            "n_panels": len(panels),
+            "readers": readers,
+            "n_panels": n_panels,
             "paired_delta": {
                 "metric": delta.metric,
                 "point_delta": delta.point_delta,
@@ -654,7 +648,7 @@ def cmd_eval_readers(args) -> int:
     )
     write_run_manifest(cfg, out, "eval-readers")
     print(
-        f"{len(reader_ids)} readers, {len(panels)} panel points, "
+        f"{len(reader_ids)} readers, {n_panels} panel points, "
         f"delta p = {delta.p_value:.4g}; wrote {out / 'readers.json'}"
     )
     return EXIT_OK
@@ -759,25 +753,14 @@ def cmd_report(args) -> int:
 
     roc = roc_and_auc(records)
     roc_center = roc_and_auc(center_records)
-    boot = bootstrap_ci(
-        _auc_metric,
-        records,
-        n_resamples=cfg.n_resamples,
-        seed=cfg.seed,
-        vector_metric=auc_mann_whitney,
-    )
+    boot = bootstrap_ci(auc_mann_whitney, records, n_resamples=cfg.n_resamples, seed=cfg.seed)
     scores_m = np.array([c.score for c in records])
     scores_c = np.array([c.score for c in center_records])
     labels = np.array([c.label for c in records], dtype=bool)
     dl = delong_test(scores_m, scores_c, labels)
 
     reader_ids = sorted(profiles)
-    panels = enumerate_panels(records, reader_ids)
-    write_panels_csv(panels, out / "panels.csv")
-    points = {r: reader_operating_point(records, r) for r in reader_ids}
-    delta = paired_delta_pvalue(
-        records, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed
-    )
+    n_panels, readers, markers, delta = _reader_study(records, reader_ids, cfg, out)
 
     sizes = np.array([c.tumor_size_mm for c in records if c.label])
     target = source_histogram(sizes, cfg.size_bin_edges)
@@ -786,11 +769,8 @@ def cmd_report(args) -> int:
     )
 
     write_roc_csv(roc, out / "roc.csv")
-    write_roc_svg(
-        [("optimized", roc), ("center slice", roc_center)],
-        out / "roc.svg",
-        points=[(r, se, sp) for r, (se, sp) in sorted(points.items())],
-    )
+    curves = [("optimized", roc), ("center slice", roc_center)]
+    write_roc_svg(curves, out / "roc.svg", points=markers)
 
     summary = {
         "n_cases": len(records),
@@ -807,18 +787,9 @@ def cmd_report(args) -> int:
             "p_value": dl.p,
             "degenerate": dl.degenerate,
         },
-        "operating": {
-            "specificity_target": 0.9,
-            "sensitivity_at_target": sensitivity_at_specificity(roc, 0.9),
-            "sensitivity_target": cfg.target_sensitivity,
-            "specificity_at_target": specificity_at_sensitivity(
-                roc, cfg.target_sensitivity
-            ),
-        },
-        "readers": {
-            r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()
-        },
-        "n_panels": len(panels),
+        "operating": _operating(roc, cfg),
+        "readers": readers,
+        "n_panels": n_panels,
         "paired_delta": {
             "metric": delta.metric,
             "point_delta": delta.point_delta,

@@ -6,6 +6,10 @@ operating points, the DeLong test for correlated AUCs, BIRADS reader and
 panel operating points, and tumor-size-matched resampling. Everything is
 seeded and deterministic; resample index matrices are drawn up front
 from one stream so thread count can never change a result.
+
+Every AUC is the Mann-Whitney count 2U / (2 n_pos n_neg) from midranks,
+correctly rounded; it equals the trapezoidal ROC area and the mean of
+DeLong's pairwise kernel, and no statistic builds an n_pos x n_neg array.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ def _split_arrays(cases) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class RocAnalysis:
     """Empirical ROC curve: one point per distinct threshold, plus the
-    no-recall endpoint at threshold +inf. auc is the trapezoidal area,
-    which equals the Mann-Whitney statistic with half credit for ties."""
+    no-recall endpoint at threshold +inf. auc is the Mann-Whitney
+    statistic with half credit for ties (auc_mann_whitney), which equals
+    the trapezoidal area under these points."""
 
     thresholds: tuple[float, ...]
     sensitivity: tuple[float, ...]
@@ -112,23 +117,15 @@ def _curve_points(scores: np.ndarray, labels: np.ndarray):
     return thresholds, sens, spec, fpr
 
 
-def _trapezoid_auc(fpr: np.ndarray, sens: np.ndarray) -> float:
-    terms = []
-    for i in range(len(fpr) - 1):
-        terms.append((fpr[i + 1] - fpr[i]) * (sens[i] + sens[i + 1]) / 2.0)
-    return math.fsum(terms)
-
-
 def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
     """Empirical ROC over all distinct score thresholds."""
     scores, labels = _split_arrays(cases)
-    thresholds, sens, spec, fpr = _curve_points(scores, labels)
-    auc = _trapezoid_auc(fpr, sens)
+    thresholds, sens, spec, _ = _curve_points(scores, labels)
     return RocAnalysis(
         thresholds=(math.inf,) + tuple(thresholds.tolist()),
         sensitivity=tuple(sens.tolist()),
         specificity=tuple(spec.tolist()),
-        auc=auc,
+        auc=auc_mann_whitney(scores, labels),
     )
 
 
@@ -139,43 +136,82 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return avg[inverse]
 
 
+def _rank_auc(ranks: np.ndarray, labels: np.ndarray, n_pos: int, n_neg: int) -> float:
+    # U = (sum of positive midranks) - n_pos (n_pos + 1) / 2, an exact half-integer
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 def auc_mann_whitney(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC: P(pos > neg) + 0.5 P(tie). Fast path for resampling."""
+    """Rank-based AUC: P(pos > neg) + 0.5 P(tie), the correctly rounded
+    value of 2U / (2 n_pos n_neg)."""
     labels = np.asarray(labels, dtype=bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
     ranks = _average_ranks(np.asarray(scores, dtype=np.float64))
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return _rank_auc(ranks, labels, n_pos, n_neg)
 
 
-def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target: float) -> float:
+def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target):
     # collapse to the best sensitivity available at each distinct specificity
     spec_rev = spec[::-1]
     sens_rev = sens[::-1]
     xs, first = np.unique(spec_rev, return_index=True)
-    return float(np.interp(target, xs, sens_rev[first]))
+    return np.interp(target, xs, sens_rev[first])
+
+
+def _spec_at_sens_arrays(sens: np.ndarray, spec: np.ndarray, target):
+    # the first point at each distinct sensitivity has the best specificity
+    xs, first = np.unique(sens, return_index=True)
+    return np.interp(target, xs, spec[first])
 
 
 def sensitivity_at_specificity(roc: RocAnalysis, target_spec: float) -> float:
     """Linear interpolation on the curve's upper envelope, clamped at ends."""
-    return _sens_at_spec_arrays(
-        np.asarray(roc.sensitivity), np.asarray(roc.specificity), target_spec
+    return float(
+        _sens_at_spec_arrays(np.asarray(roc.sensitivity), np.asarray(roc.specificity), target_spec)
     )
 
 
 def specificity_at_sensitivity(roc: RocAnalysis, target_sens: float) -> float:
-    sens = np.asarray(roc.sensitivity)
-    spec = np.asarray(roc.specificity)
-    xs, first = np.unique(sens, return_index=True)
-    return float(np.interp(target_sens, xs, spec[first]))
+    return float(
+        _spec_at_sens_arrays(np.asarray(roc.sensitivity), np.asarray(roc.specificity), target_sens)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Bootstrap
 # ---------------------------------------------------------------------------
+
+
+def _resample(fn, n: int, n_resamples: int, seed: int, stream: str) -> tuple[np.ndarray, int]:
+    """fn(rows) on n_resamples rows of n case indices, all drawn up front
+    from `stream`; returns (values, n_redraws). A row on which fn raises
+    ValueError is replaced from `<stream>-redraw` (created on first use);
+    more than 1% of n_resamples redrawn raises NumericError."""
+    idx = rng_stream(seed, stream).integers(0, n, size=(n_resamples, n))
+    redraw_rng = None
+    n_redraws = 0
+    values = np.empty(n_resamples, dtype=np.float64)
+    for r in range(n_resamples):
+        rows = idx[r]
+        while True:
+            try:
+                values[r] = fn(rows)
+                break
+            except ValueError:
+                n_redraws += 1
+                if n_redraws > 0.01 * n_resamples:
+                    raise NumericError(
+                        f"{stream} statistic undefined on more than 1% of resamples "
+                        f"({n_redraws} redraws in {n_resamples})"
+                    )
+                if redraw_rng is None:
+                    redraw_rng = rng_stream(seed, f"{stream}-redraw")
+                rows = redraw_rng.integers(0, n, size=n)
+    return values, n_redraws
 
 
 @dataclass(frozen=True)
@@ -192,55 +228,27 @@ def bootstrap_ci(
     cases: list[CaseRecord],
     n_resamples: int = 10000,
     seed: int = 0,
-    *,
-    vector_metric=None,
 ) -> BootstrapResult:
     """Percentile bootstrap (2.5/97.5) of a case-level metric.
 
+    metric(scores, labels) takes the cases' score and label arrays; it
+    gives the point estimate on all cases and one value per resample.
     Resamples whole cases with replacement, same size as the input. A
     resample on which the metric raises ValueError (e.g. it drew a
     single class) is redrawn and counted; more than 1% of n_resamples
     needing redraws aborts with NumericError.
-
-    vector_metric, when given, must be the same statistic expressed as
-    f(scores, labels) on numpy arrays; it is used for the resampling
-    loop while `metric` still produces the point estimate.
     """
-    cases = list(cases)
-    n = len(cases)
-    if n == 0:
-        raise ValueError("bootstrap needs at least one case")
-    point = float(metric(cases))
     scores, labels = _split_arrays(cases)
-    case_arr = np.empty(n, dtype=object)
-    for i, c in enumerate(cases):
-        case_arr[i] = c
-
-    rng = rng_stream(seed, "bootstrap")
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    redraw_rng = None
-    max_redraws = 0.01 * n_resamples
-    n_redraws = 0
-    values = np.empty(n_resamples, dtype=np.float64)
-    for r in range(n_resamples):
-        rows = idx[r]
-        while True:
-            try:
-                if vector_metric is not None:
-                    values[r] = vector_metric(scores[rows], labels[rows])
-                else:
-                    values[r] = metric(list(case_arr[rows]))
-                break
-            except ValueError:
-                n_redraws += 1
-                if n_redraws > max_redraws:
-                    raise NumericError(
-                        f"metric undefined on more than 1% of resamples "
-                        f"({n_redraws} redraws in {n_resamples})"
-                    )
-                if redraw_rng is None:
-                    redraw_rng = rng_stream(seed, "bootstrap-redraw")
-                rows = redraw_rng.integers(0, n, size=n)
+    if scores.size == 0:
+        raise ValueError("bootstrap needs at least one case")
+    point = float(metric(scores, labels))
+    values, n_redraws = _resample(
+        lambda rows: metric(scores[rows], labels[rows]),
+        scores.size,
+        n_resamples,
+        seed,
+        "bootstrap",
+    )
     lo, hi = np.percentile(values, [2.5, 97.5])
     return BootstrapResult(
         point=point, lo=float(lo), hi=float(hi), n_resamples=n_resamples, n_redraws=n_redraws
@@ -260,35 +268,19 @@ class PairedDeltaResult:
     metric: str
 
 
-def _reader_recall_matrix(cases: list[CaseRecord], reader_ids: list[str]) -> np.ndarray:
-    recalls = np.empty((len(cases), len(reader_ids)), dtype=bool)
-    for i, case in enumerate(cases):
-        birads = case.reader_birads or {}
-        for j, reader in enumerate(reader_ids):
-            if reader not in birads:
-                raise ValueError(f"case {case.case_id} missing read from {reader}")
-            recalls[i, j] = birads[reader] >= RECALL_BIRADS
-    return recalls
-
-
 def _matched_delta(
     scores: np.ndarray, labels: np.ndarray, recalls: np.ndarray, metric: str
 ) -> float:
     """Mean over readers of (model metric at that reader's operating point)
     minus the mean reader metric, on one dataset."""
     _, sens, spec, _ = _curve_points(scores, labels)
-    pos = labels
-    neg = ~labels
-    if not pos.any() or not neg.any():
-        raise ValueError("both classes required")
-    reader_sens = recalls[pos].mean(axis=0)
-    reader_spec = 1.0 - recalls[neg].mean(axis=0)
+    reader_sens = recalls[labels].mean(axis=0)
+    reader_spec = 1.0 - recalls[~labels].mean(axis=0)
     if metric == "sensitivity":
-        model_vals = [_sens_at_spec_arrays(sens, spec, s) for s in reader_spec]
+        model_vals = _sens_at_spec_arrays(sens, spec, reader_spec)
         reader_vals = reader_sens
     elif metric == "specificity":
-        xs, first = np.unique(sens, return_index=True)
-        model_vals = [float(np.interp(t, xs, spec[first])) for t in reader_sens]
+        model_vals = _spec_at_sens_arrays(sens, spec, reader_sens)
         reader_vals = reader_spec
     else:
         raise ValueError(f"unknown matched metric {metric!r}")
@@ -309,34 +301,16 @@ def paired_delta_pvalue(
     difference (model - readers) is negative.
     """
     scores, labels = _split_arrays(cases)
-    recalls = _reader_recall_matrix(cases, reader_ids)
+    recalls = _birads_matrix(cases, reader_ids) >= RECALL_BIRADS
     point = _matched_delta(scores, labels, recalls, metric)
-
-    n = len(cases)
-    rng = rng_stream(seed, "paired-delta")
-    idx = rng.integers(0, n, size=(n_resamples, n))
-    redraw_rng = None
-    n_redraws = 0
-    max_redraws = 0.01 * n_resamples
-    below = 0
-    for r in range(n_resamples):
-        rows = idx[r]
-        while True:
-            try:
-                delta = _matched_delta(scores[rows], labels[rows], recalls[rows], metric)
-                break
-            except ValueError:
-                n_redraws += 1
-                if n_redraws > max_redraws:
-                    raise NumericError(
-                        f"matched delta undefined on more than 1% of resamples "
-                        f"({n_redraws} redraws in {n_resamples})"
-                    )
-                if redraw_rng is None:
-                    redraw_rng = rng_stream(seed, "paired-delta-redraw")
-                rows = redraw_rng.integers(0, n, size=n)
-        if delta < 0:
-            below += 1
+    deltas, n_redraws = _resample(
+        lambda rows: _matched_delta(scores[rows], labels[rows], recalls[rows], metric),
+        len(cases),
+        n_resamples,
+        seed,
+        "paired-delta",
+    )
+    below = int(np.count_nonzero(deltas < 0))
     return PairedDeltaResult(
         p_value=below / n_resamples, point_delta=point, n_redraws=n_redraws, metric=metric
     )
@@ -357,10 +331,17 @@ class DelongResult:
 
 
 def _structural_components(scores: np.ndarray, labels: np.ndarray):
-    pos = scores[labels]
-    neg = scores[~labels]
-    psi = (pos[:, None] > neg[None, :]) + 0.5 * (pos[:, None] == neg[None, :])
-    return psi.mean(axis=1), psi.mean(axis=0), psi.mean()
+    """DeLong's V10, V01 and AUC from midranks (Sun & Xu 2014), in O(n)
+    memory. A case's midrank among all minus its midrank within its class
+    counts the other class below it, ties half: an exact half-integer
+    divided once, so V10 and V01 equal the pairwise kernel's row and
+    column means bit for bit."""
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    ranks = _average_ranks(scores)
+    neg_below = ranks[labels] - _average_ranks(scores[labels])
+    pos_above = n_pos - (ranks[~labels] - _average_ranks(scores[~labels]))
+    return neg_below / n_neg, pos_above / n_pos, _rank_auc(ranks, labels, n_pos, n_neg)
 
 
 def delong_test(scores_a, scores_b, labels) -> DelongResult:
@@ -408,6 +389,30 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
 # ---------------------------------------------------------------------------
 
 
+def _birads_matrix(cases: list[CaseRecord], reader_ids: list[str]) -> np.ndarray:
+    """(n_cases x n_readers) integer BIRADS grades; every read must exist."""
+    grades = np.empty((len(cases), len(reader_ids)), dtype=np.int64)
+    for i, case in enumerate(cases):
+        birads = case.reader_birads or {}
+        for j, reader in enumerate(reader_ids):
+            if reader not in birads:
+                raise ValueError(f"case {case.case_id} missing read from {reader}")
+            grades[i, j] = birads[reader]
+    return grades
+
+
+def _panel_point(grades: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    # mean BIRADS >= 3 over k reads, in its exact integer form: sum >= 3k
+    recall = grades.sum(axis=1) >= RECALL_BIRADS * grades.shape[1]
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("panel evaluation needs both classes")
+    tp = int(np.count_nonzero(recall[labels]))
+    tn = n_neg - int(np.count_nonzero(recall[~labels]))
+    return tp / n_pos, tn / n_neg
+
+
 def reader_operating_point(cases: list[CaseRecord], reader_id: str) -> tuple[float, float]:
     """(sensitivity, specificity) of one reader under the recall-at-3 rule."""
     return reader_panel_combine(cases, [reader_id])
@@ -419,24 +424,8 @@ def reader_panel_combine(
     """Panel operating point: recall iff the mean BIRADS is >= 3 (inclusive)."""
     if not reader_subset:
         raise ValueError("panel needs at least one reader")
-    tp = fn = tn = fp = 0
-    for case in cases:
-        birads = case.reader_birads or {}
-        values = []
-        for reader in reader_subset:
-            if reader not in birads:
-                raise ValueError(f"case {case.case_id} missing read from {reader}")
-            values.append(birads[reader])
-        recall = (math.fsum(values) / len(values)) >= RECALL_BIRADS
-        if case.label:
-            tp += recall
-            fn += not recall
-        else:
-            fp += recall
-            tn += not recall
-    if tp + fn == 0 or tn + fp == 0:
-        raise ValueError("panel evaluation needs both classes")
-    return tp / (tp + fn), tn / (tn + fp)
+    _, labels = _split_arrays(cases)
+    return _panel_point(_birads_matrix(cases, reader_subset), labels)
 
 
 @dataclass(frozen=True)
@@ -449,11 +438,17 @@ class PanelPoint:
 def enumerate_panels(cases: list[CaseRecord], reader_ids: list[str]) -> list[PanelPoint]:
     """All single readers plus every panel of size 2..k, in deterministic order."""
     readers = sorted(reader_ids)
+    grades = _birads_matrix(cases, readers)
+    _, labels = _split_arrays(cases)
     points = []
     for size in range(1, len(readers) + 1):
-        for combo in itertools.combinations(readers, size):
-            sens, spec = reader_panel_combine(cases, list(combo))
-            points.append(PanelPoint(readers=combo, sensitivity=sens, specificity=spec))
+        for combo in itertools.combinations(range(len(readers)), size):
+            sens, spec = _panel_point(grades[:, combo], labels)
+            points.append(
+                PanelPoint(
+                    readers=tuple(readers[j] for j in combo), sensitivity=sens, specificity=spec
+                )
+            )
     return points
 
 
@@ -604,45 +599,59 @@ def cases_to_csv(cases: list[CaseRecord]) -> str:
     return buf.getvalue()
 
 
+_LABELS = {"1": True, "true": True, "0": False, "false": False}
+
+
+def _cell(row: list[str], col: dict[str, int], name: str, parse):
+    text = row[col[name]]
+    try:
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"column {name!r}: cannot parse {text!r}") from None
+
+
+def _case_from_row(row: list[str], col: dict[str, int], reader_cols) -> CaseRecord:
+    size = None
+    if "tumor_size_mm" in col and row[col["tumor_size_mm"]].strip() != "":
+        size = _cell(row, col, "tumor_size_mm", float)
+    birads = {
+        reader_id: _cell(row, col, name, int)
+        for reader_id, name in reader_cols
+        if row[col[name]].strip() != ""
+    }
+    return CaseRecord(
+        case_id=row[col["case_id"]],
+        label=_cell(row, col, "label", lambda text: _LABELS[text.strip().lower()]),
+        score=_cell(row, col, "score", float),
+        tumor_size_mm=size,
+        reader_birads=birads or None,
+    )
+
+
 def cases_from_csv(text: str) -> list[CaseRecord]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
+    """Parse a cases table; a malformed row raises ValueError naming its
+    line and, for a bad cell, its column."""
+    if not text.strip():
         raise ValueError("empty cases CSV")
-    header = [h.strip() for h in header]
-    required = ["case_id", "label", "score"]
-    for col in required:
-        if col not in header:
-            raise ValueError(f"cases CSV missing column {col!r}")
-    col = {name: i for i, name in enumerate(header)}
-    reader_cols = [(name[len("birads_"):], i) for i, name in enumerate(header) if name.startswith("birads_")]
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        label_text = row[col["label"]].strip().lower()
-        if label_text in ("1", "true"):
-            label = True
-        elif label_text in ("0", "false"):
-            label = False
-        else:
-            raise ValueError(f"bad label {row[col['label']]!r}")
-        size = None
-        if "tumor_size_mm" in col and row[col["tumor_size_mm"]].strip() != "":
-            size = float(row[col["tumor_size_mm"]])
-        birads = {}
-        for reader_id, i in reader_cols:
-            if row[i].strip() != "":
-                birads[reader_id] = int(row[i])
-        out.append(
-            CaseRecord(
-                case_id=row[col["case_id"]],
-                label=label,
-                score=float(row[col["score"]]),
-                tumor_size_mm=size,
-                reader_birads=birads or None,
-            )
-        )
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = [h.strip() for h in next(reader)]
+        for name in ("case_id", "label", "score"):
+            if name not in header:
+                raise ValueError(f"cases CSV missing column {name!r}")
+        col = {name: i for i, name in enumerate(header)}
+        reader_cols = [
+            (name[len("birads_"):], name) for name in header if name.startswith("birads_")
+        ]
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields, header has {len(header)}")
+            out.append(_case_from_row(row, col, reader_cols))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out
 
 
@@ -651,7 +660,10 @@ def write_cases_csv(cases: list[CaseRecord], path: str | Path) -> None:
 
 
 def read_cases_csv(path: str | Path) -> list[CaseRecord]:
-    return cases_from_csv(Path(path).read_text())
+    try:
+        return cases_from_csv(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_roc_csv(roc: RocAnalysis, path: str | Path) -> None:

@@ -205,9 +205,6 @@ def test_criterion_04_bootstrap_coverage():
     rng = np.random.default_rng(404)
     t0 = time.perf_counter()
 
-    def metric(cases):
-        return float(np.mean([c.score for c in cases]))
-
     def vec(scores, labels):
         return float(scores.mean())
 
@@ -218,7 +215,7 @@ def test_criterion_04_bootstrap_coverage():
             CaseRecord(case_id=f"b{t}-{i}", label=bool(draws[i]), score=float(draws[i]))
             for i in range(200)
         ]
-        res = bootstrap_ci(metric, cases, n_resamples=10000, seed=t, vector_metric=vec)
+        res = bootstrap_ci(vec, cases, n_resamples=10000, seed=t)
         covered += res.lo <= p_true <= res.hi
     coverage = covered / 500
     elapsed = time.perf_counter() - t0

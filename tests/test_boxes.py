@@ -146,6 +146,13 @@ class TestNms:
             boxes = random_boxes(rng, int(rng.integers(0, 50)))
             assert nms(boxes, threshold) == reference_nms(boxes, threshold)
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 1.0])
+    def test_matches_reference_across_blocks(self, threshold):
+        # more boxes than one block of IOU rows, so later blocks must see
+        # the suppressions made by earlier ones
+        boxes = random_boxes(np.random.default_rng(7), 700)
+        assert nms(boxes, threshold) == reference_nms(boxes, threshold)
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.2, 0.5]))
     def test_matches_reference_property(self, seed, threshold):
         rng = np.random.default_rng(seed)

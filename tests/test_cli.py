@@ -3,6 +3,7 @@ rerun byte-stability."""
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -284,6 +285,38 @@ class TestMalformedVolume:
         path.write_text(json.dumps(manifest))
         assert self.condense(directory, tmp_path) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+
+class TestMalformedCasesCsv:
+    """A broken cases table ends in exit 2 with the table's path."""
+
+    CORRUPTIONS = {
+        "short row": lambda f: f[:-1],
+        "long row": lambda f: f + ["4"],
+        "bad label": lambda f: [f[0], "maybe"] + f[2:],
+        "bad score": lambda f: f[:2] + ["high"] + f[3:],
+        "bad size": lambda f: f[:3] + ["big"] + f[4:],
+        "bad birads": lambda f: f[:4] + ["4.5"] + f[5:],
+        "oversized field": lambda f: f[:2] + ["0." + "1" * 200_000] + f[3:],
+    }
+
+    @pytest.mark.parametrize("command", ["roc", "readers", "delong"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, command, corruption):
+        good = scored_csv(tmp_path, readers=("r1", "r2"), sizes=True)
+        lines = Path(good).read_text().splitlines()
+        assert lines[0] == "case_id,label,score,tumor_size_mm,birads_r1,birads_r2"
+        lines[1] = ",".join(self.CORRUPTIONS[corruption](lines[1].split(",")))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        args = ["eval", command, "--out", str(tmp_path / "o")]
+        if command == "delong":
+            args += ["--cases-a", good, "--cases-b", str(bad)]
+        else:
+            args += ["--cases", str(bad)]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2: " in err
 
 
 class TestPhantomGen:
@@ -631,11 +664,15 @@ class TestPipelineChain:
 
 class TestSubprocessEntry:
     def run_cli(self, *argv):
+        # the child imports the same package as this test, installed or not
+        src = str(Path(cli_module.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "tomoscreen.cli", *argv],
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_version(self):

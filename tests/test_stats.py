@@ -5,10 +5,12 @@ loops, an explicit-loop DeLong, hand-tallied operating points.
 """
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tomoscreen.errors import NumericError
@@ -36,6 +38,7 @@ from tomoscreen.stats import (
     write_panels_csv,
     write_roc_csv,
     write_roc_svg,
+    _structural_components,
 )
 
 
@@ -71,6 +74,13 @@ scores_strategy = st.lists(
     min_size=1,
     max_size=25,
 )
+
+# (score, label) rows in any order, both classes present, tied scores likely
+labeled_strategy = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=1.0).map(lambda x: round(x, 1)), st.booleans()),
+    min_size=2,
+    max_size=40,
+).filter(lambda rows: len({label for _, label in rows}) == 2)
 
 
 class TestCaseRecord:
@@ -134,6 +144,18 @@ class TestRocAndAuc:
         scores = np.array([c.score for c in cases])
         labels = np.array([c.label for c in cases])
         assert auc_mann_whitney(scores, labels) == pytest.approx(oracle, abs=1e-12)
+
+    @given(scores_strategy, scores_strategy)
+    @example([0.7, 0.9], [0.1, 0.7, 0.9, 1.0, 0.0, 0.9])
+    def test_auc_is_the_exact_count_correctly_rounded(self, pos, neg):
+        # on tied data a trapezoid sum over the curve can miss by an ulp
+        # (the example does); the count divided once cannot
+        cases = records(pos, neg)
+        twice_u = sum(2 if p > q else int(p == q) for p in pos for q in neg)
+        exact = float(Fraction(twice_u, 2 * len(pos) * len(neg)))
+        scores = np.array([c.score for c in cases])
+        labels = np.array([c.label for c in cases])
+        assert roc_and_auc(cases).auc == auc_mann_whitney(scores, labels) == exact
 
     def test_trapezoid_of_own_curve(self, rng):
         # quantized scores so the curve contains real tie steps
@@ -216,15 +238,14 @@ class TestOperatingPointLookup:
 class TestBootstrapCi:
     def test_constant_metric_collapses(self):
         cases = records([0.7, 0.8], [0.2, 0.3])
-        result = bootstrap_ci(lambda cs: 0.7, cases, n_resamples=200, seed=1)
+        result = bootstrap_ci(lambda scores, labels: 0.7, cases, n_resamples=200, seed=1)
         assert (result.point, result.lo, result.hi) == (0.7, 0.7, 0.7)
         assert result.n_redraws == 0
 
     def test_same_seed_is_deterministic(self):
         cases = records([0.7, 0.8, 0.6, 0.9], [0.2, 0.3, 0.4, 0.5])
-        auc = lambda cs: roc_and_auc(cs).auc
-        a = bootstrap_ci(auc, cases, n_resamples=500, seed=5)
-        b = bootstrap_ci(auc, cases, n_resamples=500, seed=5)
+        a = bootstrap_ci(auc_mann_whitney, cases, n_resamples=500, seed=5)
+        b = bootstrap_ci(auc_mann_whitney, cases, n_resamples=500, seed=5)
         assert a == b
 
     def test_point_estimate_is_plain_metric(self):
@@ -232,62 +253,31 @@ class TestBootstrapCi:
             [0.7, 0.8, 0.6, 0.9, 0.75, 0.65, 0.85, 0.7],
             [0.2, 0.3, 0.4, 0.1, 0.25, 0.35, 0.15, 0.45],
         )
-        result = bootstrap_ci(lambda cs: roc_and_auc(cs).auc, cases, n_resamples=200, seed=0)
+        result = bootstrap_ci(auc_mann_whitney, cases, n_resamples=200, seed=0)
         assert result.point == roc_and_auc(cases).auc
-
-    def test_vector_path_agrees_with_list_path(self, rng):
-        pos = np.round(rng.random(10), 2).tolist()
-        neg = np.round(rng.random(10), 2).tolist()
-        cases = records(pos, neg)
-        auc = lambda cs: roc_and_auc(cs).auc
-        plain = bootstrap_ci(auc, cases, n_resamples=800, seed=3)
-        fast = bootstrap_ci(
-            auc, cases, n_resamples=800, seed=3, vector_metric=auc_mann_whitney
-        )
-        assert fast.point == plain.point
-        assert fast.lo == pytest.approx(plain.lo, abs=1e-9)
-        assert fast.hi == pytest.approx(plain.hi, abs=1e-9)
-        assert fast.n_redraws == plain.n_redraws
 
     def test_single_class_resamples_are_redrawn(self):
         # 5+5 cases: a one-class resample has probability 2 * 0.5^10, so
         # about 20 of 10000 trip the redraw path without nearing the cap
         cases = records([0.9, 0.8, 0.7, 0.85, 0.95], [0.1, 0.2, 0.3, 0.15, 0.05])
-        result = bootstrap_ci(
-            lambda cs: roc_and_auc(cs).auc,
-            cases,
-            n_resamples=10000,
-            seed=7,
-            vector_metric=auc_mann_whitney,
-        )
+        result = bootstrap_ci(auc_mann_whitney, cases, n_resamples=10000, seed=7)
         assert result.n_redraws > 0
         assert result.lo <= result.point <= result.hi
 
     def test_hopeless_imbalance_aborts(self):
         cases = records([0.9], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         with pytest.raises(NumericError):
-            bootstrap_ci(
-                lambda cs: roc_and_auc(cs).auc,
-                cases,
-                n_resamples=2000,
-                seed=0,
-                vector_metric=auc_mann_whitney,
-            )
+            bootstrap_ci(auc_mann_whitney, cases, n_resamples=2000, seed=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(lambda cs: 0.5, [], n_resamples=10, seed=0)
+            bootstrap_ci(lambda scores, labels: 0.5, [], n_resamples=10, seed=0)
 
     def test_interval_tightens_with_sample_size(self, rng):
-        auc = lambda cs: roc_and_auc(cs).auc
-
         def width(n):
             pos = np.clip(rng.normal(0.65, 0.1, size=n), 0, 1).tolist()
             neg = np.clip(rng.normal(0.35, 0.1, size=n), 0, 1).tolist()
-            r = bootstrap_ci(
-                auc, records(pos, neg), n_resamples=2000, seed=2,
-                vector_metric=auc_mann_whitney,
-            )
+            r = bootstrap_ci(auc_mann_whitney, records(pos, neg), n_resamples=2000, seed=2)
             return r.hi - r.lo
 
         assert width(400) < width(25)
@@ -409,6 +399,31 @@ def delong_oracle(scores_a, scores_b, labels):
 
 
 class TestDelong:
+    @given(labeled_strategy)
+    def test_structural_components_equal_quadratic_kernel(self, rows):
+        scores = np.array([score for score, _ in rows])
+        labels = np.array([label for _, label in rows])
+        pos = scores[labels][:, None]
+        neg = scores[~labels][None, :]
+        psi = (pos > neg) + 0.5 * (pos == neg)
+        v10, v01, auc = _structural_components(scores, labels)
+        assert v10.tobytes() == psi.mean(axis=1).tobytes()
+        assert v01.tobytes() == psi.mean(axis=0).tobytes()
+        assert auc == psi.mean()
+
+    def test_memory_does_not_grow_with_pairs(self, rng):
+        # 2000 + 2000 cases: a pairwise kernel alone would be 32 MB
+        labels = np.arange(4000) < 2000
+        a = np.round(rng.random(4000), 3)
+        b = np.round(rng.random(4000), 3)
+        tracemalloc.start()
+        try:
+            delong_test(a, b, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_identical_scores_short_circuit(self):
         scores = np.array([0.1, 0.8, 0.4, 0.6])
         labels = np.array([False, True, False, True])
@@ -752,6 +767,33 @@ class TestCasesCsv:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             cases_from_csv("")
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("b,0,0.25", "3 fields, header has 5"),
+            ("b,0,0.25,,4,9", "6 fields, header has 5"),
+            ("b,maybe,0.25,,4", "column 'label'"),
+            ("b,0,high,,4", "column 'score'"),
+            ("b,1,0.25,big,4", "column 'tumor_size_mm'"),
+            ("b,0,0.25,,4.5", "column 'birads_r1'"),
+            ("b,0,0.25,,9", "BIRADS 9 not in 1..5"),
+            ("b,0,0.25,," + "4" * 200_000, "field limit"),
+        ],
+    )
+    def test_malformed_row_names_line_and_column(self, row, reason):
+        text = "case_id,label,score,tumor_size_mm,birads_r1\na,1,0.5,12.0,4\n" + row + "\n"
+        with pytest.raises(ValueError) as exc:
+            cases_from_csv(text)
+        assert str(exc.value).startswith("line 3: ")
+        assert reason in str(exc.value)
+
+    def test_read_error_names_the_file(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_text("case_id,label,score\na,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_cases_csv(path)
+        assert str(exc.value).startswith(f"{path}: line 2: ")
 
 
 class TestPlotFiles:
