@@ -18,6 +18,7 @@ different directories must produce identical bundles.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -557,12 +558,23 @@ def cmd_train_mil(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _statistics_on(*paths: str):
+    """A statistic that rejects a parsed table (ValueError) exits 2
+    naming the table's path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(map(str, paths))}: {exc}") from None
+
+
 def cmd_eval_roc(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out = _out_dir(args, cfg)
     cases = read_cases_csv(args.cases)
-    roc = roc_and_auc(cases)
-    boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
+    with _statistics_on(args.cases):
+        roc = roc_and_auc(cases)
+        boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
     write_roc_csv(roc, out / "roc.csv")
     write_roc_svg([("model", roc)], out / "roc.svg")
     summary = {
@@ -601,7 +613,8 @@ def cmd_eval_delong(args) -> int:
     scores_a = np.array([c.score for c in a])
     scores_b = np.array([c.score for c in b])
     labels = np.array([c.label for c in a], dtype=bool)
-    res = delong_test(scores_a, scores_b, labels)
+    with _statistics_on(args.cases_a, args.cases_b):
+        res = delong_test(scores_a, scores_b, labels)
     write_json(
         {
             "n_cases": len(a),
@@ -628,8 +641,9 @@ def cmd_eval_readers(args) -> int:
     reader_ids = sorted({r for c in cases for r in (c.reader_birads or {})})
     if not reader_ids:
         raise ConfigError(f"{args.cases}: no birads_<reader> columns found")
-    n_panels, readers, markers, delta = _reader_study(cases, reader_ids, cfg, out)
-    roc = roc_and_auc(cases)
+    with _statistics_on(args.cases):
+        n_panels, readers, markers, delta = _reader_study(cases, reader_ids, cfg, out)
+        roc = roc_and_auc(cases)
     write_roc_svg([("model", roc)], out / "readers.svg", points=markers)
     write_json(
         {
@@ -654,13 +668,15 @@ def cmd_eval_readers(args) -> int:
     return EXIT_OK
 
 
-def _load_target_histogram(spec: str, cases: list[CaseRecord], edges) -> SizeHistogram:
+def _load_target_histogram(
+    spec: str, table: str, cases: list[CaseRecord], edges
+) -> SizeHistogram:
     if spec == "source":
         sizes = np.array(
             [c.tumor_size_mm for c in cases if c.label and c.tumor_size_mm is not None]
         )
         if sizes.size == 0:
-            raise ConfigError("no positive cases with tumor sizes in the table")
+            raise ConfigError(f"{table}: no positive cases with tumor sizes")
         return source_histogram(sizes, tuple(edges))
     data = json.loads(Path(spec).read_text())
     try:
@@ -677,10 +693,9 @@ def cmd_eval_size_matched(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     out = _out_dir(args, cfg)
     cases = read_cases_csv(args.cases)
-    target = _load_target_histogram(args.target, cases, cfg.size_bin_edges)
-    res = size_matched_auc(
-        cases, target, n_populations=cfg.n_populations, seed=cfg.seed
-    )
+    target = _load_target_histogram(args.target, args.cases, cases, cfg.size_bin_edges)
+    with _statistics_on(args.cases):
+        res = size_matched_auc(cases, target, n_populations=cfg.n_populations, seed=cfg.seed)
     write_json(
         {
             "mean_auc": res.mean_auc,

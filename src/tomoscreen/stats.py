@@ -4,8 +4,12 @@ Covers the empirical ROC curve and Mann-Whitney AUC, percentile
 bootstrap confidence intervals, paired model-vs-reader deltas at matched
 operating points, the DeLong test for correlated AUCs, BIRADS reader and
 panel operating points, and tumor-size-matched resampling. Everything is
-seeded and deterministic; resample index matrices are drawn up front
-from one stream so thread count can never change a result.
+seeded and deterministic. Resample indices are drawn from one stream
+in row blocks, which equal one up-front draw of the whole index matrix,
+so neither the thread count nor the block size can change a result.
+Bootstrap, paired-delta and size-matched resamples are evaluated a block
+at a time on per-resample count matrices over tie groups, with no
+Python loop per resample.
 
 Every AUC is the Mann-Whitney count 2U / (2 n_pos n_neg) from midranks,
 correctly rounded; it equals the trapezoidal ROC area and the mean of
@@ -186,22 +190,38 @@ def specificity_at_sensitivity(roc: RocAnalysis, target_sens: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Resample rows are drawn and evaluated in blocks of about this many case
+# indices, so a block's count matrices take a few MiB whatever n and the
+# number of resamples; larger blocks measured no faster.
+_BLOCK_INDICES = 1 << 15
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_INDICES // max(n, 1))
+
+
 def _resample(fn, n: int, n_resamples: int, seed: int, stream: str) -> tuple[np.ndarray, int]:
-    """fn(rows) on n_resamples rows of n case indices, all drawn up front
-    from `stream`; returns (values, n_redraws). A row on which fn raises
-    ValueError is replaced from `<stream>-redraw` (created on first use);
-    more than 1% of n_resamples redrawn raises NumericError."""
-    idx = rng_stream(seed, stream).integers(0, n, size=(n_resamples, n))
+    """Evaluate n_resamples rows of n case indices drawn from `stream`;
+    returns (values, n_redraws).
+
+    fn(idx) maps a (rows, n) block of indices to (values, defined). The
+    blocks are drawn in order from one stream, so they equal one
+    up-front (n_resamples, n) draw. Each row that is not defined is
+    replaced, in ascending row order, by rows from `<stream>-redraw`
+    (created on first use) until one is; more than 1% of n_resamples
+    redrawn raises NumericError.
+    """
+    rng = rng_stream(seed, stream)
     redraw_rng = None
     n_redraws = 0
     values = np.empty(n_resamples, dtype=np.float64)
-    for r in range(n_resamples):
-        rows = idx[r]
-        while True:
-            try:
-                values[r] = fn(rows)
-                break
-            except ValueError:
+    step = _block_rows(n)
+    for start in range(0, n_resamples, step):
+        block, defined = fn(rng.integers(0, n, size=(min(step, n_resamples - start), n)))
+        values[start : start + block.size] = block
+        for r in np.flatnonzero(~defined):
+            ok = False
+            while not ok:
                 n_redraws += 1
                 if n_redraws > 0.01 * n_resamples:
                     raise NumericError(
@@ -210,8 +230,70 @@ def _resample(fn, n: int, n_resamples: int, seed: int, stream: str) -> tuple[np.
                     )
                 if redraw_rng is None:
                     redraw_rng = rng_stream(seed, f"{stream}-redraw")
-                rows = redraw_rng.integers(0, n, size=n)
+                value, defined_one = fn(redraw_rng.integers(0, n, size=(1, n)))
+                ok = bool(defined_one[0])
+            values[start + r] = value[0]
     return values, n_redraws
+
+
+def _per_row(fn):
+    """Block form of fn(rows) -> value for a metric without a count form;
+    a row on which fn raises ValueError is not defined."""
+
+    def block(idx: np.ndarray):
+        values = np.empty(idx.shape[0], dtype=np.float64)
+        defined = np.ones(idx.shape[0], dtype=bool)
+        for r, rows in enumerate(idx):
+            try:
+                values[r] = fn(rows)
+            except ValueError:
+                defined[r] = False
+        return values, defined
+
+    return block
+
+
+def _row_offsets(rows: int, width: int) -> np.ndarray:
+    # added to per-row bin numbers, so one bincount counts every row
+    return width * np.arange(rows)[:, None]
+
+
+def _class_counts(scores: np.ndarray, labels: np.ndarray):
+    """counts(idx) -> (neg, pos, n_pos, n_neg): per resample row, the
+    (rows, groups) counts of drawn negatives and positives in each tie
+    group of scores, in ascending score order, and the class sizes."""
+    _, group = np.unique(scores, return_inverse=True)
+    n_groups = int(group.max()) + 1 if group.size else 0
+    code = 2 * group + labels  # one bin per (group, class)
+
+    def counts(idx: np.ndarray):
+        rows, n = idx.shape
+        keys = code[idx]
+        keys += _row_offsets(rows, 2 * n_groups)
+        both = np.bincount(keys.ravel(), minlength=rows * 2 * n_groups)
+        both = both.reshape(rows, n_groups, 2)
+        neg, pos = both[..., 0], both[..., 1]
+        n_pos = pos.sum(axis=1)
+        return neg, pos, n_pos, n - n_pos
+
+    return counts
+
+
+def _auc_block(scores: np.ndarray, labels: np.ndarray):
+    """Block form of auc_mann_whitney on resample rows of (scores, labels):
+    2U = sum over tie groups of pos * (2 * negatives below + neg), an
+    exact integer, divided once by 2 n_pos n_neg, so each value equals
+    auc_mann_whitney on that row bit for bit."""
+    counts = _class_counts(scores, labels)
+
+    def block(idx: np.ndarray):
+        neg, pos, n_pos, n_neg = counts(idx)
+        neg_below = np.cumsum(neg, axis=1) - neg
+        twice_u = (pos * (2 * neg_below + neg)).sum(axis=1)
+        defined = (n_pos > 0) & (n_neg > 0)
+        return twice_u / np.where(defined, 2 * n_pos * n_neg, 1), defined
+
+    return block
 
 
 @dataclass(frozen=True)
@@ -236,19 +318,18 @@ def bootstrap_ci(
     Resamples whole cases with replacement, same size as the input. A
     resample on which the metric raises ValueError (e.g. it drew a
     single class) is redrawn and counted; more than 1% of n_resamples
-    needing redraws aborts with NumericError.
+    needing redraws aborts with NumericError. auc_mann_whitney is
+    evaluated on count matrices, any other metric once per resample.
     """
     scores, labels = _split_arrays(cases)
     if scores.size == 0:
         raise ValueError("bootstrap needs at least one case")
     point = float(metric(scores, labels))
-    values, n_redraws = _resample(
-        lambda rows: metric(scores[rows], labels[rows]),
-        scores.size,
-        n_resamples,
-        seed,
-        "bootstrap",
-    )
+    if metric is auc_mann_whitney:
+        block = _auc_block(scores, labels)
+    else:
+        block = _per_row(lambda rows: metric(scores[rows], labels[rows]))
+    values, n_redraws = _resample(block, scores.size, n_resamples, seed, "bootstrap")
     lo, hi = np.percentile(values, [2.5, 97.5])
     return BootstrapResult(
         point=point, lo=float(lo), hi=float(hi), n_resamples=n_resamples, n_redraws=n_redraws
@@ -265,26 +346,68 @@ class PairedDeltaResult:
     p_value: float
     point_delta: float
     n_redraws: int
-    metric: str
+    metric: str = "sensitivity"
 
 
-def _matched_delta(
-    scores: np.ndarray, labels: np.ndarray, recalls: np.ndarray, metric: str
-) -> float:
-    """Mean over readers of (model metric at that reader's operating point)
-    minus the mean reader metric, on one dataset."""
-    _, sens, spec, _ = _curve_points(scores, labels)
-    reader_sens = recalls[labels].mean(axis=0)
-    reader_spec = 1.0 - recalls[~labels].mean(axis=0)
-    if metric == "sensitivity":
-        model_vals = _sens_at_spec_arrays(sens, spec, reader_spec)
-        reader_vals = reader_sens
-    elif metric == "specificity":
-        model_vals = _spec_at_sens_arrays(sens, spec, reader_sens)
-        reader_vals = reader_spec
-    else:
-        raise ValueError(f"unknown matched metric {metric!r}")
-    return float(np.mean(model_vals) - np.mean(reader_vals))
+def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.ndarray):
+    """Block form of the matched delta on resample rows: the mean over
+    readers of the model's sensitivity at that reader's specificity,
+    minus the mean reader sensitivity.
+
+    Each value equals, bit for bit, np.interp on the collapsed curve of
+    _curve_points and _sens_at_spec_arrays for that row. The curve lies
+    on the full tie-group grid: point j recalls all but the j lowest
+    groups, and point n_groups recalls nothing. A group the row did not
+    draw only repeats a point, and the first point of each run of equal
+    specificity has the run's best sensitivity.
+    """
+    counts = _class_counts(scores, labels)
+    # reader recalls split by class, so one matmul counts both per row
+    by_class = np.concatenate([recalls & labels[:, None], recalls & ~labels[:, None]], axis=1)
+    by_class = by_class.astype(np.float64)
+    n_readers = recalls.shape[1]
+
+    def block(idx: np.ndarray):
+        rows, n = idx.shape
+        neg, pos, n_pos, n_neg = counts(idx)
+        defined = (n_pos > 0) & (n_neg > 0)
+        n_pos_col = np.where(defined, n_pos, 1)[:, None]
+        n_neg_col = np.where(defined, n_neg, 1)[:, None]
+
+        # case multiplicities; products and sums of small integers are exact
+        keys = idx + _row_offsets(rows, n)
+        mult = np.bincount(keys.ravel(), minlength=rows * n).reshape(rows, n)
+        recalled = np.dot(mult.astype(np.float64), by_class)
+        reader_sens = recalled[:, :n_readers] / n_pos_col
+        target = 1.0 - recalled[:, n_readers:] / n_neg_col
+
+        # class counts below each grid point; the last point is the
+        # no-recall end (spec 1, sens 0)
+        neg_below = np.zeros((rows, neg.shape[1] + 1), dtype=np.int64)
+        pos_below = np.zeros_like(neg_below)
+        np.cumsum(neg, axis=1, out=neg_below[:, 1:])
+        np.cumsum(pos, axis=1, out=pos_below[:, 1:])
+        spec = neg_below / n_neg_col
+
+        def sens_at(points):
+            return (n_pos_col - np.take_along_axis(pos_below, points, axis=1)) / n_pos_col
+
+        # np.interp: lo is the last point at or below the target (spec
+        # starts at 0 <= target), and the point after lo starts the next
+        # run; lo's value is the sensitivity at the first point of its run
+        lo = np.count_nonzero(spec[:, None, :] <= target[:, :, None], axis=2) - 1
+        x_lo = np.take_along_axis(spec, lo, axis=1)
+        y_lo = sens_at(np.count_nonzero(spec[:, None, :] < x_lo[:, :, None], axis=2))
+        last = spec.shape[1] - 1
+        hi = np.minimum(lo + 1, last)
+        x_hi = np.take_along_axis(spec, hi, axis=1)
+        exact = (lo == last) | (x_lo == target)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (sens_at(hi) - y_lo) / (x_hi - x_lo)
+            model_sens = np.where(exact, y_lo, slope * (target - x_lo) + y_lo)
+        return np.mean(model_sens, axis=1) - np.mean(reader_sens, axis=1), defined
+
+    return block
 
 
 def paired_delta_pvalue(
@@ -292,27 +415,23 @@ def paired_delta_pvalue(
     reader_ids: list[str],
     n_resamples: int = 10000,
     seed: int = 0,
-    metric: str = "sensitivity",
 ) -> PairedDeltaResult:
-    """Bootstrap p-value for model-below-readers at matched operating points.
+    """Bootstrap p-value for model-below-readers at matched specificity.
 
     Each resample recomputes every reader's operating point and the model
-    metric matched to it; p is the fraction of resamples where the mean
-    difference (model - readers) is negative.
+    sensitivity at that reader's specificity; p is the fraction of
+    resamples where the mean difference (model - readers) is negative.
     """
     scores, labels = _split_arrays(cases)
     recalls = _birads_matrix(cases, reader_ids) >= RECALL_BIRADS
-    point = _matched_delta(scores, labels, recalls, metric)
-    deltas, n_redraws = _resample(
-        lambda rows: _matched_delta(scores[rows], labels[rows], recalls[rows], metric),
-        len(cases),
-        n_resamples,
-        seed,
-        "paired-delta",
-    )
+    delta = _matched_delta_block(scores, labels, recalls)
+    point, defined = delta(np.arange(len(cases))[None, :])
+    if not defined[0]:
+        raise ValueError("ROC needs at least one positive and one negative")
+    deltas, n_redraws = _resample(delta, len(cases), n_resamples, seed, "paired-delta")
     below = int(np.count_nonzero(deltas < 0))
     return PairedDeltaResult(
-        p_value=below / n_resamples, point_delta=point, n_redraws=n_redraws, metric=metric
+        p_value=below / n_resamples, point_delta=float(point[0]), n_redraws=n_redraws
     )
 
 
@@ -558,14 +677,19 @@ def size_matched_auc(
     neg_idx = rng.integers(0, n_neg, size=(n_populations, n_neg))
 
     labels = np.concatenate([np.ones(n_pos, dtype=bool), np.zeros(n_neg, dtype=bool)])
+    auc = _auc_block(np.concatenate([pos_scores, neg_scores]), labels)
     aucs = np.empty(n_populations, dtype=np.float64)
     tvs = np.empty(n_populations, dtype=np.float64)
-    for r in range(n_populations):
-        sp = pos_scores[pos_idx[r]]
-        sn = neg_scores[neg_idx[r]]
-        aucs[r] = auc_mann_whitney(np.concatenate([sp, sn]), labels)
-        got = np.bincount(bins[pos_idx[r]], minlength=target.n_bins) / n_pos
-        tvs[r] = 0.5 * np.abs(got - shares).sum()
+    step = _block_rows(n_pos + n_neg)
+    for start in range(0, n_populations, step):
+        pos_rows = pos_idx[start : start + step]
+        rows = pos_rows.shape[0]
+        block = slice(start, start + rows)
+        aucs[block], _ = auc(np.hstack([pos_rows, neg_idx[block] + n_pos]))
+        keys = bins[pos_rows] + target.n_bins * np.arange(rows)[:, None]
+        got = np.bincount(keys.ravel(), minlength=rows * target.n_bins)
+        got = got.reshape(rows, target.n_bins) / n_pos
+        tvs[block] = 0.5 * np.abs(got - shares).sum(axis=1)
     return SizeMatchedResult(
         mean_auc=float(aucs.mean()),
         sd_auc=float(aucs.std(ddof=1)) if n_populations > 1 else 0.0,

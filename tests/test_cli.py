@@ -319,6 +319,54 @@ class TestMalformedCasesCsv:
         assert f"{bad}: line 2: " in err
 
 
+class TestStatisticErrorsNameTheTable:
+    """A table that parses but that a statistic rejects ends in exit 2
+    with the table's path."""
+
+    def error(self, tmp_path, capsys, args):
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        return capsys.readouterr().err
+
+    def blank_cell(self, path, column, row=1):
+        lines = Path(path).read_text().splitlines()
+        fields = lines[row].split(",")
+        fields[lines[0].split(",").index(column)] = ""
+        lines[row] = ",".join(fields)
+        Path(path).write_text("\n".join(lines) + "\n")
+
+    def test_roc_on_one_class(self, tmp_path, capsys):
+        path = scored_csv(tmp_path, n_neg=0)
+        err = self.error(tmp_path, capsys, ["eval", "roc", "--cases", path])
+        assert f"{path}: ROC needs at least one positive and one negative" in err
+
+    def test_readers_with_a_blank_read(self, tmp_path, capsys):
+        path = scored_csv(tmp_path, readers=("r1", "r2"))
+        self.blank_cell(path, "birads_r1")
+        err = self.error(tmp_path, capsys, ["eval", "readers", "--cases", path])
+        assert f"{path}: case case-000 missing read from r1" in err
+
+    def test_size_matched_with_a_positive_without_size(self, tmp_path, capsys):
+        path = scored_csv(tmp_path, sizes=True)
+        self.blank_cell(path, "tumor_size_mm")
+        err = self.error(
+            tmp_path, capsys, ["eval", "size-matched", "--cases", path, "--target", "source"]
+        )
+        assert f"{path}: positive case case-000 lacks a tumor size" in err
+
+    def test_size_matched_without_any_size(self, tmp_path, capsys):
+        path = scored_csv(tmp_path)
+        err = self.error(
+            tmp_path, capsys, ["eval", "size-matched", "--cases", path, "--target", "source"]
+        )
+        assert f"{path}: no positive cases with tumor sizes" in err
+
+    def test_delong_on_one_class(self, tmp_path, capsys):
+        a = scored_csv(tmp_path, name="a.csv", n_neg=0)
+        b = scored_csv(tmp_path, name="b.csv", n_neg=0)
+        err = self.error(tmp_path, capsys, ["eval", "delong", "--cases-a", a, "--cases-b", b])
+        assert f"{a}, {b}: DeLong test needs both classes" in err
+
+
 class TestPhantomGen:
     def test_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -7,18 +7,23 @@ loops, an explicit-loop DeLong, hand-tallied operating points.
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tomoscreen import stats
 from tomoscreen.errors import NumericError
+from tomoscreen.seeds import rng_stream
 from tomoscreen.stats import (
     BootstrapResult,
     CaseRecord,
+    PairedDeltaResult,
     RocAnalysis,
     SizeHistogram,
+    SizeMatchedResult,
     auc_mann_whitney,
     bootstrap_ci,
     cases_from_csv,
@@ -38,6 +43,8 @@ from tomoscreen.stats import (
     write_panels_csv,
     write_roc_csv,
     write_roc_svg,
+    _curve_points,
+    _sens_at_spec_arrays,
     _structural_components,
 )
 
@@ -358,10 +365,296 @@ class TestPairedDelta:
         with pytest.raises(NumericError):
             paired_delta_pvalue(cases, ["r1"], n_resamples=500, seed=0)
 
-    def test_metric_name_validated(self, rng):
-        cases = reader_cases(rng, n_pos=5, n_neg=5, readers=("r1",))
-        with pytest.raises(ValueError):
-            paired_delta_pvalue(cases, ["r1"], n_resamples=10, seed=0, metric="f1")
+
+# ---------------------------------------------------------------------------
+# Count-matrix resampling against the per-resample loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def resample_oracle(fn, n, n_resamples, seed, stream):
+    """The per-resample loop: fn(rows) on an up-front index matrix, a
+    ValueError row redrawn from `<stream>-redraw`, at most 1% redrawn."""
+    idx = rng_stream(seed, stream).integers(0, n, size=(n_resamples, n))
+    redraw_rng = None
+    n_redraws = 0
+    values = np.empty(n_resamples, dtype=np.float64)
+    for r in range(n_resamples):
+        rows = idx[r]
+        while True:
+            try:
+                values[r] = fn(rows)
+                break
+            except ValueError:
+                n_redraws += 1
+                if n_redraws > 0.01 * n_resamples:
+                    raise NumericError(
+                        f"{stream} statistic undefined on more than 1% of resamples "
+                        f"({n_redraws} redraws in {n_resamples})"
+                    )
+                if redraw_rng is None:
+                    redraw_rng = rng_stream(seed, f"{stream}-redraw")
+                rows = redraw_rng.integers(0, n, size=n)
+    return values, n_redraws
+
+
+def matched_delta_oracle(scores, labels, recalls):
+    """One dataset's mean model sensitivity at each reader's specificity
+    minus the mean reader sensitivity, via the ROC curve and np.interp."""
+    _, sens, spec, _ = _curve_points(scores, labels)
+    reader_sens = recalls[labels].mean(axis=0)
+    reader_spec = 1.0 - recalls[~labels].mean(axis=0)
+    return float(np.mean(_sens_at_spec_arrays(sens, spec, reader_spec)) - np.mean(reader_sens))
+
+
+def size_matched_oracle(cases, target, n_populations, seed):
+    """Size-matched AUCs and TV distances, one population at a time."""
+    pos = [c for c in cases if c.label]
+    neg = [c for c in cases if not c.label]
+    sizes = np.array([c.tumor_size_mm for c in pos], dtype=np.float64)
+    pos_scores = np.array([c.score for c in pos], dtype=np.float64)
+    neg_scores = np.array([c.score for c in neg], dtype=np.float64)
+    bins = target.bin_of(sizes)
+    counts = np.bincount(bins, minlength=target.n_bins)
+    shares = np.asarray(target.shares, dtype=np.float64)
+    n_pos, n_neg = len(pos), len(neg)
+    bin_weight = np.zeros(target.n_bins, dtype=np.float64)
+    nz = counts > 0
+    bin_weight[nz] = shares[nz] / (counts[nz] / n_pos)
+    w = bin_weight[bins]
+    w = w / w.sum()
+    rng = rng_stream(seed, "size-matched")
+    pos_idx = rng.choice(n_pos, size=(n_populations, n_pos), replace=True, p=w)
+    neg_idx = rng.integers(0, n_neg, size=(n_populations, n_neg))
+    labels = np.concatenate([np.ones(n_pos, dtype=bool), np.zeros(n_neg, dtype=bool)])
+    aucs = np.empty(n_populations, dtype=np.float64)
+    tvs = np.empty(n_populations, dtype=np.float64)
+    for r in range(n_populations):
+        sp = pos_scores[pos_idx[r]]
+        sn = neg_scores[neg_idx[r]]
+        aucs[r] = auc_mann_whitney(np.concatenate([sp, sn]), labels)
+        got = np.bincount(bins[pos_idx[r]], minlength=target.n_bins) / n_pos
+        tvs[r] = 0.5 * np.abs(got - shares).sum()
+    return SizeMatchedResult(
+        mean_auc=float(aucs.mean()),
+        sd_auc=float(aucs.std(ddof=1)) if n_populations > 1 else 0.0,
+        mean_tv_distance=float(tvs.mean()),
+        n_populations=n_populations,
+    )
+
+
+def outcome(fn, *args):
+    """fn(*args), with a NumericError replaced by its message."""
+    try:
+        return fn(*args)
+    except NumericError as exc:
+        return str(exc)
+
+
+def resample_bytes(fn, *args):
+    """(values bytes, n_redraws) of a resample run, or its NumericError message."""
+    result = outcome(fn, *args)
+    return result if isinstance(result, str) else (result[0].tobytes(), result[1])
+
+
+# (score, label, BIRADS per reader) rows; scores tie often and tables can
+# be small and imbalanced, so single-class resamples and redraws occur
+reader_rows_strategy = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=8).map(lambda x: x / 8),
+            st.booleans(),
+            st.lists(st.integers(min_value=1, max_value=5), min_size=k, max_size=k),
+        ),
+        min_size=2,
+        max_size=30,
+    )
+)
+
+# block sizes in case indices: one row, a few rows, everything at once
+block_strategy = st.sampled_from([1, 50, 97, 1 << 19])
+
+
+class TestCountMatrixResampling:
+    @settings(max_examples=150)
+    @given(
+        rows=reader_rows_strategy,
+        n_resamples=st.integers(min_value=1, max_value=700),
+        seed=st.integers(min_value=0, max_value=3),
+        block=block_strategy,
+    )
+    @example(  # 4 + 4 cases: about 8 single-class redraws in 1000
+        rows=[(0.5, True, [3]), (0.25, True, [1]), (0.75, True, [4]), (0.5, True, [2]),
+              (0.5, False, [1]), (0.0, False, [3]), (0.25, False, [2]), (0.5, False, [5])],
+        n_resamples=1000,
+        seed=1,
+        block=97,
+    )
+    def test_auc_and_delta_equal_the_per_row_loops(self, rows, n_resamples, seed, block):
+        scores = np.array([score for score, _, _ in rows])
+        labels = np.array([label for _, label, _ in rows])
+        recalls = np.array([grades for _, _, grades in rows]) >= 3
+        n = len(rows)
+        with mock.patch.object(stats, "_BLOCK_INDICES", block):
+            auc = resample_bytes(
+                stats._resample, stats._auc_block(scores, labels), n, n_resamples, seed,
+                "bootstrap",
+            )
+            delta = resample_bytes(
+                stats._resample, stats._matched_delta_block(scores, labels, recalls), n,
+                n_resamples, seed, "paired-delta",
+            )
+        assert auc == resample_bytes(
+            resample_oracle, lambda r: auc_mann_whitney(scores[r], labels[r]),
+            n, n_resamples, seed, "bootstrap",
+        )
+        assert delta == resample_bytes(
+            resample_oracle, lambda r: matched_delta_oracle(scores[r], labels[r], recalls[r]),
+            n, n_resamples, seed, "paired-delta",
+        )
+
+    @settings(max_examples=60)
+    @given(
+        rows=reader_rows_strategy.filter(lambda rows: len({row[1] for row in rows}) == 2),
+        n_resamples=st.integers(min_value=1, max_value=400),
+        seed=st.integers(min_value=0, max_value=3),
+        block=block_strategy,
+    )
+    def test_results_equal_the_per_row_loops(self, rows, n_resamples, seed, block):
+        cases = [
+            CaseRecord(case_id=f"c{i}", label=label, score=score,
+                       reader_birads={f"r{j}": g for j, g in enumerate(grades)})
+            for i, (score, label, grades) in enumerate(rows)
+        ]
+        readers = sorted(cases[0].reader_birads)
+        scores = np.array([c.score for c in cases])
+        labels = np.array([c.label for c in cases])
+        recalls = np.array([[c.reader_birads[r] for r in readers] for c in cases]) >= 3
+
+        def boot_oracle():
+            values, n_redraws = resample_oracle(
+                lambda r: auc_mann_whitney(scores[r], labels[r]),
+                len(cases), n_resamples, seed, "bootstrap",
+            )
+            lo, hi = np.percentile(values, [2.5, 97.5])
+            return BootstrapResult(
+                auc_mann_whitney(scores, labels), float(lo), float(hi), n_resamples, n_redraws
+            )
+
+        def delta_oracle():
+            deltas, n_redraws = resample_oracle(
+                lambda r: matched_delta_oracle(scores[r], labels[r], recalls[r]),
+                len(cases), n_resamples, seed, "paired-delta",
+            )
+            return PairedDeltaResult(
+                p_value=int(np.count_nonzero(deltas < 0)) / n_resamples,
+                point_delta=matched_delta_oracle(scores, labels, recalls),
+                n_redraws=n_redraws,
+                metric="sensitivity",
+            )
+
+        with mock.patch.object(stats, "_BLOCK_INDICES", block):
+            boot = outcome(bootstrap_ci, auc_mann_whitney, cases, n_resamples, seed)
+            delta = outcome(paired_delta_pvalue, cases, readers, n_resamples, seed)
+        assert boot == outcome(boot_oracle)
+        assert delta == outcome(delta_oracle)
+
+    @settings(max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8).map(lambda x: x / 8),
+                st.sampled_from([4.0, 15.0, 30.0, 70.0])
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        neg_scores=st.lists(
+            st.integers(min_value=0, max_value=8).map(lambda x: x / 8), min_size=1, max_size=25
+        ),
+        shares=st.sampled_from([(0.25, 0.25, 0.25, 0.25), (0.7, 0.1, 0.1, 0.1), "source"]),
+        n_populations=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=3),
+        block=block_strategy,
+    )
+    def test_size_matched_equals_the_per_population_loop(
+        self, rows, neg_scores, shares, n_populations, seed, block
+    ):
+        cases = [
+            CaseRecord(case_id=f"p{i}", label=True, score=score, tumor_size_mm=size)
+            for i, (score, size) in enumerate(rows)
+        ]
+        cases += [
+            CaseRecord(case_id=f"n{i}", label=False, score=s) for i, s in enumerate(neg_scores)
+        ]
+        sizes = np.array([size for _, size in rows])
+        if shares == "source":
+            target = source_histogram(sizes)
+        else:
+            target = SizeHistogram(shares=shares)
+            assume(len(set(target.bin_of(sizes).tolist())) == target.n_bins)
+        with mock.patch.object(stats, "_BLOCK_INDICES", block):
+            result = size_matched_auc(cases, target, n_populations, seed)
+        assert result == size_matched_oracle(cases, target, n_populations, seed)
+
+    def test_a_one_class_redraw_is_redrawn_again(self):
+        # 4 + 4 cases, seed 6: 57 of 10000 resamples draw one class, and
+        # so do two of their redraws
+        scores = np.array([0.5, 0.25, 0.75, 0.5, 0.5, 0.0, 0.25, 0.5])
+        labels = np.arange(8) < 4
+        got = stats._resample(stats._auc_block(scores, labels), 8, 10000, 6, "bootstrap")
+        want = resample_oracle(
+            lambda r: auc_mann_whitney(scores[r], labels[r]), 8, 10000, 6, "bootstrap"
+        )
+        assert got[1] == want[1] == 59
+        assert got[0].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 41, 2001])
+    def test_block_draws_equal_one_up_front_draw(self, n):
+        seen = []
+
+        def record(idx):
+            seen.append(idx.copy())
+            return np.zeros(idx.shape[0]), np.ones(idx.shape[0], dtype=bool)
+
+        # 3 rows per block: 100 resamples end in a one-row block
+        with mock.patch.object(stats, "_BLOCK_INDICES", 3 * n):
+            stats._resample(record, n, 100, 11, "bootstrap")
+        assert [len(b) for b in seen] == [3] * 33 + [1]
+        up_front = rng_stream(11, "bootstrap").integers(0, n, size=(100, n))
+        assert np.array_equal(np.concatenate(seen), up_front)
+
+    def test_other_metrics_run_per_row_and_keep_nan(self):
+        # no positives gives a NaN mean (kept as a value); no negatives
+        # raises ValueError (redrawn), as in the per-resample loop
+        scores = np.array([0.9, 0.8, 0.1, 0.2, 0.3])
+        labels = np.array([True, True, False, False, False])
+
+        def metric(s, y):
+            if y.all():
+                raise ValueError("no negatives")
+            return s[y].mean()
+
+        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="empty slice"):
+            got = stats._resample(
+                stats._per_row(lambda r: metric(scores[r], labels[r])), 5, 3000, 2, "bootstrap"
+            )
+            want = resample_oracle(lambda r: metric(scores[r], labels[r]), 5, 3000, 2, "bootstrap")
+        assert np.isnan(got[0]).any() and got[1] > 0
+        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+
+    def test_bootstrap_memory_stays_below_the_index_matrix(self, rng):
+        # n=2000 and 10k resamples: the whole index matrix alone is 160 MB
+        labels = rng.random(2000) < 0.35
+        cases = records(
+            np.round(rng.random(labels.sum()), 3), np.round(rng.random((~labels).sum()), 3)
+        )
+        tracemalloc.start()
+        try:
+            bootstrap_ci(auc_mann_whitney, cases, n_resamples=10000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 def delong_oracle(scores_a, scores_b, labels):
