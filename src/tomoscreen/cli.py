@@ -7,12 +7,19 @@ applies the box-to-study aggregation rules to standalone images,
 statistics on CSV case tables, and `report` executes the whole chain in
 one process. Configuration is a JSON file; flags override file values.
 
-Every subcommand writes only into its --out directory and drops a
-run_manifest.json there recording the resolved config, its sha256, the
-seed, and tool versions, so artifacts are traceable and reruns with the
-same config are byte-identical at any --threads value. Output paths are
-deliberately excluded from the hashed config: the same run into two
-different directories must produce identical bundles.
+`main` owns the lifecycle of every stage: it loads the config, makes the
+--out directory, runs the stage, writes run_manifest.json (only when the
+stage succeeded), prints the stage's one-line summary and maps failures
+to exit codes: 2 for an invalid config, flag or input file (the message
+names the file), 3 for I/O errors, 4 for numeric failures.
+
+Every subcommand writes only into its --out directory; the manifest
+records the resolved config, its sha256, the seed, and tool versions, so
+artifacts are traceable and reruns with the same config are
+byte-identical at any --threads value. Output paths are deliberately
+excluded from the hashed config: the same run into two different
+directories must produce identical bundles. `report` builds its summary
+from the same statistic blocks the `eval` subcommands write.
 """
 
 from __future__ import annotations
@@ -34,16 +41,13 @@ import scipy
 
 from . import __version__
 from .boxes import write_boxes_csv
-from .condense import (
-    choose_score_threshold,
-    condense_volume,
-    study_max_box_score,
-)
+from .condense import choose_score_threshold, condense_volume, study_max_box_score
 from .errors import ConfigError, NumericError
 from .imaging import (
     ImageGrid,
     normalize_range,
     normalize_with_range,
+    read_json,
     read_pgm,
     read_volume,
     volume_range,
@@ -136,6 +140,10 @@ class RunConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                need(type(value) is int, f"{f.name} must be an integer, got {value!r}")
         need(self.width >= 32 and self.height >= 32, "grid must be at least 32x32")
         need(self.n_slices >= 1, "n_slices must be >= 1")
         need(self.background_texture_scale > 0, "background_texture_scale must be positive")
@@ -144,16 +152,12 @@ class RunConfig:
         need(len(self.contrast_range) == 2, "contrast_range must be [lo, hi]")
         lo, hi = self.contrast_range
         need(0 < lo <= hi, f"contrast_range {self.contrast_range} must be 0 < lo <= hi")
-        for name in ("n_cancer", "n_negative", "n_validation", "n_train_cancer", "n_train_negative"):
+        counts = ("n_cancer", "n_negative", "n_validation", "n_train_cancer", "n_train_negative")
+        for name in counts:
             need(getattr(self, name) >= 0, f"{name} must be >= 0")
-        need(
-            0.0 <= self.iou_threshold <= 1.0,
-            f"iou_threshold {self.iou_threshold} outside [0, 1]",
-        )
-        need(
-            0.0 <= self.target_sensitivity <= 1.0,
-            f"target_sensitivity {self.target_sensitivity} outside [0, 1]",
-        )
+        for name in ("iou_threshold", "target_sensitivity"):
+            value = getattr(self, name)
+            need(0.0 <= value <= 1.0, f"{name} {value} outside [0, 1]")
         need(self.learning_rate >= 0, "learning_rate must be >= 0")
         need(self.iterations >= 0, "iterations must be >= 0")
         need(self.n_resamples >= 1, "n_resamples must be >= 1")
@@ -165,9 +169,7 @@ class RunConfig:
             "size_bin_edges must be ascending and nonempty",
         )
         object.__setattr__(self, "size_bin_edges", edges)
-        object.__setattr__(
-            self, "contrast_range", (float(lo), float(hi))
-        )
+        object.__setattr__(self, "contrast_range", (float(lo), float(hi)))
 
 
 _PATH_FIELDS = ("out_dir", "cases_dir")
@@ -186,19 +188,21 @@ def config_from_dict(data: dict) -> RunConfig:
             coerced[key] = tuple(coerced[key])
     try:
         return RunConfig(**coerced)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Config file merged with CLI overrides; overrides win."""
-    data: dict = {}
-    if path is not None:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
+    """Config file merged with CLI overrides; overrides win. An invalid
+    file raises ConfigError or ValueError naming it."""
+    data = {} if path is None else read_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    return config_from_dict(data)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_payload(cfg: RunConfig) -> dict:
@@ -210,12 +214,8 @@ def config_payload(cfg: RunConfig) -> dict:
     return payload
 
 
-def _dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
 def write_json(data, path: Path) -> None:
-    path.write_text(_dump_json(data))
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
@@ -261,8 +261,9 @@ def _parallel_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _phantom_base(cfg: RunConfig) -> PhantomConfig:
-    return PhantomConfig(
+def _case(cfg: RunConfig, case_id: str, cancer: bool):
+    """One phantom case of the configured cohort: (volume, truth)."""
+    base = PhantomConfig(
         width=cfg.width,
         height=cfg.height,
         n_slices=cfg.n_slices,
@@ -271,11 +272,12 @@ def _phantom_base(cfg: RunConfig) -> PhantomConfig:
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
     )
+    return generate_case(base, case_id, cancer, cfg.contrast_range)
 
 
-def _cohort_ids(cfg: RunConfig) -> list[tuple[str, bool]]:
-    ids = [(f"cancer-{i:04d}", True) for i in range(cfg.n_cancer)]
-    ids += [(f"negative-{i:04d}", False) for i in range(cfg.n_negative)]
+def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, bool]]:
+    ids = [(f"{prefix}cancer-{i:04d}", True) for i in range(n_cancer)]
+    ids += [(f"{prefix}negative-{i:04d}", False) for i in range(n_negative)]
     return ids
 
 
@@ -292,11 +294,10 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
     that keeps target_sensitivity of it."""
     if cfg.n_validation < 1:
         raise ConfigError("threshold selection needs n_validation >= 1")
-    base = _phantom_base(cfg)
     scorer = default_condense_scorer()
 
     def one(i: int) -> float:
-        vol, _ = generate_case(base, f"val-{i:04d}", True, cfg.contrast_range)
+        vol, _ = _case(cfg, f"val-{i:04d}", True)
         return study_max_box_score(vol, scorer)
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
@@ -340,55 +341,106 @@ def synthetic_birads(
     return grades
 
 
-def _operating(roc, cfg: RunConfig) -> dict:
-    """The `operating` summary block: each rate read off the curve at the
-    other's target."""
-    return {
+# ---------------------------------------------------------------------------
+# Statistic blocks, shared by the eval subcommands and report
+# ---------------------------------------------------------------------------
+
+
+def _roc(cases: list[CaseRecord], cfg: RunConfig, out: Path):
+    """Write roc.csv; return the curve, the AUC bootstrap, the
+    {auc, auc_ci, n_resamples} block and the `operating` block, which
+    reads each rate off the curve at the other's target."""
+    roc = roc_and_auc(cases)
+    boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
+    write_roc_csv(roc, out / "roc.csv")
+    block = {"auc": roc.auc, "auc_ci": [boot.lo, boot.hi], "n_resamples": boot.n_resamples}
+    operating = {
         "specificity_target": 0.9,
         "sensitivity_at_target": sensitivity_at_specificity(roc, 0.9),
         "sensitivity_target": cfg.target_sensitivity,
         "specificity_at_target": specificity_at_sensitivity(roc, cfg.target_sensitivity),
     }
+    return roc, boot, block, operating
+
+
+def _delong(a: list[CaseRecord], b: list[CaseRecord]):
+    """DeLong test of two score lists over the same cases; returns the
+    result and its {z, p_value, degenerate} block."""
+    res = delong_test(
+        np.array([c.score for c in a]),
+        np.array([c.score for c in b]),
+        np.array([c.label for c in a], dtype=bool),
+    )
+    return res, {"z": res.z, "p_value": res.p, "degenerate": res.degenerate}
 
 
 def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig, out: Path):
-    """Write panels.csv; return the panel count, the `readers` summary
-    block, (reader, sensitivity, specificity) plot markers and the
-    paired model-vs-readers delta."""
+    """Write panels.csv; return the {readers, n_panels, paired_delta}
+    block, (reader, sensitivity, specificity) plot markers and the paired
+    model-vs-readers delta."""
     panels = enumerate_panels(cases, reader_ids)
     write_panels_csv(panels, out / "panels.csv")
     points = {r: reader_operating_point(cases, r) for r in reader_ids}
     delta = paired_delta_pvalue(cases, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed)
-    readers = {r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()}
-    return len(panels), readers, [(r, se, sp) for r, (se, sp) in sorted(points.items())], delta
+    block = {
+        "readers": {r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()},
+        "n_panels": len(panels),
+        "paired_delta": {
+            "metric": delta.metric,
+            "point_delta": delta.point_delta,
+            "p_value": delta.p_value,
+        },
+    }
+    return block, [(r, se, sp) for r, (se, sp) in sorted(points.items())], delta
+
+
+def _source_histogram(cases: list[CaseRecord], edges) -> SizeHistogram:
+    """The size histogram of the table's own positives."""
+    sizes = np.array(
+        [c.tumor_size_mm for c in cases if c.label and c.tumor_size_mm is not None]
+    )
+    if sizes.size == 0:
+        raise ValueError("no positive cases with tumor sizes")
+    return source_histogram(sizes, edges)
+
+
+def _size_matched(cases: list[CaseRecord], target: SizeHistogram, cfg: RunConfig) -> dict:
+    """The {mean_auc, sd_auc, mean_tv_distance, n_populations} block."""
+    res = size_matched_auc(cases, target, n_populations=cfg.n_populations, seed=cfg.seed)
+    return dataclasses.asdict(res)
+
+
+@contextlib.contextmanager
+def _statistics_on(*paths: str):
+    """A statistic that rejects its parsed inputs (ValueError) exits 2
+    naming the input files."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each runs one stage into `out` and returns the line to print
 # ---------------------------------------------------------------------------
 
 
-def cmd_phantom_gen(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
-    base = _phantom_base(cfg)
-    ids = _cohort_ids(cfg)
+def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
+    ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)
     if not ids:
         raise ConfigError("nothing to generate: n_cancer + n_negative is 0")
     cases_dir = out / "cases"
 
     def one(item: tuple[str, bool]) -> str:
         case_id, cancer = item
-        vol, truth = generate_case(base, case_id, cancer, cfg.contrast_range)
+        vol, truth = _case(cfg, case_id, cancer)
         case_dir = cases_dir / case_id
         write_volume(vol, case_dir)
         write_truth(truth, case_dir / "truth.json")
         return case_id
 
     done = _parallel_map(one, ids, args.threads)
-    write_run_manifest(cfg, out, "phantom-gen")
-    print(f"wrote {len(done)} cases under {cases_dir}")
-    return EXIT_OK
+    return f"wrote {len(done)} cases under {cases_dir}"
 
 
 def _condense_one_volume(vol, threshold: float, iou: float, case_dir: Path):
@@ -401,19 +453,13 @@ def _condense_one_volume(vol, threshold: float, iou: float, case_dir: Path):
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
     score = ensemble_image_score(default_ensemble(), image)
     write_json(
-        {
-            "score": score,
-            "n_boxes": len(opt.kept_boxes),
-            "clip_warnings": list(opt.clip_warnings),
-        },
+        {"score": score, "n_boxes": len(opt.kept_boxes), "clip_warnings": list(opt.clip_warnings)},
         case_dir / "score.json",
     )
     return score
 
 
-def cmd_condense_run(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     threshold = args.threshold if args.threshold is not None else 0.0
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"score threshold {threshold} outside [0, 1]")
@@ -422,50 +468,32 @@ def cmd_condense_run(args) -> int:
         raise ConfigError(f"iou threshold {iou} outside [0, 1]")
 
     if args.volume is not None:
-        vol = read_volume(args.volume)
-        _condense_one_volume(vol, threshold, iou, out)
-        write_run_manifest(cfg, out, "condense-run")
-        print(f"wrote composite bundle under {out}")
-        return EXIT_OK
+        _condense_one_volume(read_volume(args.volume), threshold, iou, out)
+        return f"wrote composite bundle under {out}"
 
-    cases_root = Path(args.cases if args.cases is not None else _require_cases(cfg))
-    case_dirs = sorted(
-        p for p in cases_root.iterdir() if (p / "manifest.json").is_file()
-    )
+    cases_root = args.cases if args.cases is not None else cfg.cases_dir
+    if cases_root is None:
+        raise ConfigError("a cases directory is required (--cases or config cases_dir)")
+    case_dirs = sorted(p for p in Path(cases_root).iterdir() if (p / "manifest.json").is_file())
     if not case_dirs:
         raise ConfigError(f"no case directories with volumes under {cases_root}")
 
     def one(case_dir: Path) -> CaseRecord:
         vol = read_volume(case_dir)
         truth = read_truth(case_dir / "truth.json")
-        score = _condense_one_volume(
-            vol, threshold, iou, out / "cases" / case_dir.name
-        )
+        score = _condense_one_volume(vol, threshold, iou, out / "cases" / case_dir.name)
         return CaseRecord(
-            case_id=truth.case_id,
-            label=truth.label,
-            score=score,
-            tumor_size_mm=truth.tumor_size_mm,
+            case_id=truth.case_id, label=truth.label, score=score, tumor_size_mm=truth.tumor_size_mm
         )
 
     records = _parallel_map(one, case_dirs, args.threads)
     write_cases_csv(records, out / "cases.csv")
-    write_run_manifest(cfg, out, "condense-run")
-    print(f"wrote {len(records)} condensed cases and {out / 'cases.csv'}")
-    return EXIT_OK
+    return f"wrote {len(records)} condensed cases and {out / 'cases.csv'}"
 
 
-def _require_cases(cfg: RunConfig) -> str:
-    if cfg.cases_dir is None:
-        raise ConfigError("a cases directory is required (--cases or config cases_dir)")
-    return cfg.cases_dir
-
-
-def cmd_score_study(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
     manifest_path = Path(args.manifest)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or "views" not in manifest:
         raise ConfigError(f"{manifest_path}: study manifest needs a 'views' list")
     case_id = str(manifest.get("case_id", manifest_path.stem))
@@ -475,20 +503,16 @@ def cmd_score_study(args) -> int:
 
     scorers = default_ensemble()
     view_scores: list[ViewScore] = []
+    keys = ("breast", "view", "path")
     for entry in views:
-        try:
-            breast = entry["breast"]
-            view_label = entry["view"]
-            rel = entry["path"]
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(
-                f"{manifest_path}: each view needs 'breast', 'view', 'path'"
-            ) from exc
-        img = read_pgm(manifest_path.parent / rel)
+        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
+            raise ConfigError(f"{manifest_path}: each view needs 'breast', 'view', 'path'")
+        img = read_pgm(manifest_path.parent / entry["path"])
         score = ensemble_image_score(scorers, normalize_range(img))
-        view_scores.append(
-            ViewScore(case_id=case_id, breast=breast, view_label=view_label, score=score)
-        )
+        try:
+            view_scores.append(ViewScore(case_id, entry["breast"], entry["view"], score))
+        except ValueError as exc:
+            raise ConfigError(f"{manifest_path}: {exc}") from None
 
     by_breast: dict[str, list[ViewScore]] = {}
     for v in view_scores:
@@ -503,33 +527,24 @@ def cmd_score_study(args) -> int:
         lines.append(f"breast,{side},{s!r}")
     lines.append(f"study,{case_id},{final!r}")
     (out / "scores.csv").write_text("\n".join(lines) + "\n")
-    write_run_manifest(cfg, out, "score-study")
-    print(f"study {case_id}: score {final:.4f}; wrote {out / 'scores.csv'}")
-    return EXIT_OK
+    return f"study {case_id}: score {final:.4f}; wrote {out / 'scores.csv'}"
 
 
-def cmd_train_mil(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
-    base = _phantom_base(cfg)
     detector = default_condense_scorer()
-
-    ids = [(f"train-cancer-{i:04d}", True) for i in range(cfg.n_train_cancer)]
-    ids += [(f"train-negative-{i:04d}", False) for i in range(cfg.n_train_negative)]
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
-        vol, truth = generate_case(base, case_id, cancer, cfg.contrast_range)
+        vol, truth = _case(cfg, case_id, cancer)
         _, image = _composite(vol, 0.0, cfg.iou_threshold)
         candidates = tuple(detector.detect(image))
         if not candidates:
             return None
-        return TrainingCase(
-            case_id=case_id, image=image, candidates=candidates, label=truth.label
-        )
+        return TrainingCase(case_id=case_id, image=image, candidates=candidates, label=truth.label)
 
+    ids = _cohort_ids("train-", cfg.n_train_cancer, cfg.n_train_negative)
     cases = [c for c in _parallel_map(one, ids, args.threads) if c is not None]
     cancer = tuple(c for c in cases if c.label)
     negative = tuple(c for c in cases if not c.label)
@@ -547,294 +562,148 @@ def cmd_train_mil(args) -> int:
         )
     )
     save_scorer(result, out / "toy_scorer.json")
-    write_run_manifest(cfg, out, "train-mil")
     traj = result.loss_trajectory
     head = math.fsum(traj[:20]) / max(1, len(traj[:20])) if traj else float("nan")
     tail = math.fsum(traj[-20:]) / max(1, len(traj[-20:])) if traj else float("nan")
-    print(
+    return (
         f"trained {len(traj)} iterations on {len(cancer)}+{len(negative)} cases; "
         f"mean loss {head:.4f} -> {tail:.4f}; wrote {out / 'toy_scorer.json'}"
     )
-    return EXIT_OK
 
 
-@contextlib.contextmanager
-def _statistics_on(*paths: str):
-    """A statistic that rejects a parsed table (ValueError) exits 2
-    naming the table's path."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{', '.join(map(str, paths))}: {exc}") from None
-
-
-def cmd_eval_roc(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_eval_roc(args, cfg: RunConfig, out: Path) -> str:
     cases = read_cases_csv(args.cases)
     with _statistics_on(args.cases):
-        roc = roc_and_auc(cases)
-        boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
-    write_roc_csv(roc, out / "roc.csv")
+        roc, boot, block, operating = _roc(cases, cfg, out)
     write_roc_svg([("model", roc)], out / "roc.svg")
     summary = {
+        **block,
         "n_cases": len(cases),
         "n_cancer": sum(c.label for c in cases),
-        "auc": roc.auc,
-        "auc_ci": [boot.lo, boot.hi],
-        "n_resamples": boot.n_resamples,
         "n_redraws": boot.n_redraws,
-        "operating": _operating(roc, cfg),
+        "operating": operating,
         "seed": cfg.seed,
     }
     write_json(summary, out / "summary.json")
-    write_run_manifest(cfg, out, "eval-roc")
-    print(
-        f"AUC {roc.auc:.4f} (95% CI {boot.lo:.4f}..{boot.hi:.4f}); "
-        f"wrote {out / 'summary.json'}"
-    )
-    return EXIT_OK
+    return f"AUC {roc.auc:.4f} (95% CI {boot.lo:.4f}..{boot.hi:.4f}); wrote {out / 'summary.json'}"
 
 
-def _read_paired_cases(path_a: str, path_b: str):
-    a = sorted(read_cases_csv(path_a), key=lambda c: c.case_id)
-    b = sorted(read_cases_csv(path_b), key=lambda c: c.case_id)
+def cmd_eval_delong(args, cfg: RunConfig, out: Path) -> str:
+    a = sorted(read_cases_csv(args.cases_a), key=lambda c: c.case_id)
+    b = sorted(read_cases_csv(args.cases_b), key=lambda c: c.case_id)
     if [c.case_id for c in a] != [c.case_id for c in b]:
         raise ConfigError("case tables do not cover the same case_ids")
     if [c.label for c in a] != [c.label for c in b]:
         raise ConfigError("case tables disagree on labels")
-    return a, b
-
-
-def cmd_eval_delong(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
-    a, b = _read_paired_cases(args.cases_a, args.cases_b)
-    scores_a = np.array([c.score for c in a])
-    scores_b = np.array([c.score for c in b])
-    labels = np.array([c.label for c in a], dtype=bool)
     with _statistics_on(args.cases_a, args.cases_b):
-        res = delong_test(scores_a, scores_b, labels)
-    write_json(
-        {
-            "n_cases": len(a),
-            "auc_a": res.auc_a,
-            "auc_b": res.auc_b,
-            "z": res.z,
-            "p_value": res.p,
-            "degenerate": res.degenerate,
-        },
-        out / "delong.json",
-    )
-    write_run_manifest(cfg, out, "eval-delong")
-    print(
-        f"AUC {res.auc_a:.4f} vs {res.auc_b:.4f}, p = {res.p:.4g}; "
-        f"wrote {out / 'delong.json'}"
-    )
-    return EXIT_OK
+        res, block = _delong(a, b)
+    summary = {"n_cases": len(a), "auc_a": res.auc_a, "auc_b": res.auc_b, **block}
+    write_json(summary, out / "delong.json")
+    return f"AUC {res.auc_a:.4f} vs {res.auc_b:.4f}, p = {res.p:.4g}; wrote {out / 'delong.json'}"
 
 
-def cmd_eval_readers(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_eval_readers(args, cfg: RunConfig, out: Path) -> str:
     cases = read_cases_csv(args.cases)
     reader_ids = sorted({r for c in cases for r in (c.reader_birads or {})})
     if not reader_ids:
         raise ConfigError(f"{args.cases}: no birads_<reader> columns found")
     with _statistics_on(args.cases):
-        n_panels, readers, markers, delta = _reader_study(cases, reader_ids, cfg, out)
+        block, markers, delta = _reader_study(cases, reader_ids, cfg, out)
         roc = roc_and_auc(cases)
     write_roc_svg([("model", roc)], out / "readers.svg", points=markers)
-    write_json(
-        {
-            "n_cases": len(cases),
-            "readers": readers,
-            "n_panels": n_panels,
-            "paired_delta": {
-                "metric": delta.metric,
-                "point_delta": delta.point_delta,
-                "p_value": delta.p_value,
-                "n_resamples": cfg.n_resamples,
-                "n_redraws": delta.n_redraws,
-            },
-        },
-        out / "readers.json",
-    )
-    write_run_manifest(cfg, out, "eval-readers")
-    print(
-        f"{len(reader_ids)} readers, {n_panels} panel points, "
+    block["paired_delta"].update(n_resamples=cfg.n_resamples, n_redraws=delta.n_redraws)
+    write_json({"n_cases": len(cases), **block}, out / "readers.json")
+    return (
+        f"{len(reader_ids)} readers, {block['n_panels']} panel points, "
         f"delta p = {delta.p_value:.4g}; wrote {out / 'readers.json'}"
     )
-    return EXIT_OK
 
 
-def _load_target_histogram(
-    spec: str, table: str, cases: list[CaseRecord], edges
-) -> SizeHistogram:
-    if spec == "source":
-        sizes = np.array(
-            [c.tumor_size_mm for c in cases if c.label and c.tumor_size_mm is not None]
-        )
-        if sizes.size == 0:
-            raise ConfigError(f"{table}: no positive cases with tumor sizes")
-        return source_histogram(sizes, tuple(edges))
-    data = json.loads(Path(spec).read_text())
+def _read_histogram(path: str) -> SizeHistogram:
+    data = read_json(path)
     try:
-        return SizeHistogram(
-            bin_edges=tuple(data["bin_edges"]), shares=tuple(data["shares"])
-        )
+        return SizeHistogram(bin_edges=tuple(data["bin_edges"]), shares=tuple(data["shares"]))
     except (TypeError, KeyError) as exc:
-        raise ConfigError(f"{spec}: target histogram needs bin_edges and shares") from exc
+        raise ConfigError(f"{path}: target histogram needs bin_edges and shares") from exc
     except ValueError as exc:
-        raise ConfigError(f"{spec}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def cmd_eval_size_matched(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:
     cases = read_cases_csv(args.cases)
-    target = _load_target_histogram(args.target, args.cases, cases, cfg.size_bin_edges)
-    with _statistics_on(args.cases):
-        res = size_matched_auc(cases, target, n_populations=cfg.n_populations, seed=cfg.seed)
-    write_json(
-        {
-            "mean_auc": res.mean_auc,
-            "sd_auc": res.sd_auc,
-            "mean_tv_distance": res.mean_tv_distance,
-            "n_populations": res.n_populations,
-            "target": {
-                "bin_edges": list(target.bin_edges),
-                "shares": list(target.shares),
-            },
-        },
-        out / "size_matched.json",
+    if args.target == "source":
+        inputs, target = [args.cases], None
+    else:
+        inputs, target = [args.cases, args.target], _read_histogram(args.target)
+    with _statistics_on(*inputs):
+        if target is None:
+            target = _source_histogram(cases, cfg.size_bin_edges)
+        block = _size_matched(cases, target, cfg)
+    block["target"] = {"bin_edges": list(target.bin_edges), "shares": list(target.shares)}
+    write_json(block, out / "size_matched.json")
+    return (
+        f"size-matched AUC {block['mean_auc']:.4f} +- {block['sd_auc']:.4f} "
+        f"(TV {block['mean_tv_distance']:.4f}); wrote {out / 'size_matched.json'}"
     )
-    write_run_manifest(cfg, out, "eval-size-matched")
-    print(
-        f"size-matched AUC {res.mean_auc:.4f} +- {res.sd_auc:.4f} "
-        f"(TV {res.mean_tv_distance:.4f}); wrote {out / 'size_matched.json'}"
-    )
-    return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    out = _out_dir(args, cfg)
+def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_cancer < 1 or cfg.n_negative < 1:
         raise ConfigError("report needs n_cancer >= 1 and n_negative >= 1")
 
     threshold = _select_threshold(cfg, args.threads)
-    base = _phantom_base(cfg)
     profiles = reader_profiles(cfg.n_readers)
-    ids = _cohort_ids(cfg)
     scorers = default_ensemble()
 
-    def one(item: tuple[str, bool]):
+    def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord]:
         case_id, cancer = item
-        vol, truth = generate_case(base, case_id, cancer, cfg.contrast_range)
+        vol, truth = _case(cfg, case_id, cancer)
         _, image = _composite(vol, threshold, cfg.iou_threshold)
         center = normalize_with_range(vol.slice(vol.n_slices // 2), *volume_range(vol))
-        return (
-            truth,
-            ensemble_image_score(scorers, image),
-            ensemble_image_score(scorers, center),
+        record = CaseRecord(
+            case_id=truth.case_id,
+            label=truth.label,
+            score=ensemble_image_score(scorers, image),
+            tumor_size_mm=truth.tumor_size_mm,
+            reader_birads=synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles),
         )
+        center_score = ensemble_image_score(scorers, center)
+        return record, dataclasses.replace(record, score=center_score, reader_birads=None)
 
-    scored = _parallel_map(one, ids, args.threads)
-
-    records, center_records = [], []
-    for truth, model, center in scored:
-        grades = synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles)
-        records.append(
-            CaseRecord(
-                case_id=truth.case_id,
-                label=truth.label,
-                score=model,
-                tumor_size_mm=truth.tumor_size_mm,
-                reader_birads=grades,
-            )
-        )
-        center_records.append(
-            CaseRecord(
-                case_id=truth.case_id,
-                label=truth.label,
-                score=center,
-                tumor_size_mm=truth.tumor_size_mm,
-            )
-        )
-
+    ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)
+    records, center_records = map(list, zip(*_parallel_map(one, ids, args.threads)))
     write_cases_csv(records, out / "cases.csv")
     write_cases_csv(center_records, out / "cases_center.csv")
 
-    roc = roc_and_auc(records)
+    roc, _, model, operating = _roc(records, cfg, out)
     roc_center = roc_and_auc(center_records)
-    boot = bootstrap_ci(auc_mann_whitney, records, n_resamples=cfg.n_resamples, seed=cfg.seed)
-    scores_m = np.array([c.score for c in records])
-    scores_c = np.array([c.score for c in center_records])
-    labels = np.array([c.label for c in records], dtype=bool)
-    dl = delong_test(scores_m, scores_c, labels)
+    _, delong = _delong(records, center_records)
+    readers, markers, _ = _reader_study(records, sorted(profiles), cfg, out)
+    matched = _size_matched(records, _source_histogram(records, cfg.size_bin_edges), cfg)
 
-    reader_ids = sorted(profiles)
-    n_panels, readers, markers, delta = _reader_study(records, reader_ids, cfg, out)
-
-    sizes = np.array([c.tumor_size_mm for c in records if c.label])
-    target = source_histogram(sizes, cfg.size_bin_edges)
-    matched = size_matched_auc(
-        records, target, n_populations=cfg.n_populations, seed=cfg.seed
-    )
-
-    write_roc_csv(roc, out / "roc.csv")
     curves = [("optimized", roc), ("center slice", roc_center)]
     write_roc_svg(curves, out / "roc.svg", points=markers)
-
     summary = {
         "n_cases": len(records),
-        "n_cancer": int(labels.sum()),
+        "n_cancer": sum(c.label for c in records),
         "score_threshold": threshold,
-        "model": {
-            "auc": roc.auc,
-            "auc_ci": [boot.lo, boot.hi],
-            "n_resamples": boot.n_resamples,
-        },
+        "model": model,
         "center_slice": {"auc": roc_center.auc},
-        "delong_model_vs_center": {
-            "z": dl.z,
-            "p_value": dl.p,
-            "degenerate": dl.degenerate,
-        },
-        "operating": _operating(roc, cfg),
-        "readers": readers,
-        "n_panels": n_panels,
-        "paired_delta": {
-            "metric": delta.metric,
-            "point_delta": delta.point_delta,
-            "p_value": delta.p_value,
-        },
-        "size_matched": {
-            "mean_auc": matched.mean_auc,
-            "sd_auc": matched.sd_auc,
-            "mean_tv_distance": matched.mean_tv_distance,
-            "n_populations": matched.n_populations,
-        },
+        "delong_model_vs_center": delong,
+        "operating": operating,
+        **readers,
+        "size_matched": matched,
     }
     write_json(summary, out / "summary.json")
-    write_run_manifest(cfg, out, "report")
-    print(
+    return (
         f"report: {len(records)} cases, optimized AUC {roc.auc:.4f} vs center "
         f"{roc_center.auc:.4f}; wrote {out / 'summary.json'}"
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing and the stage runner
 # ---------------------------------------------------------------------------
-
-_OVERRIDE_FIELDS = ("seed",)
-
-
-def _overrides(args) -> dict:
-    return {name: getattr(args, name, None) for name in _OVERRIDE_FIELDS}
 
 
 def _thread_count(text: str) -> int:
@@ -848,7 +717,10 @@ def _thread_count(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_stage(sub, name: str, stage: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs `func` as `stage`, the name its manifest
+    records, with the flags every stage takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output directory (never an input directory)")
     p.add_argument("--seed", type=int, help="master seed override")
@@ -858,6 +730,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads; any value produces identical outputs",
     )
+    p.set_defaults(func=func, stage=stage)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -872,92 +746,71 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
 
-    phantom = top.add_parser("phantom", help="synthetic volume generation")
-    psub = phantom.add_subparsers(dest="subcommand", required=True)
-    gen = psub.add_parser("gen", help="generate a seeded cohort with ground truth")
-    _add_common(gen)
-    gen.set_defaults(func=cmd_phantom_gen)
+    def group(command: str, help: str):
+        """Adds the subcommands of `command`, each run as the stage
+        "<command>-<subcommand>"."""
+        sub = top.add_parser(command, help=help).add_subparsers(dest="subcommand", required=True)
+        return lambda name, func, text: _add_stage(sub, name, f"{command}-{name}", func, text)
 
-    condense = top.add_parser("condense", help="stack-to-composite condensation")
-    csub = condense.add_subparsers(dest="subcommand", required=True)
-    run = csub.add_parser("run", help="condense one volume or a cohort directory")
-    _add_common(run)
-    group = run.add_mutually_exclusive_group()
-    group.add_argument("--volume", help="one volume directory")
-    group.add_argument("--cases", help="directory of case subdirectories")
+    phantom = group("phantom", "synthetic volume generation")
+    phantom("gen", cmd_phantom_gen, "generate a seeded cohort with ground truth")
+
+    condense = group("condense", "stack-to-composite condensation")
+    run = condense("run", cmd_condense_run, "condense one volume or a cohort directory")
+    source = run.add_mutually_exclusive_group()
+    source.add_argument("--volume", help="one volume directory")
+    source.add_argument("--cases", help="directory of case subdirectories")
     run.add_argument("--threshold", type=float, help="box score threshold (default 0)")
     run.add_argument("--iou", type=float, help="NMS IOU threshold override")
-    run.set_defaults(func=cmd_condense_run)
 
-    score = top.add_parser("score", help="score standalone images")
-    ssub = score.add_subparsers(dest="subcommand", required=True)
-    study = ssub.add_parser("study", help="score a multi-view study manifest")
-    _add_common(study)
+    score = group("score", "score standalone images")
+    study = score("study", cmd_score_study, "score a multi-view study manifest")
     study.add_argument("--manifest", required=True, help="study manifest JSON")
-    study.set_defaults(func=cmd_score_study)
 
-    trn = top.add_parser("train", help="toy weakly supervised training")
-    tsub = trn.add_subparsers(dest="subcommand", required=True)
-    mil = tsub.add_parser("mil", help="fit the toy box scorer on phantom composites")
-    _add_common(mil)
-    mil.set_defaults(func=cmd_train_mil)
+    trn = group("train", "toy weakly supervised training")
+    trn("mil", cmd_train_mil, "fit the toy box scorer on phantom composites")
 
-    ev = top.add_parser("eval", help="statistics on case tables")
-    esub = ev.add_subparsers(dest="subcommand", required=True)
-
-    roc = esub.add_parser("roc", help="ROC curve, AUC, bootstrap CI")
-    _add_common(roc)
+    ev = group("eval", "statistics on case tables")
+    roc = ev("roc", cmd_eval_roc, "ROC curve, AUC, bootstrap CI")
     roc.add_argument("--cases", required=True, help="cases CSV")
-    roc.set_defaults(func=cmd_eval_roc)
-
-    delong = esub.add_parser("delong", help="paired AUC comparison")
-    _add_common(delong)
+    delong = ev("delong", cmd_eval_delong, "paired AUC comparison")
     delong.add_argument("--cases-a", required=True, help="first cases CSV")
     delong.add_argument("--cases-b", required=True, help="second cases CSV")
-    delong.set_defaults(func=cmd_eval_delong)
-
-    readers = esub.add_parser("readers", help="reader points, panels, paired delta")
-    _add_common(readers)
+    readers = ev("readers", cmd_eval_readers, "reader points, panels, paired delta")
     readers.add_argument("--cases", required=True, help="cases CSV with BIRADS columns")
-    readers.set_defaults(func=cmd_eval_readers)
-
-    matched = esub.add_parser("size-matched", help="tumor-size-matched resampling")
-    _add_common(matched)
+    matched = ev("size-matched", cmd_eval_size_matched, "tumor-size-matched resampling")
     matched.add_argument("--cases", required=True, help="cases CSV with tumor sizes")
     matched.add_argument(
         "--target",
         required=True,
         help="target histogram JSON, or 'source' for the table's own histogram",
     )
-    matched.set_defaults(func=cmd_eval_size_matched)
 
-    report = top.add_parser("report", help="full pipeline in one process")
-    _add_common(report)
-    report.set_defaults(func=cmd_report)
-
+    _add_stage(top, "report", "report", cmd_report, "full pipeline in one process")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one stage: config, --out, the stage, then its manifest. A
+    failed stage prints one error line, writes no manifest and returns
+    its exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        cfg = load_config(args.config, {"seed": args.seed})
+        out = _out_dir(args, cfg)
+        line = args.func(args, cfg, out)
+        write_run_manifest(cfg, out, args.stage)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

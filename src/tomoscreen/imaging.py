@@ -201,6 +201,15 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
+def read_json(path: str | Path):
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise ValueError
+    naming the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def read_volume(directory: str | Path) -> Volume:
     """Read a volume written by write_volume.
 
@@ -209,10 +218,7 @@ def read_volume(directory: str | Path) -> Volume:
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    manifest = read_json(path)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("slices"), list)

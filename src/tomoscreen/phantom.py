@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .imaging import ImageGrid, Volume, normalize_range
+from .imaging import ImageGrid, Volume, normalize_range, read_json
 from .seeds import mix_seed, rng_stream
 
 BACKGROUND_LEVEL = 1500.0
@@ -376,19 +376,32 @@ def truth_to_dict(truth: PhantomTruth) -> dict:
     }
 
 
-def truth_from_dict(data: dict) -> PhantomTruth:
-    lesions = tuple(
-        LesionSpec(
-            center_x=item["center_x"],
-            center_y=item["center_y"],
-            radius=item["radius"],
-            center_slice=item["center_slice"],
-            slice_extent=item["slice_extent"],
-            contrast=item["contrast"],
-            malignant=item["malignant"],
+# JSON types accepted for a LesionSpec field of each annotation; comparing
+# type() keeps a bool from passing as a number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,)}
+
+
+def truth_from_dict(data) -> PhantomTruth:
+    """Inverse of truth_to_dict; a missing or mistyped field raises
+    ValueError."""
+    spec = [(f.name, _JSON_TYPES[f.type]) for f in fields(LesionSpec)]
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("case_id"), str)
+        and isinstance(data.get("label"), bool)
+        and isinstance(data.get("lesions"), list)
+        and all(
+            isinstance(item, dict)
+            and all(type(item.get(name)) in kinds for name, kinds in spec)
+            for item in data["lesions"]
         )
-        for item in data["lesions"]
-    )
+    ):
+        raise ValueError(
+            "truth needs a string case_id, a boolean label and a lesions list of objects "
+            "with numbers center_x, center_y, radius and contrast, integers center_slice "
+            "and slice_extent, and a boolean malignant"
+        )
+    lesions = tuple(LesionSpec(**{k: item[k] for k, _ in spec}) for item in data["lesions"])
     return PhantomTruth(case_id=data["case_id"], lesions=lesions, label=data["label"])
 
 
@@ -397,4 +410,10 @@ def write_truth(truth: PhantomTruth, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> PhantomTruth:
-    return truth_from_dict(json.loads(Path(path).read_text()))
+    """Read a truth.json written by write_truth; a malformed file raises
+    ValueError naming it."""
+    data = read_json(path)
+    try:
+        return truth_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

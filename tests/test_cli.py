@@ -1,16 +1,21 @@
 """Command line behavior: config handling, exit codes, artifacts,
 rerun byte-stability."""
 
+import contextlib
 import filecmp
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tomoscreen.cli as cli_module
 from tomoscreen.cli import (
@@ -29,7 +34,7 @@ from tomoscreen.cli import (
 from tomoscreen.errors import ConfigError
 from tomoscreen.imaging import ImageGrid, Volume, write_pgm, write_volume
 from tomoscreen.miltrain import load_scorer
-from tomoscreen.phantom import read_truth
+from tomoscreen.phantom import LesionSpec, PhantomTruth, read_truth, write_truth
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
 
 QUICK = {
@@ -113,6 +118,36 @@ class TestRunConfig:
             config_from_dict({"size_bin_edges": [20.0, 10.0]})
         with pytest.raises(ConfigError):
             config_from_dict({"width": 8})
+
+    INT_FIELDS = (
+        "width", "height", "n_slices", "n_cancer", "n_negative", "n_validation", "iterations",
+        "n_train_cancer", "n_train_negative", "n_resamples", "n_populations", "n_readers", "seed",
+    )
+
+    @pytest.mark.parametrize("value", [48.0, 2.5, True, "7", None, [40]])
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_integer_fields_take_only_integers(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            config_from_dict({field: value})
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            (["eval", "roc"], "n_resamples", 10.5),
+            (["eval", "roc"], "seed", 1.5),
+            (["eval", "roc"], "seed", "abc"),
+            (["report"], "n_readers", 2.5),
+        ],
+    )
+    def test_cli_names_the_integer_field_and_file(
+        self, tmp_path, capsys, command, field, value
+    ):
+        cfg = write_config(tmp_path, **{field: value})
+        args = command + ["--config", cfg, "--out", str(tmp_path / "o")]
+        if command == ["eval", "roc"]:
+            args += ["--cases", scored_csv(tmp_path)]
+        assert main(args) == EXIT_CONFIG
+        assert f"{cfg}: {field} must be an integer" in capsys.readouterr().err
 
     def test_lists_become_tuples(self):
         cfg = config_from_dict({"contrast_range": [60.0, 220.0], "size_bin_edges": [5.0, 9.0]})
@@ -367,6 +402,194 @@ class TestStatisticErrorsNameTheTable:
         assert f"{a}, {b}: DeLong test needs both classes" in err
 
 
+def write_study(directory: Path, views: list) -> Path:
+    """A study manifest over 48x40 views written next to it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(3)
+    for name in ("a.pgm", "b.pgm"):
+        write_pgm(ImageGrid(rng.normal(500.0, 20.0, size=(48, 40))), directory / name)
+    path = directory / "study.json"
+    path.write_text(json.dumps({"case_id": "study-1", "views": views}))
+    return path
+
+
+TWO_VIEWS = [
+    {"breast": "left", "view": "cc", "path": "a.pgm"},
+    {"breast": "right", "view": "cc", "path": "b.pgm"},
+]
+
+
+def stage_runs(stage: str, tmp_path: Path, cohort) -> tuple[list[str], list[str]]:
+    """Arguments, --out aside, of one run of `stage` that succeeds and one
+    that fails inside the stage, after --out exists."""
+    cfg, cases = cohort
+    plain = scored_csv(tmp_path, readers=("r1", "r2"), sizes=True)
+    one_class = scored_csv(tmp_path, name="one_class.csv", n_neg=0)
+    if stage == "phantom-gen":
+        empty = write_config(tmp_path, "empty.json", n_cancer=0, n_negative=0)
+        return ["phantom", "gen", "--config", cfg], ["phantom", "gen", "--config", empty]
+    if stage == "condense-run":
+        volume = str(cases / "cancer-0000")
+        run = ["condense", "run", "--config", cfg, "--volume", volume]
+        return run, run + ["--threshold", "1.5"]
+    if stage == "score-study":
+        good = write_study(tmp_path / "study", TWO_VIEWS)
+        bad = write_study(tmp_path / "bad_study", [{"breast": "left"}])
+        run = ["score", "study", "--manifest"]
+        return run + [str(good)], run + [str(bad)]
+    if stage == "train-mil":
+        small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
+        empty = write_config(tmp_path, "empty.json", n_train_cancer=0)
+        return ["train", "mil", "--config", small], ["train", "mil", "--config", empty]
+    if stage == "eval-roc":
+        return ["eval", "roc", "--cases", plain], ["eval", "roc", "--cases", one_class]
+    if stage == "eval-delong":
+        other = scored_csv(tmp_path, name="other.csv", n_pos=13, n_neg=11)
+        return (
+            ["eval", "delong", "--cases-a", plain, "--cases-b", plain],
+            ["eval", "delong", "--cases-a", plain, "--cases-b", other],
+        )
+    if stage == "eval-readers":
+        return ["eval", "readers", "--cases", plain], ["eval", "readers", "--cases", one_class]
+    if stage == "eval-size-matched":
+        run = ["eval", "size-matched", "--config", cfg, "--target", "source", "--cases"]
+        return run + [plain], run + [one_class]
+    assert stage == "report"
+    report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
+    empty = write_config(tmp_path, "empty.json", n_cancer=0)
+    return ["report", "--config", report], ["report", "--config", empty]
+
+
+class TestStageLifecycle:
+    """main runs every stage alike: a run that succeeds leaves a manifest
+    naming its stage, a run that fails leaves none."""
+
+    STAGES = (
+        "phantom-gen", "condense-run", "score-study", "train-mil", "eval-roc",
+        "eval-delong", "eval-readers", "eval-size-matched", "report",
+    )
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_manifest_names_the_stage_only_on_success(self, stage, tmp_path, capsys, cohort):
+        ok, failing = stage_runs(stage, tmp_path, cohort)
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        assert main(ok + ["--out", str(good)]) == EXIT_OK
+        manifest = json.loads((good / "run_manifest.json").read_text())
+        assert manifest["stage"] == stage
+        capsys.readouterr()
+        assert main(failing + ["--out", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert bad.is_dir() and not (bad / "run_manifest.json").exists()
+
+
+def json_input_run(reader: str, root: Path) -> tuple[list[str], Path]:
+    """Arguments of a run that reads the JSON input `reader`, and that
+    input's path; the run succeeds while the file is left as written."""
+    table = scored_csv(root, sizes=True)
+    if reader == "config":
+        path = Path(write_config(root))
+        run = ["eval", "delong", "--config", str(path), "--cases-a", table, "--cases-b", table]
+        return run, path
+    if reader == "study manifest":
+        path = write_study(root / "study", TWO_VIEWS)
+        return ["score", "study", "--manifest", str(path)], path
+    if reader == "target histogram":
+        path = root / "target.json"
+        path.write_text(
+            json.dumps({"bin_edges": [10.0, 20.0, 50.0], "shares": [0.25, 0.25, 0.5, 0.0]})
+        )
+        run = ["eval", "size-matched", "--config", write_config(root), "--cases", table]
+        return run + ["--target", str(path)], path
+    assert reader == "truth"
+    case = root / "cases" / "cancer-0000"
+    write_volume(Volume(np.full((3, 40, 40), 1000.0)), case)
+    lesion = LesionSpec(20.0, 20.0, 6.0, 1, 2, 100.0, True)
+    path = case / "truth.json"
+    write_truth(PhantomTruth("cancer-0000", (lesion,), True), path)
+    return ["condense", "run", "--cases", str(root / "cases")], path
+
+
+def run_quietly(args: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(args)
+    return code, err.getvalue()
+
+
+@st.composite
+def damaged(draw, original: bytes) -> bytes:
+    """A truncation of `original`, or a copy with one to four bytes replaced."""
+    if draw(st.booleans()):
+        return original[: draw(st.integers(0, len(original) - 1))]
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+class TestJsonInputsNameTheirFile:
+    """Every JSON file the CLI reads fails closed: exit 2 naming the file."""
+
+    READERS = ("config", "study manifest", "target histogram", "truth")
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2"])
+    @pytest.mark.parametrize("reader", READERS)
+    def test_invalid_json(self, tmp_path, reader, content):
+        args, path = json_input_run(reader, tmp_path)
+        path.write_bytes(content)
+        code, err = run_quietly(args + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{path}: invalid JSON: " in err
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_not_an_object(self, tmp_path, reader):
+        args, path = json_input_run(reader, tmp_path)
+        path.write_text("[]")
+        code, err = run_quietly(args + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert str(path) in err
+
+    TRUTH_CHANGES = {
+        "no lesions": lambda t: t.pop("lesions"),
+        "no case_id": lambda t: t.pop("case_id"),
+        "integer label": lambda t: t.update(label=1),
+        "lesions object": lambda t: t.update(lesions={}),
+        "lesion number": lambda t: t.update(lesions=[1]),
+        "no radius": lambda t: t["lesions"][0].pop("radius"),
+        "string radius": lambda t: t["lesions"][0].update(radius="6.0"),
+        "boolean center_x": lambda t: t["lesions"][0].update(center_x=True),
+        "float center_slice": lambda t: t["lesions"][0].update(center_slice=1.0),
+        "integer malignant": lambda t: t["lesions"][0].update(malignant=1),
+        "negative radius": lambda t: t["lesions"][0].update(radius=-6.0),
+        "label disagrees": lambda t: t["lesions"][0].update(malignant=False),
+    }
+
+    @pytest.mark.parametrize("change", sorted(TRUTH_CHANGES))
+    def test_truth_fields_are_checked(self, tmp_path, change):
+        args, path = json_input_run("truth", tmp_path)
+        truth = json.loads(path.read_text())
+        self.TRUTH_CHANGES[change](truth)
+        path.write_text(json.dumps(truth))
+        code, err = run_quietly(args + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{path}: " in err
+
+    @pytest.mark.parametrize("reader", READERS)
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_damaged_bytes(self, reader, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            args, path = json_input_run(reader, root)
+            path.write_bytes(data.draw(damaged(path.read_bytes()), label="content"))
+            code, err = run_quietly(args + ["--out", str(root / "o")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
+        # a damaged view path may point at a missing image, which the
+        # I/O error names instead of the manifest
+        if code != EXIT_OK and not (code == EXIT_IO and reader == "study manifest"):
+            assert str(path) in err
+
+
 class TestPhantomGen:
     def test_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -533,6 +756,21 @@ class TestScoreStudy:
         manifest.write_text(json.dumps({"case_id": "s", "views": [{"breast": "left"}]}))
         code = main(["score", "study", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            {"breast": "left", "view": "cc", "path": 5},
+            {"breast": ["left"], "view": "cc", "path": "a.pgm"},
+            "a.pgm",
+        ],
+    )
+    def test_mistyped_view_rejected(self, tmp_path, capsys, view):
+        manifest = write_study(tmp_path, [view])
+        code = main(["score", "study", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{manifest}: each view needs" in capsys.readouterr().err
 
 
 class TestTrainMil:
