@@ -118,36 +118,5 @@ def boxes_to_csv(boxes: list[ScoredBox]) -> str:
     return buf.getvalue()
 
 
-def boxes_from_csv(text: str) -> list[ScoredBox]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        return []
-    if tuple(h.strip() for h in header) != CSV_FIELDS:
-        raise ValueError(f"unexpected box CSV header: {header}")
-    boxes = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CSV_FIELDS):
-            raise ValueError(f"malformed box CSV row: {row}")
-        slice_index = int(row[5]) if row[5] != "" else None
-        boxes.append(
-            ScoredBox(
-                x_min=float(row[0]),
-                y_min=float(row[1]),
-                x_max=float(row[2]),
-                y_max=float(row[3]),
-                score=float(row[4]),
-                slice_index=slice_index,
-            )
-        )
-    return boxes
-
-
 def write_boxes_csv(boxes: list[ScoredBox], path: str | Path) -> None:
     Path(path).write_text(boxes_to_csv(boxes))
-
-
-def read_boxes_csv(path: str | Path) -> list[ScoredBox]:
-    return boxes_from_csv(Path(path).read_text())

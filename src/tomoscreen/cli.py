@@ -41,16 +41,22 @@ import scipy
 
 from . import __version__
 from .boxes import write_boxes_csv
-from .condense import choose_score_threshold, condense_volume, study_max_box_score
+from .condense import (
+    aggregate_boxes,
+    build_optimized_image,
+    choose_score_threshold,
+    detect_slices,
+    study_max_box_score,
+    trimmed_slices,
+)
 from .errors import ConfigError, NumericError
 from .imaging import (
     ImageGrid,
     normalize_range,
-    normalize_with_range,
+    normalize_volume,
     read_json,
     read_pgm,
     read_volume,
-    volume_range,
     write_pgm,
     write_volume,
 )
@@ -281,12 +287,11 @@ def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, 
     return ids
 
 
-def _composite(vol, threshold: float, iou: float):
-    """Condense a volume; returns the composite and the composite put on
-    the volume's intensity scale."""
-    lo, hi = volume_range(vol)
-    opt = condense_volume(vol, default_condense_scorer(), threshold, iou)
-    return opt, normalize_with_range(opt.image, lo, hi)
+def _composite(norm, threshold: float, iou: float):
+    """Condense a normalized volume: detect on its trimmed slices, keep
+    the boxes at or above the threshold that survive NMS, and paint them."""
+    boxes = detect_slices(norm, default_condense_scorer(), trimmed_slices(norm.n_slices))
+    return build_optimized_image(norm, aggregate_boxes(boxes, threshold, iou))
 
 
 def _select_threshold(cfg: RunConfig, threads: int) -> float:
@@ -298,7 +303,7 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
 
     def one(i: int) -> float:
         vol, _ = _case(cfg, f"val-{i:04d}", True)
-        return study_max_box_score(vol, scorer)
+        return study_max_box_score(normalize_volume(vol), scorer)
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
     return choose_score_threshold(
@@ -445,13 +450,15 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
 
 def _condense_one_volume(vol, threshold: float, iou: float, case_dir: Path):
     """Condense a volume and write its composite artifacts; returns the
-    ensemble score of the composite."""
-    opt, image = _composite(vol, threshold, iou)
+    ensemble score of the composite. optimized.pgm holds the raw volume's
+    pixels picked by the composite's provenance."""
+    opt = _composite(normalize_volume(vol), threshold, iou)
     case_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(opt.image, case_dir / "optimized.pgm")
+    raw = np.take_along_axis(vol.data, opt.provenance[None], axis=0)[0]
+    write_pgm(ImageGrid(raw), case_dir / "optimized.pgm")
     write_pgm(ImageGrid(opt.provenance.astype(np.float64)), case_dir / "provenance.pgm")
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
-    score = ensemble_image_score(default_ensemble(), image)
+    score = ensemble_image_score(default_ensemble(), opt.image)
     write_json(
         {"score": score, "n_boxes": len(opt.kept_boxes), "clip_warnings": list(opt.clip_warnings)},
         case_dir / "score.json",
@@ -507,9 +514,9 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
     for entry in views:
         if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
             raise ConfigError(f"{manifest_path}: each view needs 'breast', 'view', 'path'")
-        img = read_pgm(manifest_path.parent / entry["path"])
-        score = ensemble_image_score(scorers, normalize_range(img))
         try:
+            img = read_pgm(manifest_path.parent / entry["path"])
+            score = ensemble_image_score(scorers, normalize_range(img))
             view_scores.append(ViewScore(case_id, entry["breast"], entry["view"], score))
         except ValueError as exc:
             raise ConfigError(f"{manifest_path}: {exc}") from None
@@ -538,7 +545,7 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
         vol, truth = _case(cfg, case_id, cancer)
-        _, image = _composite(vol, 0.0, cfg.iou_threshold)
+        image = _composite(normalize_volume(vol), 0.0, cfg.iou_threshold).image
         candidates = tuple(detector.detect(image))
         if not candidates:
             return None
@@ -658,8 +665,8 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord]:
         case_id, cancer = item
         vol, truth = _case(cfg, case_id, cancer)
-        _, image = _composite(vol, threshold, cfg.iou_threshold)
-        center = normalize_with_range(vol.slice(vol.n_slices // 2), *volume_range(vol))
+        norm = normalize_volume(vol)
+        image = _composite(norm, threshold, cfg.iou_threshold).image
         record = CaseRecord(
             case_id=truth.case_id,
             label=truth.label,
@@ -667,7 +674,7 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
             tumor_size_mm=truth.tumor_size_mm,
             reader_birads=synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles),
         )
-        center_score = ensemble_image_score(scorers, center)
+        center_score = ensemble_image_score(scorers, norm.slice(norm.n_slices // 2))
         return record, dataclasses.replace(record, score=center_score, reader_birads=None)
 
     ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)

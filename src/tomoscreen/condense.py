@@ -1,43 +1,38 @@
 """Collapse a slice stack into a single 2D image built from its most
 suspicious patches.
 
-The procedure: score every slice in the trimmed range, pool the boxes,
-run one x-y NMS over the pool, then paint each surviving box's pixel
-rectangle from its source slice onto a center-slice canvas. Painting
-goes in ascending score order, so wherever partially-overlapping boxes
-survive NMS the higher-scoring patch ends up on top. Every output pixel
-therefore comes verbatim from some slice of the input volume.
+The procedure: normalize the volume once, detect on every slice in the
+trimmed range, pool the boxes, run one x-y NMS over the pool, then paint
+each surviving box's pixel rectangle from its source slice onto a
+center-slice canvas. Painting goes in ascending score order, so wherever
+partially-overlapping boxes survive NMS the higher-scoring patch ends up
+on top. Every output pixel therefore comes verbatim from some slice of
+the painted volume: painting the normalized volume gives the composite
+that is scored, and picking the raw volume's pixels by the same
+provenance gives the composite on the raw intensity scale.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import ScoredBox, nms
-from .imaging import ImageGrid, Volume, normalize_volume
+from .imaging import ImageGrid, Volume
 from .scorer import ScorerHandle, mil_image_score
 
 log = logging.getLogger(__name__)
 
 
-def slice_range(n_slices: int) -> tuple[int, int]:
-    """Inclusive slice index range after trimming 10% at each end.
-
-    The trim count is floor(0.1 * n_slices); when trimming would leave
-    nothing (cannot happen for n >= 1 with floor, but kept defensive)
-    the full range is returned.
-    """
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
+def trimmed_slices(n_slices: int) -> range:
+    """Slice indices left after trimming floor(0.1 * n_slices) at each end;
+    never empty for n_slices >= 1."""
     skip = n_slices // 10
-    first, last = skip, n_slices - 1 - skip
-    if first > last:
-        return 0, n_slices - 1
-    return first, last
+    return range(skip, n_slices - skip)
 
 
 def choose_score_threshold(
@@ -59,32 +54,25 @@ def choose_score_threshold(
     return positives[k - 1]
 
 
-def _slice_boxes(vol: Volume, scorer: ScorerHandle, first: int, last: int) -> list[ScoredBox]:
-    """Boxes detected on slices first..last (inclusive), each tagged with
-    its slice.
+def detect_slices(norm: Volume, scorer: ScorerHandle, slices: Iterable[int]) -> list[ScoredBox]:
+    """Boxes detected on the given slices of a normalized volume, each
+    tagged with its slice.
 
-    The volume is normalized once with a single volume-level affine, so
-    box scores are comparable across slices.
+    `norm` comes from normalize_volume: one volume-level affine keeps box
+    scores comparable across slices.
     """
-    norm = normalize_volume(vol)
-    return [
-        box.with_slice(i) for i in range(first, last + 1) for box in scorer.detect(norm.slice(i))
-    ]
+    return [box.with_slice(i) for i in slices for box in scorer.detect(norm.slice(i))]
 
 
 def aggregate_boxes(
-    vol: Volume,
-    scorer: ScorerHandle,
-    score_threshold: float,
-    iou_threshold: float,
+    boxes: list[ScoredBox], score_threshold: float, iou_threshold: float
 ) -> list[ScoredBox]:
-    """Detect on every slice in the trimmed range and NMS the pooled set.
+    """Drop boxes scoring below the threshold and NMS the pooled rest.
 
-    Each kept box carries the slice it came from; overlap comparison is
+    Each kept box keeps the slice it came from; overlap comparison is
     purely in x-y, ignoring slice separation.
     """
-    pooled = _slice_boxes(vol, scorer, *slice_range(vol.n_slices))
-    return nms([b for b in pooled if b.score >= score_threshold], iou_threshold)
+    return nms([b for b in boxes if b.score >= score_threshold], iou_threshold)
 
 
 @dataclass(frozen=True)
@@ -152,33 +140,14 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
     )
 
 
-def condense_volume(
-    vol: Volume,
-    scorer: ScorerHandle,
-    score_threshold: float,
-    iou_threshold: float = 0.2,
-) -> OptimizedImage:
-    """aggregate_boxes followed by build_optimized_image."""
-    kept = aggregate_boxes(vol, scorer, score_threshold, iou_threshold)
-    return build_optimized_image(vol, kept)
+def study_max_box_score(norm: Volume, scorer: ScorerHandle) -> float:
+    """Best box score the condensation step would see for this normalized
+    volume.
 
-
-def study_max_box_score(vol: Volume, scorer: ScorerHandle) -> float:
-    """Best box score the condensation step would see for this volume.
-
-    Detection runs over the trimmed slice range with the volume-level
-    affine, exactly as aggregate_boxes does, but with no threshold and no
-    suppression (neither changes the maximum). Feeds threshold selection:
-    pairs of (this score, cancer label) over a validation cohort go into
-    choose_score_threshold. Returns 0.0 when nothing fires.
+    Detection runs over the trimmed slice range, exactly as condensation
+    does, but with no threshold and no suppression (neither changes the
+    maximum). Feeds threshold selection: pairs of (this score, cancer
+    label) over a validation cohort go into choose_score_threshold.
+    Returns 0.0 when nothing fires.
     """
-    return mil_image_score(_slice_boxes(vol, scorer, *slice_range(vol.n_slices)))
-
-
-def slice_max_score(vol: Volume, scorer: ScorerHandle) -> float:
-    """Naive no-condensation baseline: max box score over ALL slices.
-
-    No edge trim and no cross-slice suppression; this is what scoring a
-    stack slice-by-slice and taking the best slice would report.
-    """
-    return mil_image_score(_slice_boxes(vol, scorer, 0, vol.n_slices - 1))
+    return mil_image_score(detect_slices(norm, scorer, trimmed_slices(norm.n_slices)))

@@ -97,29 +97,13 @@ def normalize_range(img: ImageGrid) -> ImageGrid:
     return ImageGrid(_affine(img.data, img.data.min(), img.data.max()))
 
 
-def volume_range(vol: Volume) -> tuple[float, float]:
-    """(min, max) intensity over every slice of the volume."""
-    return float(vol.data.min()), float(vol.data.max())
-
-
-def normalize_with_range(img: ImageGrid, lo: float, hi: float) -> ImageGrid:
-    """Apply the [-127.5, 127.5] affine defined by an external (lo, hi).
-
-    Used to normalize images derived from a volume (a single slice, an
-    assembled composite) with the volume's own range, keeping them on the
-    same intensity scale as the normalized volume. Values outside
-    [lo, hi] extrapolate rather than clip. Degenerate range maps to zeros.
-    """
-    return ImageGrid(_affine(img.data, lo, hi))
-
-
 def normalize_volume(vol: Volume) -> Volume:
     """Map a volume onto [-127.5, 127.5] with one affine for all slices.
 
     A shared mapping keeps slice intensities mutually comparable, which
     per-slice normalization would destroy. A constant volume maps to zeros.
     """
-    return Volume(_affine(vol.data, *volume_range(vol)))
+    return Volume(_affine(vol.data, vol.data.min(), vol.data.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -235,11 +235,3 @@ def save_scorer(result: TrainResult, path: str | Path) -> None:
         "loss_trajectory": list(result.loss_trajectory),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_scorer(path: str | Path) -> TrainResult:
-    data = json.loads(Path(path).read_text())
-    return TrainResult(
-        scorer=ToyScorer(weights=tuple(data["weights"]), bias=data["bias"]),
-        loss_trajectory=tuple(data.get("loss_trajectory", ())),
-    )

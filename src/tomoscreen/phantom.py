@@ -63,6 +63,13 @@ class LesionSpec:
     malignant: bool
 
     def __post_init__(self):
+        for name in ("center_x", "center_y", "radius", "contrast"):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"lesion {name} must be a finite number")
         if not self.radius > 0:
             raise ValueError(f"lesion radius must be positive, got {self.radius}")
         if self.slice_extent < 1:

@@ -18,13 +18,13 @@ from test_boxes import random_boxes, reference_nms
 
 from tomoscreen.boxes import ScoredBox, nms
 from tomoscreen.cli import EXIT_OK, main
-from tomoscreen.condense import aggregate_boxes, build_optimized_image, slice_max_score
-from tomoscreen.imaging import (
-    ImageGrid,
-    normalize_volume,
-    normalize_with_range,
-    volume_range,
+from tomoscreen.condense import (
+    aggregate_boxes,
+    build_optimized_image,
+    detect_slices,
+    trimmed_slices,
 )
+from tomoscreen.imaging import ImageGrid, normalize_volume
 from tomoscreen.miltrain import ToyScorer, extract_patch_features, mil_forward, mil_loss_grad
 from tomoscreen.phantom import (
     LesionSpec,
@@ -33,7 +33,12 @@ from tomoscreen.phantom import (
     generate_volume,
     project_dm,
 )
-from tomoscreen.scorer import default_condense_scorer, default_ensemble, ensemble_image_score
+from tomoscreen.scorer import (
+    default_condense_scorer,
+    default_ensemble,
+    ensemble_image_score,
+    mil_image_score,
+)
 from tomoscreen.seeds import rng_stream
 from tomoscreen.stats import (
     CaseRecord,
@@ -319,18 +324,20 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
         cancer = i < n_per_class
         case_id = f"{'c' if cancer else 'n'}-{i % n_per_class:03d}"
         vol, _ = generate_case(base, case_id, cancer=cancer, contrast_range=(60.0, 220.0))
-        lo, hi = volume_range(vol)
         norm = normalize_volume(vol)
-        opt = build_optimized_image(vol, aggregate_boxes(vol, detector, 0.0, 0.2))
+        # one detection pass over every slice feeds both box pathways
+        boxes = detect_slices(norm, detector, range(vol.n_slices))
+        trimmed = trimmed_slices(vol.n_slices)
+        kept = aggregate_boxes([b for b in boxes if b.slice_index in trimmed], 0.0, 0.2)
         labels.append(cancer)
         scores["optimized"].append(
-            ensemble_image_score(ensemble, normalize_with_range(opt.image, lo, hi))
+            ensemble_image_score(ensemble, build_optimized_image(norm, kept).image)
         )
         scores["center"].append(
             ensemble_image_score(ensemble, norm.slice(vol.n_slices // 2))
         )
         scores["projection"].append(ensemble_image_score(ensemble, project_dm(vol)))
-        scores["slice_max"].append(slice_max_score(vol, detector))
+        scores["slice_max"].append(mil_image_score(boxes))
     y = np.array(labels)
     return {k: auc_mann_whitney(np.array(v), y) for k, v in scores.items()}
 
@@ -383,7 +390,8 @@ def test_criterion_07_provenance_and_pixel_origin():
             malignant=True,
         )
         vol, _ = generate_volume(replace(base, seed=k), [spec], case_id=f"p{k:03d}")
-        opt = build_optimized_image(vol, aggregate_boxes(vol, detector, 0.0, 0.2))
+        boxes = detect_slices(normalize_volume(vol), detector, trimmed_slices(vol.n_slices))
+        opt = build_optimized_image(vol, aggregate_boxes(boxes, 0.0, 0.2))
 
         cols, rows = np.meshgrid(np.arange(base.width), np.arange(base.height))
         footprint = (cols + 0.5 - center_x) ** 2 + (rows + 0.5 - center_y) ** 2 < radius**2

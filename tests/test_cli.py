@@ -32,8 +32,7 @@ from tomoscreen.cli import (
     synthetic_birads,
 )
 from tomoscreen.errors import ConfigError
-from tomoscreen.imaging import ImageGrid, Volume, write_pgm, write_volume
-from tomoscreen.miltrain import load_scorer
+from tomoscreen.imaging import ImageGrid, Volume, read_json, write_pgm, write_volume
 from tomoscreen.phantom import LesionSpec, PhantomTruth, read_truth, write_truth
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
 
@@ -574,6 +573,23 @@ class TestJsonInputsNameTheirFile:
         assert code == EXIT_CONFIG
         assert f"{path}: " in err
 
+    @pytest.mark.parametrize("number", ["1" * 400, "1e999", "NaN"], ids=["400-digit", "1e999", "NaN"])
+    @pytest.mark.parametrize("field", ["center_x", "center_y", "radius", "contrast"])
+    def test_truth_numbers_must_be_finite(self, tmp_path, field, number):
+        args, path = json_input_run("truth", tmp_path)
+        truth = json.loads(path.read_text())
+        truth["lesions"][0][field] = "NUMBER"
+        path.write_text(json.dumps(truth).replace('"NUMBER"', number))
+        code, err = run_quietly(args + ["--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{path}: lesion {field} must be a finite number" in err
+
+    def test_view_path_with_nul_names_the_manifest(self, tmp_path):
+        path = write_study(tmp_path, [{"breast": "left", "view": "cc", "path": "a\u0000.pgm"}])
+        code, err = run_quietly(["score", "study", "--manifest", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"{path}: " in err
+
     @pytest.mark.parametrize("reader", READERS)
     @settings(max_examples=40)
     @given(data=st.data())
@@ -778,10 +794,11 @@ class TestTrainMil:
         cfg = write_config(tmp_path, width=64, height=80, n_slices=10)
         out = tmp_path / "trained"
         assert main(["train", "mil", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        result = load_scorer(out / "toy_scorer.json")
-        assert len(result.scorer.weights) == 4
-        assert len(result.loss_trajectory) == QUICK["iterations"]
-        assert all(v >= 0 for v in result.loss_trajectory)
+        result = read_json(out / "toy_scorer.json")
+        assert len(result["weights"]) == 4
+        assert isinstance(result["bias"], float)
+        assert len(result["loss_trajectory"]) == QUICK["iterations"]
+        assert all(v >= 0 for v in result["loss_trajectory"])
 
 
 class TestEvalRoc:

@@ -15,18 +15,12 @@ from tomoscreen.condense import (
     aggregate_boxes,
     build_optimized_image,
     choose_score_threshold,
-    condense_volume,
-    slice_max_score,
-    slice_range,
+    detect_slices,
     study_max_box_score,
+    trimmed_slices,
 )
-from tomoscreen.imaging import (
-    ImageGrid,
-    normalize_volume,
-    normalize_with_range,
-    volume_range,
-)
-from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_volume
+from tomoscreen.imaging import ImageGrid, normalize_volume
+from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
 from tomoscreen.scorer import (
     default_condense_scorer,
     default_ensemble,
@@ -39,23 +33,53 @@ def box(x0, y0, x1, y1, score, s=None):
     return ScoredBox(x0, y0, x1, y1, score, slice_index=s)
 
 
+def condensed_boxes(vol, scorer, score_threshold, iou_threshold):
+    """The boxes condensation keeps: detection on the trimmed slices of
+    the normalized volume, thresholded and suppressed."""
+    norm = normalize_volume(vol)
+    boxes = detect_slices(norm, scorer, trimmed_slices(vol.n_slices))
+    return aggregate_boxes(boxes, score_threshold, iou_threshold)
+
+
+def phantom_volumes():
+    cfg = PhantomConfig(
+        width=64,
+        height=80,
+        n_slices=10,
+        background_texture_scale=24.0,
+        clutter_density=1.0,
+        noise_sigma=18.0,
+        seed=4,
+    )
+    return [generate_case(cfg, f"case-{k}", cancer=k == 0)[0] for k in range(2)]
+
+
 class TestSliceRange:
     def test_examples(self):
-        assert slice_range(100) == (10, 89)
-        assert slice_range(10) == (1, 8)
-        assert slice_range(9) == (0, 8)
-        assert slice_range(1) == (0, 0)
-
-    def test_rejects_empty_volume(self):
-        with pytest.raises(ValueError):
-            slice_range(0)
+        assert trimmed_slices(100) == range(10, 90)
+        assert trimmed_slices(10) == range(1, 9)
+        assert trimmed_slices(9) == range(0, 9)
+        assert trimmed_slices(1) == range(0, 1)
 
     @given(st.integers(min_value=1, max_value=5000))
     def test_trims_ten_percent_each_side(self, n):
-        first, last = slice_range(n)
+        kept = trimmed_slices(n)
         skip = n // 10
-        assert (first, last) == (skip, n - 1 - skip)
-        assert 0 <= first <= last < n
+        assert (kept.start, kept.stop, kept.step) == (skip, n - skip, 1)
+        assert 0 <= kept[0] <= kept[-1] < n
+
+
+class TestDetectSlices:
+    def test_matches_per_slice_detect_on_phantoms(self):
+        scorer = default_condense_scorer()
+        for vol in phantom_volumes():
+            norm = normalize_volume(vol)
+            for slices in (range(vol.n_slices), trimmed_slices(vol.n_slices), [7, 2]):
+                expected = [
+                    b.with_slice(i) for i in slices for b in scorer.detect(norm.slice(i))
+                ]
+                assert expected
+                assert detect_slices(norm, scorer, slices) == expected
 
 
 class TestChooseScoreThreshold:
@@ -105,7 +129,7 @@ class TestChooseScoreThreshold:
 class TestAggregateBoxes:
     def test_no_detections(self):
         vol = constant_slice_volume(10)
-        assert aggregate_boxes(vol, LookupScorer(10, {}), 0.0, 0.2) == []
+        assert condensed_boxes(vol, LookupScorer(10, {}), 0.0, 0.2) == []
 
     def test_overlapping_cluster_keeps_best_slice(self):
         vol = constant_slice_volume(10)
@@ -114,7 +138,7 @@ class TestAggregateBoxes:
             5: [box(11, 11, 21, 21, 0.9)],
             6: [box(10, 11, 20, 21, 0.7)],
         }
-        kept = aggregate_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
         assert len(kept) == 1
         assert kept[0].score == 0.9
         assert kept[0].slice_index == 5
@@ -127,16 +151,16 @@ class TestAggregateBoxes:
             6: [box(30, 30, 38, 38, 0.5)],
             7: [box(30, 30, 38, 38, 0.8)],
         }
-        kept = aggregate_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
         assert {(k.slice_index, k.score) for k in kept} == {(5, 0.9), (7, 0.8)}
 
     def test_score_threshold_drops_boxes(self):
         vol = constant_slice_volume(10)
         b = {4: [box(10, 10, 20, 20, 0.6)], 6: [box(30, 30, 38, 38, 0.8)]}
-        kept = aggregate_boxes(vol, LookupScorer(10, b), 0.7, 0.2)
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.7, 0.2)
         assert [k.score for k in kept] == [0.8]
         # boundary: the threshold itself is kept (>=)
-        kept = aggregate_boxes(vol, LookupScorer(10, b), 0.6, 0.2)
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.6, 0.2)
         assert {k.score for k in kept} == {0.6, 0.8}
 
     def test_edge_slices_never_contribute(self):
@@ -146,13 +170,12 @@ class TestAggregateBoxes:
             9: [box(30, 30, 38, 38, 0.98)],
             1: [box(50, 5, 58, 13, 0.4)],
         }
-        kept = aggregate_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.2)
         assert [(k.slice_index, k.score) for k in kept] == [(1, 0.4)]
 
     def test_matches_pool_then_reference_nms(self, rng):
         n_slices = 12
         vol = constant_slice_volume(n_slices)
-        first, last = slice_range(n_slices)
         by_slice = {}
         for s in range(n_slices):
             boxes = []
@@ -162,12 +185,8 @@ class TestAggregateBoxes:
                 boxes.append(box(x0, y0, x0 + w, y0 + h, round(float(rng.random()), 2)))
             by_slice[s] = boxes
         for iou_t in (0.1, 0.2, 0.5):
-            got = aggregate_boxes(vol, LookupScorer(n_slices, by_slice), 0.0, iou_t)
-            pooled = [
-                b.with_slice(s)
-                for s in range(first, last + 1)
-                for b in by_slice[s]
-            ]
+            got = condensed_boxes(vol, LookupScorer(n_slices, by_slice), 0.0, iou_t)
+            pooled = [b.with_slice(s) for s in range(1, n_slices - 1) for b in by_slice[s]]
             assert got == reference_nms(pooled, iou_t)
 
 
@@ -241,6 +260,21 @@ class TestBuildOptimizedImage:
         expected = np.take_along_axis(vol.data, opt.provenance[None, :, :], axis=0)[0]
         assert np.array_equal(opt.image.data, expected)
 
+    def test_raw_pick_by_provenance_equals_raw_painting(self):
+        vol = constant_slice_volume(10)
+        b = {
+            3: [box(10, 10, 20, 20, 0.6), box(22, 5, 30, 14, 0.5)],
+            5: [box(18, 12, 28, 22, 0.9)],
+            6: [box(8, 18, 16, 30, 0.7)],
+        }
+        kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.5)
+        assert len(kept) == 4  # overlapping boxes survive a loose NMS
+        painted = build_optimized_image(normalize_volume(vol), kept)
+        raw = build_optimized_image(vol, kept)
+        picked = np.take_along_axis(vol.data, painted.provenance[None], axis=0)[0]
+        assert np.array_equal(painted.provenance, raw.provenance)
+        assert picked.tobytes() == raw.image.data.tobytes()
+
     def test_provenance_shape_guard(self):
         img = ImageGrid(np.zeros((4, 4)))
         with pytest.raises(ValueError):
@@ -249,19 +283,21 @@ class TestBuildOptimizedImage:
 
 class TestCondenseVolume:
     def test_composition(self):
-        vol = constant_slice_volume(10)
-        b = {
-            4: [box(10, 10, 20, 20, 0.6)],
-            5: [box(11, 11, 21, 21, 0.9)],
-            7: [box(30, 30, 38, 38, 0.8)],
-        }
-        scorer = LookupScorer(10, b)
-        opt = condense_volume(vol, scorer, 0.0, 0.2)
-        kept = aggregate_boxes(vol, scorer, 0.0, 0.2)
-        ref = build_optimized_image(vol, kept)
-        assert np.array_equal(opt.image.data, ref.image.data)
-        assert np.array_equal(opt.provenance, ref.provenance)
-        assert opt.kept_boxes == ref.kept_boxes
+        """Painting the normalized volume gives, byte for byte, the raw
+        composite put through the volume's affine; a constant volume
+        paints zeros."""
+        cases = [
+            (vol, condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2))
+            for vol in phantom_volumes()
+        ]
+        assert all(kept for _, kept in cases)
+        cases.append((make_volume(np.full((10, 40, 40), 7.0)), [box(10, 10, 20, 20, 0.5, s=3)]))
+        for vol, kept in cases:
+            painted = build_optimized_image(normalize_volume(vol), kept)
+            raw = build_optimized_image(vol, kept).image.data
+            lo, hi = vol.data.min(), vol.data.max()
+            expected = (raw - lo) / (hi - lo) * 255 - 127.5 if hi > lo else np.zeros_like(raw)
+            assert painted.image.data.tobytes() == expected.tobytes()
 
     def test_condensed_beats_center_slice_on_off_center_lesion(self):
         cfg = PhantomConfig(
@@ -283,18 +319,18 @@ class TestCondenseVolume:
             malignant=True,
         )
         vol, _ = generate_volume(cfg, [les])
-        opt = condense_volume(vol, default_condense_scorer(), 0.0, 0.2)
-        lo, hi = volume_range(vol)
+        norm = normalize_volume(vol)
+        kept = condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2)
         ensemble = default_ensemble()
-        opt_score = ensemble_image_score(ensemble, normalize_with_range(opt.image, lo, hi))
-        ctr_score = ensemble_image_score(ensemble, normalize_volume(vol).slice(10))
+        opt_score = ensemble_image_score(ensemble, build_optimized_image(norm, kept).image)
+        ctr_score = ensemble_image_score(ensemble, norm.slice(10))
         assert opt_score > ctr_score
 
 
 class TestStudyMaxBoxScore:
     def test_empty_volume_scores_zero(self):
         vol = constant_slice_volume(10)
-        assert study_max_box_score(vol, LookupScorer(10, {})) == 0.0
+        assert study_max_box_score(normalize_volume(vol), LookupScorer(10, {})) == 0.0
 
     def test_max_over_trimmed_slices_only(self):
         vol = constant_slice_volume(10)
@@ -304,7 +340,7 @@ class TestStudyMaxBoxScore:
             9: [box(10, 10, 20, 20, 0.95)],
         }
         scorer = LookupScorer(10, b)
-        assert study_max_box_score(vol, scorer) == 0.7
+        assert study_max_box_score(normalize_volume(vol), scorer) == 0.7
 
     def test_agrees_with_direct_scan(self, rng):
         n = 12
@@ -314,23 +350,23 @@ class TestStudyMaxBoxScore:
             for s in range(n)
         }
         scorer = LookupScorer(n, by_slice)
-        first, last = slice_range(n)
         norm = normalize_volume(vol)
-        direct = max(
-            mil_image_score(scorer.detect(norm.slice(i)))
-            for i in range(first, last + 1)
-        )
-        assert study_max_box_score(vol, scorer) == direct
+        direct = max(mil_image_score(scorer.detect(norm.slice(i))) for i in range(1, n - 1))
+        assert study_max_box_score(norm, scorer) == direct
 
 
 class TestSliceMaxScore:
+    """The no-condensation baseline: the max box score over all slices of
+    one detection pass, with no edge trim and no cross-slice suppression."""
+
     def test_sees_edge_slices_the_trimmed_scan_misses(self):
         vol = constant_slice_volume(10)
         b = {0: [box(10, 10, 20, 20, 0.99)], 5: [box(10, 10, 20, 20, 0.3)]}
         scorer = LookupScorer(10, b)
-        assert slice_max_score(vol, scorer) == 0.99
-        assert study_max_box_score(vol, scorer) == 0.3
+        norm = normalize_volume(vol)
+        assert mil_image_score(detect_slices(norm, scorer, range(10))) == 0.99
+        assert study_max_box_score(norm, scorer) == 0.3
 
     def test_empty_detections_score_zero(self):
-        vol = constant_slice_volume(4)
-        assert slice_max_score(vol, LookupScorer(4, {})) == 0.0
+        norm = normalize_volume(constant_slice_volume(4))
+        assert mil_image_score(detect_slices(norm, LookupScorer(4, {}), range(4))) == 0.0

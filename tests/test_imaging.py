@@ -11,10 +11,8 @@ from tomoscreen.imaging import (
     Volume,
     normalize_range,
     normalize_volume,
-    normalize_with_range,
     read_pgm,
     read_volume,
-    volume_range,
     write_pgm,
     write_volume,
 )
@@ -109,27 +107,26 @@ class TestNormalize:
         assert np.all(np.diff(flat_out[order]) >= -1e-9)
 
     def test_volume_range_spans_all_slices(self):
-        vol = Volume([np.full((2, 2), 3.0), np.array([[0.0, 9.0], [4.0, 4.0]])])
-        assert volume_range(vol) == (0.0, 9.0)
+        vol = Volume(
+            [np.full((2, 2), 3.0), np.array([[0.0, 9.0], [4.0, 4.0]]), np.full((2, 2), 5.0)]
+        )
+        norm = normalize_volume(vol).data
+        assert norm.min() == norm[1, 0, 0] == -127.5
+        assert norm.max() == norm[1, 0, 1] == 127.5
+        # a constant slice keeps its place in the volume's range
+        assert np.all(norm[0] == (3.0 / 9.0) * 255 - 127.5)
 
-    def test_normalize_with_range_matches_volume_affine(self):
+    def test_normalize_volume_matches_inline_affine(self):
         rng = np.random.default_rng(3)
         vol = Volume(rng.random((3, 4, 4)) * 50)
-        lo, hi = volume_range(vol)
-        norm = normalize_volume(vol)
-        for i in range(3):
-            per_slice = normalize_with_range(vol.slice(i), lo, hi)
-            assert per_slice.data.tobytes() == norm.slice(i).data.tobytes()
-
-
-    def test_normalize_with_range_extrapolates(self):
-        img = ImageGrid(np.array([[20.0]]))
-        out = normalize_with_range(img, 0.0, 10.0)
-        assert out.data[0, 0] == pytest.approx(2 * 255.0 - 127.5)
+        lo, hi = vol.data.min(), vol.data.max()
+        expected = (vol.data - lo) / (hi - lo) * 255 - 127.5
+        assert normalize_volume(vol).data.tobytes() == expected.tobytes()
 
     def test_degenerate_range_maps_to_zero(self):
-        img = ImageGrid(np.array([[5.0]]))
-        assert np.all(normalize_with_range(img, 3.0, 3.0).data == 0.0)
+        # a single voxel or pixel has a degenerate range by size alone
+        assert np.all(normalize_volume(Volume(np.full((1, 1, 1), 5.0))).data == 0.0)
+        assert np.all(normalize_range(ImageGrid(np.array([[5.0]]))).data == 0.0)
 
     def test_normalize_volume_shares_one_affine(self):
         a = np.array([[0.0, 1.0]])
