@@ -146,10 +146,20 @@ class RunConfig:
             if not cond:
                 raise ConfigError(msg)
 
+        def finite(value) -> bool:
+            try:
+                return type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                return False
+
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
                 need(type(value) is int, f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "float":
+                need(finite(value), f"{f.name} must be a finite number")
+            elif f.type.startswith("tuple[float"):
+                need(all(finite(v) for v in value), f"{f.name} must be a finite number")
         need(self.width >= 32 and self.height >= 32, "grid must be at least 32x32")
         need(self.n_slices >= 1, "n_slices must be >= 1")
         need(self.background_texture_scale > 0, "background_texture_scale must be positive")

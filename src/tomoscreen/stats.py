@@ -211,6 +211,8 @@ def _resample(fn, n: int, n_resamples: int, seed: int, stream: str) -> tuple[np.
     (created on first use) until one is; more than 1% of n_resamples
     redrawn raises NumericError.
     """
+    if n_resamples < 1:
+        raise ValueError("n_resamples must be >= 1")
     rng = rng_stream(seed, stream)
     redraw_rng = None
     n_redraws = 0
@@ -638,7 +640,15 @@ def size_matched_auc(
     negatives are drawn uniformly with replacement. Also reports the mean
     total-variation distance between resampled size histograms and the
     target.
+
+    The "size-matched" stream holds every population's positive draws
+    (one double each, mapped through the inverse CDF of the weights as
+    Generator.choice does) followed by every population's negative draws
+    (integers). Both are drawn and evaluated in row blocks, so memory is
+    bounded by one block of populations whatever n_populations is.
     """
+    if n_populations < 1:
+        raise ValueError("n_populations must be >= 1")
     pos = [c for c in cases if c.label]
     neg = [c for c in cases if not c.label]
     if not pos or not neg:
@@ -670,22 +680,29 @@ def size_matched_auc(
     total = w.sum()
     if total <= 0:
         raise ValueError("all positives fall in zero-share bins")
-    w = w / total
+    # Generator.choice(p=w)'s inverse CDF, built once
+    cdf = np.cumsum(w / total)
+    cdf /= cdf[-1]
 
+    # The negatives follow every population's positives in the stream: a
+    # second generator on it, moved past the positives' doubles, yields
+    # them block by block, so neither index matrix is held whole.
     rng = rng_stream(seed, "size-matched")
-    pos_idx = rng.choice(n_pos, size=(n_populations, n_pos), replace=True, p=w)
-    neg_idx = rng.integers(0, n_neg, size=(n_populations, n_neg))
+    neg_rng = rng_stream(seed, "size-matched")
+    step = _block_rows(n_pos + n_neg)
+    for start in range(0, n_populations, step):
+        neg_rng.random((min(step, n_populations - start), n_pos))
 
     labels = np.concatenate([np.ones(n_pos, dtype=bool), np.zeros(n_neg, dtype=bool)])
     auc = _auc_block(np.concatenate([pos_scores, neg_scores]), labels)
     aucs = np.empty(n_populations, dtype=np.float64)
     tvs = np.empty(n_populations, dtype=np.float64)
-    step = _block_rows(n_pos + n_neg)
     for start in range(0, n_populations, step):
-        pos_rows = pos_idx[start : start + step]
-        rows = pos_rows.shape[0]
+        rows = min(step, n_populations - start)
         block = slice(start, start + rows)
-        aucs[block], _ = auc(np.hstack([pos_rows, neg_idx[block] + n_pos]))
+        pos_rows = np.searchsorted(cdf, rng.random((rows, n_pos)), side="right")
+        neg_rows = neg_rng.integers(0, n_neg, size=(rows, n_neg))
+        aucs[block], _ = auc(np.hstack([pos_rows, neg_rows + n_pos]))
         keys = bins[pos_rows] + target.n_bins * np.arange(rows)[:, None]
         got = np.bincount(keys.ravel(), minlength=rows * target.n_bins)
         got = got.reshape(rows, target.n_bins) / n_pos

@@ -148,6 +148,35 @@ class TestRunConfig:
         assert main(args) == EXIT_CONFIG
         assert f"{cfg}: {field} must be an integer" in capsys.readouterr().err
 
+    # (field, JSON text of its value with {} for the bad number)
+    FLOAT_FIELDS = (
+        ("background_texture_scale", "{}"),
+        ("clutter_density", "{}"),
+        ("noise_sigma", "{}"),
+        ("contrast_range", "[{}, 220]"),
+        ("contrast_range", "[60, {}]"),
+        ("iou_threshold", "{}"),
+        ("target_sensitivity", "{}"),
+        ("learning_rate", "{}"),
+        ("size_bin_edges", "[{}, 20, 50]"),
+        ("size_bin_edges", "[10, {}]"),
+    )
+
+    @pytest.mark.parametrize("number", ["1e999", "NaN"])
+    @pytest.mark.parametrize("field, template", FLOAT_FIELDS)
+    def test_float_fields_must_be_finite(self, tmp_path, capsys, field, template, number):
+        path = tmp_path / "config.json"
+        text = json.dumps(dict(QUICK, **{field: "BAD"}))
+        path.write_text(text.replace('"BAD"', template.format(number)))
+        code = main(["phantom", "gen", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert f"{path}: {field} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [10**400, True, "7"], ids=["400 digits", "bool", "str"])
+    def test_float_fields_take_only_finite_numbers(self, value):
+        with pytest.raises(ConfigError, match="^noise_sigma must be a finite number"):
+            config_from_dict({"noise_sigma": value})
+
     def test_lists_become_tuples(self):
         cfg = config_from_dict({"contrast_range": [60.0, 220.0], "size_bin_edges": [5.0, 9.0]})
         assert cfg.contrast_range == (60.0, 220.0)

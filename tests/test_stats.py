@@ -249,6 +249,11 @@ class TestBootstrapCi:
         assert (result.point, result.lo, result.hi) == (0.7, 0.7, 0.7)
         assert result.n_redraws == 0
 
+    def test_zero_resamples_rejected(self):
+        cases = records([0.7, 0.8], [0.2, 0.3])
+        with pytest.raises(ValueError, match="^n_resamples must be >= 1$"):
+            bootstrap_ci(auc_mann_whitney, cases, n_resamples=0, seed=0)
+
     def test_same_seed_is_deterministic(self):
         cases = records([0.7, 0.8, 0.6, 0.9], [0.2, 0.3, 0.4, 0.5])
         a = bootstrap_ci(auc_mann_whitney, cases, n_resamples=500, seed=5)
@@ -364,6 +369,11 @@ class TestPairedDelta:
         cases = reader_cases(rng, n_pos=1, n_neg=6, readers=("r1",))
         with pytest.raises(NumericError):
             paired_delta_pvalue(cases, ["r1"], n_resamples=500, seed=0)
+
+    def test_zero_resamples_rejected(self, rng):
+        cases = reader_cases(rng, n_pos=5, n_neg=5, readers=("r1",))
+        with pytest.raises(ValueError, match="^n_resamples must be >= 1$"):
+            paired_delta_pvalue(cases, ["r1"], n_resamples=0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +665,66 @@ class TestCountMatrixResampling:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+def reader_stats_table(n, seed):
+    """A reader-stats style table: about 35% positives, sigmoid scores
+    rounded to 3 decimals (so they tie), log-normal tumor sizes around
+    18 mm and five readers who trade sensitivity for specificity."""
+    rng = np.random.default_rng(seed)
+    labels = rng.random(n) < 0.35
+    scores = np.round(1.0 / (1.0 + np.exp(-rng.normal(np.where(labels, 1.0, -0.5), 1.0))), 3)
+    sizes = np.maximum(1.0, np.round(rng.lognormal(math.log(18.0), 0.6, n), 1))
+    recall_draw = rng.random((n, 5))
+    cases = []
+    for i in range(n):
+        birads = {}
+        for r in range(5):
+            sens, spec = 0.92 - 0.03 * r, 0.70 + 0.045 * r
+            birads[f"r{r + 1}"] = 4 if recall_draw[i, r] < (sens if labels[i] else 1 - spec) else 1
+        cases.append(
+            CaseRecord(
+                case_id=f"case-{i:05d}",
+                label=bool(labels[i]),
+                score=float(scores[i]),
+                tumor_size_mm=float(sizes[i]) if labels[i] else None,
+                reader_birads=birads,
+            )
+        )
+    return cases
+
+
+class TestResamplingMemory:
+    """Resampling memory is bounded by one block of rows, so it does not
+    grow with the number of resamples or populations."""
+
+    CASES = reader_stats_table(1000, seed=3)
+    STATISTICS = {
+        "bootstrap": lambda cases, k: bootstrap_ci(auc_mann_whitney, cases, k, seed=1),
+        "paired delta": lambda cases, k: paired_delta_pvalue(
+            cases, ["r1", "r2", "r3", "r4", "r5"], k, seed=1
+        ),
+        "size matched": lambda cases, k: size_matched_auc(
+            cases, SizeHistogram(shares=(0.1, 0.3, 0.4, 0.2)), k, seed=1
+        ),
+    }
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("statistic", sorted(STATISTICS))
+    def test_peak_does_not_grow_with_the_resample_count(self, statistic):
+        run = self.STATISTICS[statistic]
+        few = self.peak(lambda: run(self.CASES, 200))
+        many = self.peak(lambda: run(self.CASES, 2000))
+        assert many <= 1.25 * few, (few, many)
 
 
 def delong_oracle(scores_a, scores_b, labels):
@@ -1003,6 +1073,12 @@ class TestSizeMatchedAuc:
         target = SizeHistogram(bin_edges=(10.0,), shares=(0.5, 0.5))
         with pytest.raises(ValueError):
             size_matched_auc(cases, target, n_populations=10, seed=0)
+
+    def test_zero_populations_rejected(self, rng):
+        cases = self.sized_cases(rng)
+        target = SizeHistogram(bin_edges=(10.0, 20.0, 50.0), shares=(1.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^n_populations must be >= 1$"):
+            size_matched_auc(cases, target, n_populations=0, seed=0)
 
     def test_single_class_rejected(self):
         cases = [CaseRecord(case_id="p", label=True, score=0.8, tumor_size_mm=5.0)]
