@@ -61,7 +61,7 @@ from .imaging import (
     write_volume,
 )
 from .miltrain import DatasetPool, TrainConfig, TrainingCase, save_scorer, train
-from .phantom import PhantomConfig, generate_case, read_truth, write_truth
+from .phantom import PhantomConfig, clutter_blob_count, generate_case, read_truth, write_truth
 from .scorer import (
     ViewScore,
     breast_score,
@@ -163,7 +163,21 @@ class RunConfig:
         need(self.width >= 32 and self.height >= 32, "grid must be at least 32x32")
         need(self.n_slices >= 1, "n_slices must be >= 1")
         need(self.background_texture_scale > 0, "background_texture_scale must be positive")
+        side = max(self.width, self.height)
+        need(
+            self.background_texture_scale <= side,
+            f"background_texture_scale must be <= max(width, height) = {side}",
+        )
         need(self.clutter_density >= 0, "clutter_density must be >= 0")
+        pixels = self.width * self.height
+        try:
+            blobs = clutter_blob_count(self.clutter_density, self.n_slices)
+        except OverflowError:
+            blobs = math.inf
+        need(
+            blobs <= pixels,
+            f"clutter_density plans more blobs per volume than the grid's {pixels} pixels",
+        )
         need(self.noise_sigma >= 0, "noise_sigma must be >= 0")
         need(len(self.contrast_range) == 2, "contrast_range must be [lo, hi]")
         lo, hi = self.contrast_range

@@ -1,4 +1,5 @@
-"""Intensity grids, volumes, intensity normalization, and portable file IO.
+"""Intensity grids, volumes, intensity normalization, the image filters,
+and portable file IO.
 
 Images are immutable 2D float64 grids; a volume is one immutable 3D
 float64 array. The on-disk format is binary PGM (P5) with maxval 65535,
@@ -104,6 +105,28 @@ def normalize_volume(vol: Volume) -> Volume:
     per-slice normalization would destroy. A constant volume maps to zeros.
     """
     return Volume(_affine(vol.data, vol.data.min(), vol.data.max()))
+
+
+# ---------------------------------------------------------------------------
+# scipy.ndimage filters, imported on first call: importing scipy.ndimage
+# takes about as long as the rest of the CLI's start-up, and stages that
+# never filter an image (every `eval`) should not pay for it. phantom and
+# scorer bind these names at import time, so they stay module attributes.
+# ---------------------------------------------------------------------------
+
+
+def gaussian_filter(input, sigma, **kwargs):
+    """`scipy.ndimage.gaussian_filter(input, sigma, **kwargs)`."""
+    from scipy.ndimage import gaussian_filter as impl
+
+    return impl(input, sigma, **kwargs)
+
+
+def maximum_filter(input, **kwargs):
+    """`scipy.ndimage.maximum_filter(input, **kwargs)`."""
+    from scipy.ndimage import maximum_filter as impl
+
+    return impl(input, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
-from .imaging import ImageGrid, Volume, normalize_range, read_json
+from .imaging import ImageGrid, Volume, gaussian_filter, normalize_range, read_json
 from .seeds import mix_seed, rng_stream
 
 BACKGROUND_LEVEL = 1500.0
@@ -166,13 +165,19 @@ def _texture_field(cfg: PhantomConfig, *stream_keys) -> np.ndarray:
     return field
 
 
+def clutter_blob_count(clutter_density: float, n_slices: int) -> int:
+    """Distractor blobs planned per volume: clutter_density blobs per
+    slice on average, each covering the mean extent of slices."""
+    return int(round(clutter_density * n_slices / _CLUTTER_MEAN_EXTENT))
+
+
 def _plan_clutter(cfg: PhantomConfig):
     """Distractor blob plan shared by all slices of a volume.
 
     Returns a list of (cx, cy, radius, amplitude, covered) tuples where
     covered maps slice index -> (jitter_x, jitter_y, weight).
     """
-    n_blobs = int(round(cfg.clutter_density * cfg.n_slices / _CLUTTER_MEAN_EXTENT))
+    n_blobs = clutter_blob_count(cfg.clutter_density, cfg.n_slices)
     if n_blobs <= 0:
         return []
     rng = rng_stream(cfg.seed, "clutter")

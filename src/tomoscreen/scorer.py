@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, maximum_filter
 
 from .boxes import ScoredBox
-from .imaging import ImageGrid
+from .imaging import ImageGrid, gaussian_filter, maximum_filter
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 

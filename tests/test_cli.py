@@ -177,6 +177,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^noise_sigma must be a finite number"):
             config_from_dict({"noise_sigma": value})
 
+    @pytest.mark.parametrize("size", [(48, 64), (96, 40)])
+    def test_texture_scale_bounded_by_the_grid(self, tmp_path, capsys, size):
+        width, height = size
+        side = max(size)
+        assert config_from_dict({"width": width, "height": height,
+                                 "background_texture_scale": side})
+        for scale in (side + 0.5, 1e12):
+            cfg = write_config(tmp_path, width=width, height=height,
+                               background_texture_scale=scale)
+            out = tmp_path / "o"
+            assert main(["phantom", "gen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{cfg}: background_texture_scale must be <= max(width, height) = {side}" in err
+            assert not out.exists()
+
+    def test_clutter_blobs_bounded_by_the_grid(self, tmp_path, capsys):
+        # 48x64 = 3072 pixels; 8 slices plan round(density * 8 / 3.5) blobs
+        assert config_from_dict({"width": 48, "height": 64, "n_slices": 8,
+                                 "clutter_density": 3072 * 3.5 / 8})
+        for density, n_slices in ((1345.0, 8), (1e300, 8), (1e308, 10**6)):
+            cfg = write_config(tmp_path, clutter_density=density, n_slices=n_slices)
+            out = tmp_path / "o"
+            assert main(["phantom", "gen", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"{cfg}: clutter_density plans more blobs per volume" in err
+            assert not out.exists()
+
     def test_lists_become_tuples(self):
         cfg = config_from_dict({"contrast_range": [60.0, 220.0], "size_bin_edges": [5.0, 9.0]})
         assert cfg.contrast_range == (60.0, 220.0)
@@ -995,17 +1022,49 @@ class TestPipelineChain:
 
 
 class TestSubprocessEntry:
-    def run_cli(self, *argv):
+    # Runs the CLI as `python -m tomoscreen.cli` does and, on exit, prints
+    # to stderr whether scipy.ndimage was ever imported.
+    NDIMAGE_PROBE = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('scipy.ndimage' in sys.modules, file=sys.stderr))\n"
+        "sys.argv[0] = 'tomoscreen'\n"
+        "runpy.run_module('tomoscreen.cli', run_name='__main__')\n"
+    )
+
+    def run_python(self, *args):
         # the child imports the same package as this test, installed or not
         src = str(Path(cli_module.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "tomoscreen.cli", *argv],
+            [sys.executable, *args],
             capture_output=True,
             text=True,
             timeout=120,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    def run_cli(self, *argv):
+        return self.run_python("-m", "tomoscreen.cli", *argv)
+
+    def ndimage_loaded(self, *argv) -> bool:
+        proc = self.run_python("-c", self.NDIMAGE_PROBE, *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stderr.splitlines()[-1] == "True"
+
+    def test_import_and_version_leave_out_scipy_ndimage(self):
+        proc = self.run_python("-c", "import sys, tomoscreen.cli; print(sorted(sys.modules))")
+        assert proc.returncode == 0
+        assert "'scipy.ndimage'" not in proc.stdout and "'tomoscreen.scorer'" in proc.stdout
+        assert not self.ndimage_loaded("--version")
+
+    def test_eval_roc_leaves_out_scipy_ndimage(self, tmp_path):
+        args = ["eval", "roc", "--config", write_config(tmp_path), "--cases", scored_csv(tmp_path)]
+        assert not self.ndimage_loaded(*args, "--out", str(tmp_path / "ev"))
+
+    def test_phantom_gen_loads_scipy_ndimage(self, tmp_path):
+        # the probe's control: a stage that filters images imports it
+        cfg = write_config(tmp_path, n_cancer=1, n_negative=0)
+        assert self.ndimage_loaded("phantom", "gen", "--config", cfg, "--out", str(tmp_path / "g"))
 
     def test_version(self):
         proc = self.run_cli("--version")

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+from tomoscreen import imaging, phantom, scorer
 from tomoscreen.imaging import (
     ImageGrid,
     Volume,
+    gaussian_filter,
+    maximum_filter,
     normalize_range,
     normalize_volume,
     read_pgm,
@@ -140,6 +144,34 @@ class TestNormalize:
     def test_constant_volume_maps_to_zero(self):
         vol = Volume(np.full((2, 2, 2), 9.0))
         assert np.all(normalize_volume(vol).data == 0.0)
+
+
+class TestFilters:
+    """The filters imported from scipy.ndimage on first call are scipy's,
+    bit for bit, in the call forms phantom and scorer use."""
+
+    def image(self):
+        return np.random.default_rng(3).standard_normal((40, 56))
+
+    @pytest.mark.parametrize("sigma", [2.4, 3.8, 24.0])
+    def test_gaussian_filter_is_scipys(self, sigma):
+        x = self.image()
+        want = ndimage.gaussian_filter(x, sigma=sigma, mode="nearest").tobytes()
+        assert gaussian_filter(x, sigma=sigma, mode="nearest").tobytes() == want
+        assert gaussian_filter(x, sigma, mode="nearest").tobytes() == want
+
+    @pytest.mark.parametrize("win", [3, 5, 7])
+    def test_maximum_filter_is_scipys(self, win):
+        x = self.image()
+        got = maximum_filter(x, size=win, mode="constant", cval=-np.inf)
+        want = ndimage.maximum_filter(x, size=win, mode="constant", cval=-np.inf)
+        assert got.tobytes() == want.tobytes()
+
+    def test_phantom_and_scorer_bind_them_at_module_level(self):
+        # perfbench finds the filters as these module attributes
+        assert phantom.gaussian_filter is imaging.gaussian_filter
+        assert scorer.gaussian_filter is imaging.gaussian_filter
+        assert scorer.maximum_filter is imaging.maximum_filter
 
 
 class TestPgm:
