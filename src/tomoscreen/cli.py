@@ -11,7 +11,8 @@ one process. Configuration is a JSON file; flags override file values.
 --out directory, runs the stage, writes run_manifest.json (only when the
 stage succeeded), prints the stage's one-line summary and maps failures
 to exit codes: 2 for an invalid config, flag or input file (the message
-names the file), 3 for I/O errors, 4 for numeric failures.
+names the file), 3 for I/O errors and running out of memory, 4 for
+numeric failures.
 
 Every subcommand writes only into its --out directory; the manifest
 records the resolved config, its sha256, the seed, and tool versions, so
@@ -836,6 +837,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # e.g. a grid too large to allocate
+        where = f"{args.config}: " if args.config else ""
+        print(f"error: out of memory: {where}{exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

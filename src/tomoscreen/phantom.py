@@ -11,10 +11,20 @@ imitating the reconstruction artifacts that make stack edges unreliable.
 Everything is driven by counter-based RNG streams keyed on (seed,
 purpose, index), so generation is bit-reproducible and order
 independent: cases can be built in parallel in any order.
+
+Texture is white noise smoothed by a `nearest`-mode Gaussian. Along one
+axis that filter is a linear map, so it is applied as an n x n operator,
+built once per (n, sigma) by filtering the identity with scipy's own
+kernel. The two operator passes per field agree with the filter to
+rounding (about 1e-16). They cost about n multiply-adds per pixel and
+axis against the filter's 2 * int(4 * sigma + 0.5) + 1 taps: about 4x
+cheaper on the grids this package runs (up to 176 px a side), but
+slower from about 512 px, where each operator also holds 2 MiB.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -154,11 +164,25 @@ def _add_disc(canvas: np.ndarray, cx: float, cy: float, radius: float, amp: floa
     patch[mask] += amp * (0.5 * (1.0 + np.cos(np.pi * d[mask] / radius)))
 
 
+@functools.lru_cache(maxsize=16)
+def _smoothing_matrix(n: int, sigma: float) -> np.ndarray:
+    """Read-only n x n matrix of a `nearest`-mode Gaussian along one axis:
+    column j is scipy's filtered unit impulse at j, so M @ x smooths x."""
+    matrix = gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest")
+    matrix.flags.writeable = False
+    return matrix
+
+
 def _texture_field(cfg: PhantomConfig, *stream_keys) -> np.ndarray:
     """Unit-variance low-frequency field from smoothed white noise."""
     rng = rng_stream(cfg.seed, *stream_keys)
     white = rng.standard_normal((cfg.height, cfg.width))
-    field = gaussian_filter(white, sigma=cfg.background_texture_scale, mode="nearest")
+    sigma = cfg.background_texture_scale
+    m_h = _smoothing_matrix(cfg.height, sigma)
+    m_w = _smoothing_matrix(cfg.width, sigma)
+    # = m_h @ white @ m_w.T; `@` would call multithreaded BLAS, which
+    # contends with the --threads pool
+    field = np.matvec(m_w, np.matvec(m_h, white.T).T)
     sd = field.std()
     if sd > 0:
         field /= sd

@@ -279,6 +279,19 @@ class TestExitCodes:
         )
         assert code == EXIT_IO
 
+    def test_grid_too_large_for_memory(self, tmp_path, capsys):
+        # 8e16 bytes per field: larger than any address space, so numpy's
+        # allocation fails at once and no memory is touched
+        side = 10**8
+        cfg = write_config(tmp_path, width=side, height=side, n_cancer=1, n_negative=0)
+        out = tmp_path / "o"
+        code = main(["phantom", "gen", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory: {cfg}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "run_manifest.json").exists()
+
     def test_numeric_abort_on_hopeless_bootstrap(self, tmp_path):
         csv_path = scored_csv(tmp_path, n_pos=1, n_neg=6)
         code = main(["eval", "roc", "--cases", csv_path, "--out", str(tmp_path / "o")])

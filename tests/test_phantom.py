@@ -1,11 +1,15 @@
-"""Phantom generation: determinism, exact noiseless construction, truth IO."""
+"""Phantom generation: determinism, exact noiseless construction, the
+texture operators against scipy's filter, truth IO."""
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from tomoscreen import phantom
 from tomoscreen.imaging import Volume
 from tomoscreen.phantom import (
     BACKGROUND_LEVEL,
@@ -23,7 +27,10 @@ from tomoscreen.phantom import (
     truth_from_dict,
     truth_to_dict,
     write_truth,
+    _smoothing_matrix,
+    _texture_field,
 )
+from tomoscreen.seeds import rng_stream
 
 
 def quiet_cfg(seed=0, **kw) -> PhantomConfig:
@@ -214,6 +221,71 @@ class TestCases:
         cfg = quiet_cfg(width=16, height=16)
         with pytest.raises(ValueError):
             sample_lesion(cfg, np.random.default_rng(0), (60.0, 220.0))
+
+
+def default_cfg(seed=0) -> PhantomConfig:
+    """The RunConfig default phantom geometry."""
+    return PhantomConfig(
+        width=128,
+        height=176,
+        n_slices=30,
+        background_texture_scale=24.0,
+        clutter_density=1.0,
+        noise_sigma=18.0,
+        seed=seed,
+    )
+
+
+class TestTexture:
+    """The texture operators against scipy's nearest-mode filter, which
+    stays the oracle."""
+
+    GRIDS = [(176, 128), (128, 96), (16, 16), (33, 47), (1, 1)]
+
+    @pytest.mark.parametrize("height,width", GRIDS)
+    def test_field_matches_scipy_filter(self, height, width):
+        cfg = quiet_cfg(seed=3, width=width, height=height, noise_sigma=1.0)
+        white = rng_stream(cfg.seed, "k").standard_normal((height, width))
+        want = ndimage.gaussian_filter(white, sigma=24.0, mode="nearest")
+        sd = want.std()
+        if sd > 0:
+            want /= sd
+        got = _texture_field(cfg, "k")
+        assert got.shape == (height, width)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", sorted({n for grid in GRIDS for n in grid}))
+    def test_matrix_columns_are_filtered_impulses(self, n):
+        matrix = _smoothing_matrix(n, 24.0)
+        assert not matrix.flags.writeable
+        for j in range(n):
+            impulse = np.zeros(n)
+            impulse[j] = 1.0
+            want = ndimage.gaussian_filter(impulse, sigma=24.0, mode="nearest")
+            assert matrix[:, j].tobytes() == want.tobytes()
+
+    def test_operators_are_built_once_per_axis(self, monkeypatch):
+        calls = []
+        original = phantom.gaussian_filter
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(phantom, "gaussian_filter", counting)
+        _smoothing_matrix.cache_clear()
+        for i in range(3):
+            generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0)
+        assert len(calls) <= 2
+
+    def test_threaded_cases_equal_serial(self):
+        case_ids = [f"negative-{i:04d}" for i in range(4)]
+        _smoothing_matrix.cache_clear()
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
+        for case_id, (vol, _) in zip(case_ids, threaded):
+            serial, _ = generate_case(default_cfg(), case_id, False)
+            assert vol.data.tobytes() == serial.data.tobytes()
 
 
 class TestTruthIo:
