@@ -58,11 +58,19 @@ from .imaging import (
     read_json,
     read_pgm,
     read_volume,
+    volume_shape,
     write_pgm,
     write_volume,
 )
 from .miltrain import DatasetPool, TrainConfig, TrainingCase, save_scorer, train
-from .phantom import PhantomConfig, clutter_blob_count, generate_case, read_truth, write_truth
+from .phantom import (
+    PhantomConfig,
+    clutter_blob_count,
+    generate_case,
+    read_truth,
+    texture_operators,
+    write_truth,
+)
 from .scorer import (
     ViewScore,
     breast_score,
@@ -292,9 +300,8 @@ def _parallel_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _case(cfg: RunConfig, case_id: str, cancer: bool):
-    """One phantom case of the configured cohort: (volume, truth)."""
-    base = PhantomConfig(
+def _phantom_config(cfg: RunConfig) -> PhantomConfig:
+    return PhantomConfig(
         width=cfg.width,
         height=cfg.height,
         n_slices=cfg.n_slices,
@@ -303,13 +310,33 @@ def _case(cfg: RunConfig, case_id: str, cancer: bool):
         noise_sigma=cfg.noise_sigma,
         seed=cfg.seed,
     )
-    return generate_case(base, case_id, cancer, cfg.contrast_range)
+
+
+def _case(cfg: RunConfig, case_id: str, cancer: bool):
+    """One phantom case of the configured cohort: (volume, truth)."""
+    return generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
 
 
 def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, bool]]:
     ids = [(f"{prefix}cancer-{i:04d}", True) for i in range(n_cancer)]
     ids += [(f"{prefix}negative-{i:04d}", False) for i in range(n_negative)]
     return ids
+
+
+def _build_detectors(height: int, width: int) -> None:
+    """Build the ensemble's smoothing operators for one grid on the main
+    thread, before a case loop. Built inside the loop, they land between
+    its transient arrays or in a worker thread's malloc arena, which kept
+    the heap from shrinking and raised peak RSS by 10-13 %."""
+    for scorer in default_ensemble():
+        scorer.smoothing_operators(height, width)
+
+
+def _build_operators(cfg: RunConfig) -> None:
+    """The texture and detector operators of the configured cohort, built
+    before a loop that draws and detects its cases (see _build_detectors)."""
+    texture_operators(_phantom_config(cfg))
+    _build_detectors(cfg.height, cfg.width)
 
 
 def _composite(norm, threshold: float, iou: float):
@@ -509,6 +536,7 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     case_dirs = sorted(p for p in Path(cases_root).iterdir() if (p / "manifest.json").is_file())
     if not case_dirs:
         raise ConfigError(f"no case directories with volumes under {cases_root}")
+    _build_detectors(*volume_shape(case_dirs[0])[1:])
 
     def one(case_dir: Path) -> CaseRecord:
         vol = read_volume(case_dir)
@@ -566,6 +594,7 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
     detector = default_condense_scorer()
+    _build_operators(cfg)
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
@@ -683,6 +712,7 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_cancer < 1 or cfg.n_negative < 1:
         raise ConfigError("report needs n_cancer >= 1 and n_negative >= 1")
 
+    _build_operators(cfg)
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
     scorers = default_ensemble()

@@ -13,13 +13,13 @@ purpose, index), so generation is bit-reproducible and order
 independent: cases can be built in parallel in any order.
 
 Texture is white noise smoothed by a `nearest`-mode Gaussian. Along one
-axis that filter is a linear map, so it is applied as an n x n operator,
-built once per (n, sigma) by filtering the identity with scipy's own
-kernel. The two operator passes per field agree with the filter to
-rounding (about 1e-16). They cost about n multiply-adds per pixel and
-axis against the filter's 2 * int(4 * sigma + 0.5) + 1 taps: about 4x
-cheaper on the grids this package runs (up to 176 px a side), but
-slower from about 512 px, where each operator also holds 2 MiB.
+axis that filter is a linear map, so it is an n x n operator, built once
+per (n, sigma) by filtering the identity with scipy's own kernel, and
+applied folded (see imaging). The two folded passes per field agree with
+the filter to rounding (about 1e-16). They cost about n / 2
+multiply-adds per pixel and axis against the filter's
+2 * int(4 * sigma + 0.5) + 1 taps: several times cheaper on the grids
+this package runs (up to 176 px a side), but slower on wide grids.
 """
 
 from __future__ import annotations
@@ -32,7 +32,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import ImageGrid, Volume, gaussian_filter, normalize_range, read_json
+from .imaging import (
+    FoldedOperator,
+    ImageGrid,
+    Volume,
+    apply_folded,
+    fold_operator,
+    gaussian_filter,
+    normalize_range,
+    read_json,
+)
 from .seeds import mix_seed, rng_stream
 
 BACKGROUND_LEVEL = 1500.0
@@ -173,16 +182,23 @@ def _smoothing_matrix(n: int, sigma: float) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=16)
+def _folded_smoothing(n: int, sigma: float) -> FoldedOperator:
+    return fold_operator(_smoothing_matrix(n, sigma))
+
+
+def texture_operators(cfg: PhantomConfig) -> tuple[FoldedOperator, FoldedOperator]:
+    """Row and column operators of the texture smoothing on cfg's grid,
+    built on first use."""
+    sigma = cfg.background_texture_scale
+    return _folded_smoothing(cfg.height, sigma), _folded_smoothing(cfg.width, sigma)
+
+
 def _texture_field(cfg: PhantomConfig, *stream_keys) -> np.ndarray:
     """Unit-variance low-frequency field from smoothed white noise."""
     rng = rng_stream(cfg.seed, *stream_keys)
     white = rng.standard_normal((cfg.height, cfg.width))
-    sigma = cfg.background_texture_scale
-    m_h = _smoothing_matrix(cfg.height, sigma)
-    m_w = _smoothing_matrix(cfg.width, sigma)
-    # = m_h @ white @ m_w.T; `@` would call multithreaded BLAS, which
-    # contends with the --threads pool
-    field = np.matvec(m_w, np.matvec(m_h, white.T).T)
+    field = apply_folded(white, *texture_operators(cfg))
     sd = field.std()
     if sd > 0:
         field /= sd

