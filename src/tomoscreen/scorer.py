@@ -45,8 +45,9 @@ class ScorerHandle(Protocol):
 
 @functools.lru_cache(maxsize=32)
 def _smoothing_operator(n: int, sigma: float) -> FoldedOperator:
-    """Folded `nearest`-mode Gaussian along an axis of length n: scipy's
-    filter applied to the identity, so column j is its filtered impulse."""
+    """`nearest`-mode Gaussian along an axis of length n, folded from
+    scipy's filter applied to the identity (column j is the filtered
+    impulse at j)."""
     return fold_operator(gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest"))
 
 
