@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomoscreen.cli as cli_module
+import tomoscreen.phantom as phantom_module
+import tomoscreen.scorer as scorer_module
 from tomoscreen.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -733,6 +735,36 @@ def cohort(tmp_path_factory):
     out = root / "gen"
     assert main(["phantom", "gen", "--config", cfg, "--out", str(out)]) == EXIT_OK
     return cfg, out / "cases"
+
+
+class TestOperatorsBuiltBeforeThePool:
+    """Threaded stages build every cached operator on the main thread
+    before their pool starts; built on a worker, an operator lands in that
+    worker's malloc arena and raises peak RSS."""
+
+    @pytest.mark.parametrize("stage", ["condense-run", "train-mil", "report"])
+    def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, monkeypatch):
+        on_main = []
+        for module in (scorer_module, phantom_module):
+
+            def recording(*args, _original=module.gaussian_filter, **kwargs):
+                on_main.append(threading.current_thread() is threading.main_thread())
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "gaussian_filter", recording)
+        scorer_module._smoothing_operator.cache_clear()
+        phantom_module._folded_smoothing.cache_clear()
+        phantom_module._smoothing_matrix.cache_clear()
+        cfg, cases = cohort
+        small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
+        report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
+        args = {
+            "condense-run": ["condense", "run", "--config", cfg, "--cases", str(cases)],
+            "train-mil": ["train", "mil", "--config", small],
+            "report": ["report", "--config", report],
+        }[stage]
+        assert main(args + ["--out", str(tmp_path / "out"), "--threads", "2"]) == EXIT_OK
+        assert on_main and all(on_main)
 
 
 class TestCondenseRun:

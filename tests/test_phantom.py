@@ -288,6 +288,27 @@ class TestTexture:
             assert vol.data.tobytes() == serial.data.tobytes()
 
 
+class TestFoldedTexture:
+    def test_folded_operators_are_built_once_per_axis(self, monkeypatch):
+        calls = []
+        original = phantom.gaussian_filter
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(phantom, "gaussian_filter", counting)
+        phantom._folded_smoothing.cache_clear()
+        _smoothing_matrix.cache_clear()
+        cfg = default_cfg()
+        for i in range(3):
+            generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)
+        assert sorted(calls) == sorted([(cfg.height, cfg.height), (cfg.width, cfg.width)])
+        for op in phantom.texture_operators(cfg):
+            assert not op.even.flags.writeable and not op.odd.flags.writeable
+        assert len(calls) == 2
+
+
 class TestTruthIo:
     def test_round_trip(self, tmp_path):
         truth = PhantomTruth(
