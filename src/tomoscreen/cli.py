@@ -64,6 +64,7 @@ from .imaging import (
 )
 from .miltrain import DatasetPool, TrainConfig, TrainingCase, save_scorer, train
 from .phantom import (
+    NOISE_SIGMA_MAX,
     PhantomConfig,
     clutter_blob_count,
     generate_case,
@@ -188,6 +189,7 @@ class RunConfig:
             f"clutter_density plans more blobs per volume than the grid's {pixels} pixels",
         )
         need(self.noise_sigma >= 0, "noise_sigma must be >= 0")
+        need(self.noise_sigma <= NOISE_SIGMA_MAX, f"noise_sigma must be <= {NOISE_SIGMA_MAX}")
         need(len(self.contrast_range) == 2, "contrast_range must be [lo, hi]")
         lo, hi = self.contrast_range
         need(0 < lo <= hi, f"contrast_range {self.contrast_range} must be 0 < lo <= hi")

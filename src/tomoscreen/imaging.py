@@ -7,13 +7,12 @@ big-endian samples; volumes are a directory of one PGM per slice plus a
 manifest.json. Writing quantizes to 16-bit unsigned, so round trips are
 bit-exact for integer-valued grids in [0, 65535].
 
-Folded operators are dense, so their cost grows with the axis length,
-not with the kernel width. They pay on grids up to about 256 px a side,
-which covers every grid this package runs (at most 176 px). Measured
-on one 2-core x86 VM for the 10.5 px detector's difference of Gaussians:
-1.8 ms against scipy's 3.2 ms on 176 x 128, even near 384 x 384, and
-56 ms against 18 ms on 64 x 2048, where the ensemble's six width
-operators hold 96 MiB.
+Folded operators are dense: their cost grows with the axis length, not
+with the kernel width, and each holds 4 n**2 bytes. On a 2-core x86 VM
+with one BLAS thread, the 10.5 px detector's difference of Gaussians took
+1.0 ms against scipy's 4.4 ms on 176 x 128 and 23 against 46 ms on
+512 x 512; it broke even on 64 x 2048 (16 ms, the ensemble's six width
+operators holding 96 MiB) and lost on 64 x 4096 (59 against 37 ms).
 """
 
 from __future__ import annotations
@@ -91,10 +90,14 @@ class Volume:
 
 
 def _affine(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Map [lo, hi] onto [-127.5, 127.5]; a degenerate range maps to zeros."""
+    """(data - lo) / (hi - lo) * 255 - 127.5 in one buffer; a degenerate range maps to zeros."""
     if hi == lo:
         return np.zeros_like(data)
-    return (data - lo) / (hi - lo) * (NORM_HI - NORM_LO) + NORM_LO
+    out = np.subtract(data, lo)
+    out /= hi - lo
+    out *= NORM_HI - NORM_LO
+    out += NORM_LO
+    return out
 
 
 def normalize_range(img: ImageGrid) -> ImageGrid:
@@ -147,9 +150,6 @@ def maximum_filter(input, **kwargs):
 # its column mirror. That is half the multiply-adds of M, and the result
 # is exactly mirror-equivariant: reversing the input swaps a and b, which
 # leaves a + b bitwise unchanged and negates a - b exactly.
-#
-# The cost is about n / 2 multiply-adds per pixel and axis (scipy's filter
-# takes 2 * int(4 * sigma + 0.5) + 1) and 4 * n**2 bytes per operator.
 # ---------------------------------------------------------------------------
 
 
@@ -191,8 +191,8 @@ def _apply_last_axis(op: FoldedOperator, x: np.ndarray) -> np.ndarray:
     k = op.even.shape[0]
     a = x[..., :k]
     b = x[..., ::-1][..., :k]
-    s = np.matvec(op.even, a + b)
-    d = np.matvec(op.odd, a - b)
+    s = (a + b) @ op.even.T
+    d = (a - b) @ op.odd.T
     out = np.empty(x.shape)
     np.add(s, d, out=out[..., :k])
     h = op.n - k
@@ -201,12 +201,8 @@ def _apply_last_axis(op: FoldedOperator, x: np.ndarray) -> np.ndarray:
 
 
 def apply_folded(data: np.ndarray, rows: FoldedOperator, cols: FoldedOperator) -> np.ndarray:
-    """Apply `rows` along axis 0 of a 2D array, then `cols` along axis 1.
-
-    Each pass is one `np.matvec` per half, which computes every vector
-    alone: `@` would call multithreaded BLAS, which contends with the
-    --threads pool.
-    """
+    """Apply `rows` along axis 0 of a 2D array, then `cols` along axis 1,
+    each half of each pass as one matrix product."""
     return _apply_last_axis(cols, _apply_last_axis(rows, data.T).T)
 
 

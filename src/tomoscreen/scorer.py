@@ -9,8 +9,8 @@ views and a study takes the worse (higher) breast.
 Each smoothing is scipy's `nearest`-mode Gaussian, applied per axis as
 a folded operator (see imaging): built once per (axis length, sigma) by
 filtering the identity through this module's `gaussian_filter`, cached
-read-only, and applied with `np.matvec`. It agrees with the filter to
-rounding, at under half its cost on a 176 x 128 slice, and the fold
+read-only, and applied as matrix products. It agrees with the filter to
+rounding, at under a third of its cost on a 176 x 128 slice, and the fold
 makes each response exactly equivariant under column reversal.
 """
 

@@ -771,7 +771,8 @@ def _case_from_row(row: list[str], col: dict[str, int], reader_cols) -> CaseReco
 
 def cases_from_csv(text: str) -> list[CaseRecord]:
     """Parse a cases table; a malformed row raises ValueError naming its
-    line and, for a bad cell, its column."""
+    line and, for a bad cell, its column, and a repeated case_id names
+    both lines."""
     if not text.strip():
         raise ValueError("empty cases CSV")
     reader = csv.reader(io.StringIO(text))
@@ -784,13 +785,17 @@ def cases_from_csv(text: str) -> list[CaseRecord]:
         reader_cols = [
             (name[len("birads_"):], name) for name in header if name.startswith("birads_")
         ]
-        out = []
+        out, first_line = [], {}
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{len(row)} fields, header has {len(header)}")
-            out.append(_case_from_row(row, col, reader_cols))
+            case = _case_from_row(row, col, reader_cols)
+            first = first_line.setdefault(case.case_id, reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(f"duplicate case_id {case.case_id!r}, first on line {first}")
+            out.append(case)
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"line {reader.line_num}: {exc}") from None
     return out

@@ -35,7 +35,13 @@ from tomoscreen.cli import (
 )
 from tomoscreen.errors import ConfigError
 from tomoscreen.imaging import ImageGrid, Volume, read_json, write_pgm, write_volume
-from tomoscreen.phantom import LesionSpec, PhantomTruth, read_truth, write_truth
+from tomoscreen.phantom import (
+    NOISE_SIGMA_MAX,
+    LesionSpec,
+    PhantomTruth,
+    read_truth,
+    write_truth,
+)
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
 
 QUICK = {
@@ -424,6 +430,32 @@ class TestMalformedCasesCsv:
         assert f"{bad}: line 2: " in err
 
 
+class TestDuplicateCaseIds:
+    """A case_id on two rows ends in exit 2 with one line naming the table
+    and both lines; unchecked, DeLong would pair rows by file order."""
+
+    @pytest.mark.parametrize("command", ["roc", "readers", "size-matched", "delong"])
+    def test_exits_two_naming_both_lines(self, tmp_path, capsys, command):
+        good = scored_csv(tmp_path, readers=("r1", "r2"), sizes=True)
+        lines = Path(good).read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        args = ["eval", command, "--out", str(tmp_path / "o")]
+        if command == "delong":
+            args += ["--cases-a", good, "--cases-b", str(bad)]
+        else:
+            args += ["--cases", str(bad)]
+        if command == "size-matched":
+            args += ["--target", "source"]
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        case_id = lines[1].split(",")[0]
+        last = len(lines) + 1
+        want = f"error: {bad}: line {last}: duplicate case_id {case_id!r}, first on line 2"
+        assert err.splitlines() == [want]
+        assert not (tmp_path / "o" / "run_manifest.json").exists()
+
+
 class TestStatisticErrorsNameTheTable:
     """A table that parses but that a statistic rejects ends in exit 2
     with the table's path."""
@@ -754,7 +786,6 @@ class TestOperatorsBuiltBeforeThePool:
             monkeypatch.setattr(module, "gaussian_filter", recording)
         scorer_module._smoothing_operator.cache_clear()
         phantom_module._folded_smoothing.cache_clear()
-        phantom_module._smoothing_matrix.cache_clear()
         cfg, cases = cohort
         small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
         report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
@@ -1076,20 +1107,21 @@ class TestSubprocessEntry:
         "runpy.run_module('tomoscreen.cli', run_name='__main__')\n"
     )
 
-    def run_python(self, *args):
+    def run_python(self, *args, env=None):
         # the child imports the same package as this test, installed or not
+        env = os.environ if env is None else env
         src = str(Path(cli_module.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *args],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**env, "PYTHONPATH": path},
         )
 
-    def run_cli(self, *argv):
-        return self.run_python("-m", "tomoscreen.cli", *argv)
+    def run_cli(self, *argv, env=None):
+        return self.run_python("-m", "tomoscreen.cli", *argv, env=env)
 
     def ndimage_loaded(self, *argv) -> bool:
         proc = self.run_python("-c", self.NDIMAGE_PROBE, *argv)
@@ -1110,6 +1142,41 @@ class TestSubprocessEntry:
         # the probe's control: a stage that filters images imports it
         cfg = write_config(tmp_path, n_cancer=1, n_negative=0)
         assert self.ndimage_loaded("phantom", "gen", "--config", cfg, "--out", str(tmp_path / "g"))
+
+    def test_noise_sigma_at_its_cap_generates(self, tmp_path):
+        cfg = write_config(tmp_path, width=32, height=32, n_slices=5, noise_sigma=NOISE_SIGMA_MAX)
+        proc = self.run_cli("phantom", "gen", "--config", cfg, "--out", str(tmp_path / "g"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+
+    def test_noise_sigma_above_its_cap_is_one_line(self, tmp_path):
+        above = float(np.nextafter(NOISE_SIGMA_MAX, np.inf))
+        cfg = write_config(tmp_path, width=32, height=32, n_slices=5, noise_sigma=above)
+        proc = self.run_cli("phantom", "gen", "--config", cfg, "--out", str(tmp_path / "g"))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            f"error: {cfg}: noise_sigma must be <= {NOISE_SIGMA_MAX}"
+        ]
+
+    def test_blas_threads_cannot_move_report_bytes(self, tmp_path):
+        # The package reads no thread setting: a child with one BLAS thread
+        # and a child with the library's default must write equal bundles,
+        # at either --threads value.
+        cfg = write_config(tmp_path, n_cancer=6, n_negative=6)
+        bundles = []
+        for blas_threads in ("1", None):
+            for threads in ("1", "2"):
+                env = dict(os.environ)
+                env.pop("OPENBLAS_NUM_THREADS", None)
+                if blas_threads is not None:
+                    env["OPENBLAS_NUM_THREADS"] = blas_threads
+                out = tmp_path / f"blas{blas_threads}-t{threads}"
+                argv = ["report", "--config", cfg, "--out", str(out), "--threads", threads]
+                proc = self.run_cli(*argv, env=env)
+                assert proc.returncode == EXIT_OK, proc.stderr
+                bundles.append(tree_bytes(out))
+        assert len(bundles[0]) > 5
+        assert all(bundle == bundles[0] for bundle in bundles[1:])
 
     def test_version(self):
         proc = self.run_cli("--version")

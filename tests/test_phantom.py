@@ -10,7 +10,7 @@ import pytest
 from scipy import ndimage
 
 from tomoscreen import phantom
-from tomoscreen.imaging import Volume
+from tomoscreen.imaging import Volume, fold_operator
 from tomoscreen.phantom import (
     BACKGROUND_LEVEL,
     MM_PER_PIXEL,
@@ -27,7 +27,6 @@ from tomoscreen.phantom import (
     truth_from_dict,
     truth_to_dict,
     write_truth,
-    _smoothing_matrix,
     _texture_field,
 )
 from tomoscreen.seeds import rng_stream
@@ -256,13 +255,19 @@ class TestTexture:
 
     @pytest.mark.parametrize("n", sorted({n for grid in GRIDS for n in grid}))
     def test_matrix_columns_are_filtered_impulses(self, n):
-        matrix = _smoothing_matrix(n, 24.0)
-        assert not matrix.flags.writeable
+        # the folded halves are those of the matrix whose column j is
+        # scipy's filtered unit impulse at j
+        columns = []
         for j in range(n):
             impulse = np.zeros(n)
             impulse[j] = 1.0
-            want = ndimage.gaussian_filter(impulse, sigma=24.0, mode="nearest")
-            assert matrix[:, j].tobytes() == want.tobytes()
+            columns.append(ndimage.gaussian_filter(impulse, sigma=24.0, mode="nearest"))
+        want = fold_operator(np.stack(columns, axis=1))
+        got = phantom._folded_smoothing(n, 24.0)
+        assert not got.even.flags.writeable and not got.odd.flags.writeable
+        assert got.n == n
+        assert got.even.tobytes() == want.even.tobytes()
+        assert got.odd.tobytes() == want.odd.tobytes()
 
     def test_operators_are_built_once_per_axis(self, monkeypatch):
         calls = []
@@ -273,14 +278,14 @@ class TestTexture:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(phantom, "gaussian_filter", counting)
-        _smoothing_matrix.cache_clear()
+        phantom._folded_smoothing.cache_clear()
         for i in range(3):
             generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0)
         assert len(calls) <= 2
 
     def test_threaded_cases_equal_serial(self):
         case_ids = [f"negative-{i:04d}" for i in range(4)]
-        _smoothing_matrix.cache_clear()
+        phantom._folded_smoothing.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
         for case_id, (vol, _) in zip(case_ids, threaded):
@@ -299,7 +304,6 @@ class TestFoldedTexture:
 
         monkeypatch.setattr(phantom, "gaussian_filter", counting)
         phantom._folded_smoothing.cache_clear()
-        _smoothing_matrix.cache_clear()
         cfg = default_cfg()
         for i in range(3):
             generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)

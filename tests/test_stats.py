@@ -1157,6 +1157,12 @@ class TestCasesCsv:
         assert str(exc.value).startswith("line 3: ")
         assert reason in str(exc.value)
 
+    def test_duplicate_case_id_names_both_lines(self):
+        text = "case_id,label,score\na,1,0.5\nb,0,0.25\n\na,0,0.75\n"
+        with pytest.raises(ValueError) as exc:
+            cases_from_csv(text)
+        assert str(exc.value) == "line 5: duplicate case_id 'a', first on line 2"
+
     def test_read_error_names_the_file(self, tmp_path):
         path = tmp_path / "cases.csv"
         path.write_text("case_id,label,score\na,1\n")
