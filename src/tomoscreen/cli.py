@@ -62,7 +62,14 @@ from .imaging import (
     write_pgm,
     write_volume,
 )
-from .miltrain import DatasetPool, TrainConfig, TrainingCase, save_scorer, train
+from .miltrain import (
+    DatasetPool,
+    TrainConfig,
+    TrainingCase,
+    candidate_features,
+    save_scorer,
+    train,
+)
 from .phantom import (
     NOISE_SIGMA_MAX,
     PhantomConfig,
@@ -498,6 +505,7 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
         write_truth(truth, case_dir / "truth.json")
         return case_id
 
+    texture_operators(_phantom_config(cfg))
     done = _parallel_map(one, ids, args.threads)
     return f"wrote {len(done)} cases under {cases_dir}"
 
@@ -602,10 +610,10 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
         case_id, cancer = item
         vol, truth = _case(cfg, case_id, cancer)
         image = _composite(normalize_volume(vol), 0.0, cfg.iou_threshold).image
-        candidates = tuple(detector.detect(image))
+        candidates = detector.detect(image)
         if not candidates:
             return None
-        return TrainingCase(case_id=case_id, image=image, candidates=candidates, label=truth.label)
+        return TrainingCase(case_id, candidate_features(image, candidates), truth.label)
 
     ids = _cohort_ids("train-", cfg.n_train_cancer, cfg.n_train_negative)
     cases = [c for c in _parallel_map(one, ids, args.threads) if c is not None]

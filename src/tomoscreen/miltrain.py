@@ -5,6 +5,9 @@ Only the case label supervises training. The gradient flows through the
 single argmax candidate (subgradient of the max), which is the whole
 point being demonstrated; everything else is ordinary logistic
 regression with class-balanced sampling.
+
+A case enters training as its candidate feature matrix, computed once per
+candidate box rather than once per SGD step.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 
 from .boxes import ScoredBox
 from .errors import NumericError
-from .imaging import ImageGrid
-from .scorer import ScorerHandle
+from .imaging import ImageGrid, _as_readonly
 from .seeds import rng_stream
 
 N_FEATURES = 4
@@ -63,6 +65,13 @@ def extract_patch_features(img: ImageGrid, box: ScoredBox) -> np.ndarray:
     return raw / np.asarray(FEATURE_SCALES)
 
 
+def candidate_features(img: ImageGrid, boxes: list[ScoredBox]) -> np.ndarray:
+    """Read-only matrix whose row i is extract_patch_features(img, boxes[i])."""
+    rows = np.array([extract_patch_features(img, b) for b in boxes]).reshape(-1, N_FEATURES)
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class ToyScorer:
     weights: tuple[float, ...]
@@ -83,24 +92,21 @@ def _sigmoid(z: float) -> float:
     return math.exp(-np.logaddexp(0.0, -z))
 
 
-def mil_forward(
-    theta: ToyScorer, img: ImageGrid, candidates: list[ScoredBox]
-) -> tuple[float, int]:
-    """Score = logistic of the max per-box logit; also report the argmax.
+def mil_forward(theta: ToyScorer, features: np.ndarray) -> tuple[float, int]:
+    """Score = logistic of the max logit over the rows of `features` (one
+    candidate each, see candidate_features); also report the argmax row.
 
-    Ties go to the lowest index. Raises on an empty candidate list:
-    training needs at least one instance per bag.
+    Ties go to the lowest index. A matrix without rows raises ValueError.
     """
-    if not candidates:
-        raise ValueError("mil_forward requires at least one candidate box")
     w = theta.weight_vector
-    logits = [float(w @ extract_patch_features(img, b)) + theta.bias for b in candidates]
+    # One dot per row: features @ w can round differently and move the weights.
+    logits = [float(w @ f) + theta.bias for f in features]
     arg = int(np.argmax(logits))
     return _sigmoid(logits[arg]), arg
 
 
 def mil_loss_grad(
-    theta: ToyScorer, img: ImageGrid, candidates: list[ScoredBox], label: bool
+    theta: ToyScorer, features: np.ndarray, label: bool
 ) -> tuple[float, np.ndarray, float]:
     """Binary cross-entropy loss and its (sub)gradient.
 
@@ -108,8 +114,8 @@ def mil_loss_grad(
     the argmax candidate's features: grad_w = (score - y) * f(argmax),
     grad_b = score - y.
     """
-    score, arg = mil_forward(theta, img, candidates)
-    feats = extract_patch_features(img, candidates[arg])
+    score, arg = mil_forward(theta, features)
+    feats = features[arg]
     z = float(theta.weight_vector @ feats) + theta.bias
     y = 1.0 if label else 0.0
     # numerically stable BCE on the logit
@@ -118,16 +124,19 @@ def mil_loss_grad(
     return loss, residual * feats, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingCase:
+    """One bag: a case's read-only (n_candidates >= 1, N_FEATURES) feature matrix."""
+
     case_id: str
-    image: ImageGrid
-    candidates: tuple[ScoredBox, ...]
+    features: np.ndarray
     label: bool
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValueError(f"case {self.case_id} has no candidate boxes")
+        features = _as_readonly(self.features, 2)
+        if features.shape[1] != N_FEATURES:
+            raise ValueError(f"case {self.case_id}: expected {N_FEATURES} feature columns")
+        object.__setattr__(self, "features", features)
 
 
 @dataclass(frozen=True)
@@ -198,7 +207,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         if not (np.all(np.isfinite(w)) and math.isfinite(b)):
             raise NumericError(f"training diverged at iteration {it}: non-finite parameters")
         theta = ToyScorer(weights=tuple(w.tolist()), bias=b)
-        loss, gw, gb = mil_loss_grad(theta, case.image, list(case.candidates), case.label)
+        loss, gw, gb = mil_loss_grad(theta, case.features, case.label)
         if not math.isfinite(loss):
             raise NumericError(f"training diverged at iteration {it}: loss={loss}")
         w -= cfg.learning_rate * gw
@@ -208,24 +217,6 @@ def train(cfg: TrainConfig) -> TrainResult:
         scorer=ToyScorer(weights=tuple(w.tolist()), bias=b),
         loss_trajectory=tuple(trajectory),
     )
-
-
-@dataclass(frozen=True)
-class MilRescorer:
-    """ScorerHandle that re-scores a base detector's boxes with a ToyScorer."""
-
-    detector: ScorerHandle
-    toy: ToyScorer
-
-    def detect(self, img: ImageGrid) -> list[ScoredBox]:
-        from dataclasses import replace
-
-        out = []
-        w = self.toy.weight_vector
-        for box in self.detector.detect(img):
-            z = float(w @ extract_patch_features(img, box)) + self.toy.bias
-            out.append(replace(box, score=_sigmoid(z)))
-        return out
 
 
 def save_scorer(result: TrainResult, path: str | Path) -> None:

@@ -25,7 +25,13 @@ from tomoscreen.condense import (
     trimmed_slices,
 )
 from tomoscreen.imaging import ImageGrid, normalize_volume
-from tomoscreen.miltrain import ToyScorer, extract_patch_features, mil_forward, mil_loss_grad
+from tomoscreen.miltrain import (
+    ToyScorer,
+    candidate_features,
+    extract_patch_features,
+    mil_forward,
+    mil_loss_grad,
+)
 from tomoscreen.phantom import (
     LesionSpec,
     PhantomConfig,
@@ -256,7 +262,8 @@ def test_criterion_05_mil_gradient_check():
         b = float(rng.normal())
         label = bool(rng.random() < 0.5)
         theta = ToyScorer(weights=tuple(w), bias=b)
-        _, base_arg = mil_forward(theta, img, candidates)
+        features = candidate_features(img, candidates)
+        _, base_arg = mil_forward(theta, features)
 
         # a tie point: any perturbation that moves the argmax
         logits = [
@@ -266,7 +273,7 @@ def test_criterion_05_mil_gradient_check():
         if len(top) > 1 and top[0] - top[1] < 1e-4:
             continue
 
-        loss, gw, gb = mil_loss_grad(theta, img, candidates, label)
+        loss, gw, gb = mil_loss_grad(theta, features, label)
         numeric = np.empty(5)
         stable = True
         for k in range(5):
@@ -278,8 +285,8 @@ def test_criterion_05_mil_gradient_check():
                 else:
                     bk += delta
                 th = ToyScorer(weights=tuple(wk), bias=bk)
-                l, _, _ = mil_loss_grad(th, img, candidates, label)
-                if mil_forward(th, img, candidates)[1] != base_arg:
+                l, _, _ = mil_loss_grad(th, features, label)
+                if mil_forward(th, features)[1] != base_arg:
                     return None
                 return l
 

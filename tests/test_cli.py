@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomoscreen.cli as cli_module
+import tomoscreen.miltrain as miltrain_module
 import tomoscreen.phantom as phantom_module
 import tomoscreen.scorer as scorer_module
 from tomoscreen.cli import (
@@ -774,7 +775,7 @@ class TestOperatorsBuiltBeforeThePool:
     before their pool starts; built on a worker, an operator lands in that
     worker's malloc arena and raises peak RSS."""
 
-    @pytest.mark.parametrize("stage", ["condense-run", "train-mil", "report"])
+    @pytest.mark.parametrize("stage", ["phantom-gen", "condense-run", "train-mil", "report"])
     def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, monkeypatch):
         on_main = []
         for module in (scorer_module, phantom_module):
@@ -790,6 +791,7 @@ class TestOperatorsBuiltBeforeThePool:
         small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
         report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
         args = {
+            "phantom-gen": ["phantom", "gen", "--config", cfg],
             "condense-run": ["condense", "run", "--config", cfg, "--cases", str(cases)],
             "train-mil": ["train", "mil", "--config", small],
             "report": ["report", "--config", report],
@@ -931,6 +933,28 @@ class TestTrainMil:
         assert isinstance(result["bias"], float)
         assert len(result["loss_trajectory"]) == QUICK["iterations"]
         assert all(v >= 0 for v in result["loss_trajectory"])
+
+    @pytest.mark.parametrize("iterations", [5, 80])
+    def test_features_are_extracted_once_per_candidate(self, iterations, tmp_path, monkeypatch):
+        calls = []
+        rows = []
+
+        def counting(*args, _original=miltrain_module.extract_patch_features, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        def recording(*args, _original=cli_module.TrainingCase, **kwargs):
+            case = _original(*args, **kwargs)
+            rows.append(len(case.features))
+            return case
+
+        monkeypatch.setattr(miltrain_module, "extract_patch_features", counting)
+        monkeypatch.setattr(cli_module, "TrainingCase", recording)
+        cfg = write_config(tmp_path, width=64, height=80, n_slices=10, iterations=iterations)
+        out = tmp_path / "trained"
+        args = ["train", "mil", "--config", cfg, "--out", str(out), "--threads", "1"]
+        assert main(args) == EXIT_OK
+        assert rows and len(calls) == sum(rows)
 
 
 class TestEvalRoc:

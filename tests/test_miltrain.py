@@ -13,11 +13,11 @@ from tomoscreen.miltrain import (
     FEATURE_SCALES,
     N_FEATURES,
     DatasetPool,
-    MilRescorer,
     ToyScorer,
     TrainConfig,
     TrainingCase,
     balanced_sample,
+    candidate_features,
     extract_patch_features,
     mil_forward,
     mil_loss_grad,
@@ -44,8 +44,7 @@ def make_case(case_id, label, patch_value, contrast=0.0, h=24, w=24):
         data[h // 2 - 2 : h // 2 + 2, w // 2 - 2 : w // 2 + 2] += contrast
     return TrainingCase(
         case_id=case_id,
-        image=ImageGrid(data),
-        candidates=(centered_box(h=h, w=w),),
+        features=candidate_features(ImageGrid(data), [centered_box(h=h, w=w)]),
         label=label,
     )
 
@@ -105,6 +104,15 @@ class TestExtractPatchFeatures:
         with pytest.raises(ValueError):
             extract_patch_features(img, ScoredBox(0.0, 0.0, 25.0, 5.0, 0.5))
 
+    def test_candidate_features_stack_one_read_only_row_per_box(self, rng):
+        img = grid(rng)
+        boxes = [centered_box(), ScoredBox(4.0, 6.0, 12.0, 14.0, 0.5)]
+        rows = candidate_features(img, boxes)
+        assert rows.shape == (2, N_FEATURES)
+        assert not rows.flags.writeable
+        for row, box in zip(rows, boxes):
+            assert np.array_equal(row, extract_patch_features(img, box))
+
 
 class TestToyScorer:
     def test_weight_arity(self):
@@ -121,7 +129,7 @@ class TestToyScorer:
 class TestMilForward:
     def test_zero_parameters_give_half(self, rng):
         theta = ToyScorer(weights=(0.0,) * 4, bias=0.0)
-        score, arg = mil_forward(theta, grid(rng), [centered_box()])
+        score, arg = mil_forward(theta, candidate_features(grid(rng), [centered_box()]))
         assert score == 0.5 and arg == 0
 
     def test_picks_max_logit_candidate(self):
@@ -131,7 +139,7 @@ class TestMilForward:
         img = ImageGrid(np.zeros((24, 24)))
         small = ScoredBox(2.0, 2.0, 4.0, 3.0, 0.5)  # area 2
         big = ScoredBox(10.0, 10.0, 14.0, 12.0, 0.5)  # area 8
-        score, arg = mil_forward(theta, img, [small, big])
+        score, arg = mil_forward(theta, candidate_features(img, [small, big]))
         assert arg == 1
         assert score == pytest.approx(8.0 / 9.0, abs=1e-12)
 
@@ -149,7 +157,7 @@ class TestMilForward:
             for b in candidates
         ]
         best = max(range(20), key=lambda i: logits[i])
-        score, arg = mil_forward(theta, img, candidates)
+        score, arg = mil_forward(theta, candidate_features(img, candidates))
         assert arg == best
         assert score == pytest.approx(1 / (1 + math.exp(-logits[best])), abs=1e-12)
 
@@ -157,13 +165,13 @@ class TestMilForward:
         img = grid(rng)
         theta = ToyScorer(weights=tuple(rng.normal(size=4).tolist()), bias=0.0)
         box = centered_box()
-        _, arg = mil_forward(theta, img, [box, box, box])
+        _, arg = mil_forward(theta, candidate_features(img, [box, box, box]))
         assert arg == 0
 
     def test_empty_candidates_rejected(self, rng):
         theta = ToyScorer(weights=(0.0,) * 4, bias=0.0)
         with pytest.raises(ValueError):
-            mil_forward(theta, grid(rng), [])
+            mil_forward(theta, candidate_features(grid(rng), []))
 
 
 class TestMilLossGrad:
@@ -175,7 +183,7 @@ class TestMilLossGrad:
         z = float(theta.weight_vector @ f) + theta.bias
         p = 1 / (1 + math.exp(-z))
         for label in (True, False):
-            loss, gw, gb = mil_loss_grad(theta, img, [box], label)
+            loss, gw, gb = mil_loss_grad(theta, candidate_features(img, [box]), label)
             y = float(label)
             expected_loss = -(y * math.log(p) + (1 - y) * math.log(1 - p))
             assert loss == pytest.approx(expected_loss, abs=1e-10)
@@ -189,8 +197,9 @@ class TestMilLossGrad:
             ScoredBox(2.0, 2.0, 10.0, 10.0, 0.5),
             ScoredBox(12.0, 12.0, 22.0, 22.0, 0.5),
         ]
-        score, arg = mil_forward(theta, img, candidates)
-        loss, gw, gb = mil_loss_grad(theta, img, candidates, True)
+        features = candidate_features(img, candidates)
+        score, arg = mil_forward(theta, features)
+        loss, gw, gb = mil_loss_grad(theta, features, True)
         f = extract_patch_features(img, candidates[arg])
         assert np.allclose(gw, gb * f, atol=1e-12)
 
@@ -210,27 +219,28 @@ class TestMilLossGrad:
                 side = float(rng.uniform(4, 10))
                 candidates.append(ScoredBox(x0, y0, x0 + side, y0 + side, 0.5))
             label = bool(rng.integers(0, 2))
-            _, base_arg = mil_forward(theta, img, candidates)
+            features = candidate_features(img, candidates)
+            _, base_arg = mil_forward(theta, features)
 
             def perturbed(i, delta):
                 params = list(theta.weights) + [theta.bias]
                 params[i] += delta
                 return ToyScorer(weights=tuple(params[:4]), bias=params[4])
 
-            loss, gw, gb = mil_loss_grad(theta, img, candidates, label)
+            loss, gw, gb = mil_loss_grad(theta, features, label)
             analytic = list(gw) + [gb]
             stable = True
             fd = []
             for i in range(5):
                 tp, tm = perturbed(i, eps), perturbed(i, -eps)
                 if (
-                    mil_forward(tp, img, candidates)[1] != base_arg
-                    or mil_forward(tm, img, candidates)[1] != base_arg
+                    mil_forward(tp, features)[1] != base_arg
+                    or mil_forward(tm, features)[1] != base_arg
                 ):
                     stable = False
                     break
-                lp = mil_loss_grad(tp, img, candidates, label)[0]
-                lm = mil_loss_grad(tm, img, candidates, label)[0]
+                lp = mil_loss_grad(tp, features, label)[0]
+                lm = mil_loss_grad(tm, features, label)[0]
                 fd.append((lp - lm) / (2 * eps))
             if not stable:
                 continue
@@ -242,9 +252,24 @@ class TestMilLossGrad:
 
 
 class TestPoolsAndSampling:
-    def test_training_case_needs_candidates(self, rng):
+    @pytest.mark.parametrize(
+        "features",
+        [
+            np.zeros((0, N_FEATURES)),
+            np.zeros((2, 3)),
+            np.zeros(N_FEATURES),
+            np.array([[0.0, math.nan, 0.0, 0.0]]),
+        ],
+        ids=["no-rows", "three-columns", "one-dimensional", "nan"],
+    )
+    def test_training_case_rejects_malformed_features(self, features):
         with pytest.raises(ValueError):
-            TrainingCase(case_id="x", image=grid(rng), candidates=(), label=True)
+            TrainingCase(case_id="x", features=features, label=True)
+
+    def test_training_case_stores_features_read_only(self):
+        case = TrainingCase(case_id="x", features=[[1.0, 2.0, 3.0, 4.0]], label=True)
+        assert case.features.dtype == np.float64
+        assert not case.features.flags.writeable
 
     def test_pool_class_purity_enforced(self):
         pos = make_case("p", True, 30.0, contrast=50.0)
@@ -343,7 +368,7 @@ class TestTrain:
         def pool_loss(theta):
             cases = list(pos) + list(neg)
             return sum(
-                mil_loss_grad(theta, c.image, list(c.candidates), c.label)[0]
+                mil_loss_grad(theta, c.features, c.label)[0]
                 for c in cases
             ) / len(cases)
 
@@ -359,7 +384,7 @@ class TestTrain:
         result = train(TrainConfig(learning_rate=0.5, iterations=300, seed=5, datasets=(pool,)))
         records = []
         for c in list(pos) + list(neg):
-            score, _ = mil_forward(result.scorer, c.image, list(c.candidates))
+            score, _ = mil_forward(result.scorer, c.features)
             records.append(CaseRecord(case_id=c.case_id, label=c.label, score=score))
         assert roc_and_auc(records).auc == 1.0
 
@@ -375,34 +400,3 @@ class TestPersistence:
         assert ToyScorer(weights=tuple(back["weights"]), bias=back["bias"]) == result.scorer
         assert tuple(back["loss_trajectory"]) == result.loss_trajectory
 
-
-class FixedDetector:
-    def __init__(self, boxes):
-        self.boxes = boxes
-
-    def detect(self, img):
-        return list(self.boxes)
-
-
-class TestMilRescorer:
-    def test_rescores_with_linear_model(self, rng):
-        img = grid(rng)
-        boxes = [
-            ScoredBox(2.0, 2.0, 10.0, 10.0, 0.9, slice_index=4),
-            ScoredBox(12.0, 12.0, 20.0, 20.0, 0.1),
-        ]
-        toy = ToyScorer(weights=(0.4, -0.3, 0.8, 0.05), bias=-0.2)
-        rescorer = MilRescorer(detector=FixedDetector(boxes), toy=toy)
-        out = rescorer.detect(img)
-        assert len(out) == 2
-        for before, after in zip(boxes, out):
-            f = extract_patch_features(img, before)
-            z = float(toy.weight_vector @ f) + toy.bias
-            assert after.score == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
-            assert (after.x_min, after.y_min, after.x_max, after.y_max) == (
-                before.x_min,
-                before.y_min,
-                before.x_max,
-                before.y_max,
-            )
-            assert after.slice_index == before.slice_index
