@@ -532,12 +532,9 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     threshold = args.threshold if args.threshold is not None else 0.0
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"score threshold {threshold} outside [0, 1]")
-    iou = args.iou if args.iou is not None else cfg.iou_threshold
-    if not 0.0 <= iou <= 1.0:
-        raise ConfigError(f"iou threshold {iou} outside [0, 1]")
 
     if args.volume is not None:
-        _condense_one_volume(read_volume(args.volume), threshold, iou, out)
+        _condense_one_volume(read_volume(args.volume), threshold, cfg.iou_threshold, out)
         return f"wrote composite bundle under {out}"
 
     cases_root = args.cases if args.cases is not None else cfg.cases_dir
@@ -551,7 +548,9 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     def one(case_dir: Path) -> CaseRecord:
         vol = read_volume(case_dir)
         truth = read_truth(case_dir / "truth.json")
-        score = _condense_one_volume(vol, threshold, iou, out / "cases" / case_dir.name)
+        score = _condense_one_volume(
+            vol, threshold, cfg.iou_threshold, out / "cases" / case_dir.name
+        )
         return CaseRecord(
             case_id=truth.case_id, label=truth.label, score=score, tumor_size_mm=truth.tumor_size_mm
         )
@@ -833,7 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--volume", help="one volume directory")
     source.add_argument("--cases", help="directory of case subdirectories")
     run.add_argument("--threshold", type=float, help="box score threshold (default 0)")
-    run.add_argument("--iou", type=float, help="NMS IOU threshold override")
 
     score = group("score", "score standalone images")
     study = score("study", cmd_score_study, "score a multi-view study manifest")

@@ -63,6 +63,10 @@ EDGE_NOISE_FACTOR = 8.0
 # normal draws stay below 13, and unit-sd texture fields were measured below 60.
 NOISE_SIGMA_MAX = 1e300
 
+# Cancer lesions: radius range (px) and slice persistence.
+LESION_RADIUS_RANGE = (6.0, 11.0)
+LESION_EXTENT_RANGE = (2, 5)
+
 # Benign distractor blobs: radius and intensity ranges, slice persistence.
 CLUTTER_RADIUS_RANGE = (4.0, 9.0)
 CLUTTER_CONTRAST_RANGE = (25.0, 80.0)
@@ -340,22 +344,20 @@ def sample_lesion(
     cfg: PhantomConfig,
     rng: np.random.Generator,
     contrast_range: tuple[float, float],
-    radius_range: tuple[float, float] = (6.0, 11.0),
-    extent_range: tuple[int, int] = (2, 5),
-    malignant: bool = True,
 ) -> LesionSpec:
-    """Draw one lesion placed safely inside the grid and the slice interior.
+    """Draw one malignant lesion placed safely inside the grid and the
+    slice interior.
 
     The center slice lands in the middle 70% of the stack so the lesion
     peak always survives the 10% edge trim used downstream.
     """
-    radius = rng.uniform(*radius_range)
+    radius = rng.uniform(*LESION_RADIUS_RANGE)
     margin = radius + 2.0
     if 2 * margin >= min(cfg.width, cfg.height):
         raise ValueError("grid too small for the requested lesion radius")
     cx = rng.uniform(margin, cfg.width - margin)
     cy = rng.uniform(margin, cfg.height - margin)
-    extent = int(rng.integers(extent_range[0], extent_range[1] + 1))
+    extent = int(rng.integers(LESION_EXTENT_RANGE[0], LESION_EXTENT_RANGE[1] + 1))
     lo = max(int(math.ceil(0.15 * cfg.n_slices)), (extent - 1) // 2)
     hi = min(
         int(math.floor(0.85 * cfg.n_slices)), cfg.n_slices - 1 - (extent - (extent - 1) // 2 - 1)
@@ -370,7 +372,7 @@ def sample_lesion(
         center_slice=center_slice,
         slice_extent=extent,
         contrast=rng.uniform(*contrast_range),
-        malignant=malignant,
+        malignant=True,
     )
 
 
@@ -379,8 +381,6 @@ def generate_case(
     case_id: str,
     cancer: bool,
     contrast_range: tuple[float, float] = (60.0, 220.0),
-    radius_range: tuple[float, float] = (6.0, 11.0),
-    extent_range: tuple[int, int] = (2, 5),
 ) -> tuple[Volume, PhantomTruth]:
     """Generate one cohort case with a per-case derived seed.
 
@@ -392,9 +392,7 @@ def generate_case(
     lesions: list[LesionSpec] = []
     if cancer:
         rng = rng_stream(cfg.seed, "lesions")
-        lesions.append(
-            sample_lesion(cfg, rng, contrast_range, radius_range, extent_range)
-        )
+        lesions.append(sample_lesion(cfg, rng, contrast_range))
     return generate_volume(cfg, lesions, case_id=case_id)
 
 

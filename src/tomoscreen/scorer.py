@@ -131,21 +131,18 @@ DEFAULT_RESPONSE_FLOOR = 1.0
 DEFAULT_RESPONSE_SCALE = 6.0
 
 
-def default_ensemble(
-    radius_priors: tuple[float, ...] = DEFAULT_RADIUS_PRIORS,
-    response_floor: float = DEFAULT_RESPONSE_FLOOR,
-    response_scale: float = DEFAULT_RESPONSE_SCALE,
-) -> list[BlobScorer]:
+def default_ensemble() -> list[BlobScorer]:
     return [
-        BlobScorer(radius_prior=r, response_floor=response_floor, response_scale=response_scale)
-        for r in radius_priors
+        BlobScorer(
+            radius_prior=r,
+            response_floor=DEFAULT_RESPONSE_FLOOR,
+            response_scale=DEFAULT_RESPONSE_SCALE,
+        )
+        for r in DEFAULT_RADIUS_PRIORS
     ]
 
 
-def default_condense_scorer(
-    response_floor: float = DEFAULT_RESPONSE_FLOOR,
-    response_scale: float = DEFAULT_RESPONSE_SCALE,
-) -> BlobScorer:
+def default_condense_scorer() -> BlobScorer:
     """Detector used for condensation: the largest ensemble prior.
 
     Its boxes (2.5x the prior) are the patches that get painted, so the
@@ -155,8 +152,8 @@ def default_condense_scorer(
     """
     return BlobScorer(
         radius_prior=DEFAULT_RADIUS_PRIORS[-1],
-        response_floor=response_floor,
-        response_scale=response_scale,
+        response_floor=DEFAULT_RESPONSE_FLOOR,
+        response_scale=DEFAULT_RESPONSE_SCALE,
     )
 
 

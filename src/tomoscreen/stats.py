@@ -11,7 +11,9 @@ Bootstrap, paired-delta and size-matched resamples are evaluated a block
 at a time on per-resample count matrices over tie groups, with no
 Python loop per resample.
 
-Every AUC is the Mann-Whitney count 2U / (2 n_pos n_neg) from midranks,
+Scores are grouped into ties and counted per class in one place,
+_class_counts; every ROC point, AUC and DeLong component is read off
+those counts. Every AUC is the Mann-Whitney count 2U / (2 n_pos n_neg),
 correctly rounded; it equals the trapezoidal ROC area and the mean of
 DeLong's pairwise kernel, and no statistic builds an n_pos x n_neg array.
 """
@@ -50,8 +52,8 @@ class CaseRecord:
         if self.tumor_size_mm is not None:
             if not self.label:
                 raise ValueError(f"case {self.case_id}: tumor size on a negative case")
-            if not self.tumor_size_mm > 0:
-                raise ValueError(f"case {self.case_id}: tumor size must be positive")
+            if not 0 < self.tumor_size_mm < math.inf:
+                raise ValueError(f"case {self.case_id}: tumor size must be finite and positive")
         if self.reader_birads is not None:
             for reader, value in self.reader_birads.items():
                 if value not in (1, 2, 3, 4, 5):
@@ -74,7 +76,8 @@ def _split_arrays(cases) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class RocAnalysis:
     """Empirical ROC curve: one point per distinct threshold, plus the
-    no-recall endpoint at threshold +inf. auc is the Mann-Whitney
+    no-recall endpoint at threshold +inf; each point counts the cases
+    of each class at or above its threshold. auc is the Mann-Whitney
     statistic with half credit for ties (auc_mann_whitney), which equals
     the trapezoidal area under these points."""
 
@@ -97,65 +100,34 @@ class RocAnalysis:
             raise ValueError(f"auc {self.auc} outside [0, 1]")
 
 
-def _curve_points(scores: np.ndarray, labels: np.ndarray):
-    """Curve arrays including the threshold=+inf endpoint.
-
-    Returns (thresholds_desc, sens, spec, fpr) where thresholds_desc
-    lists every distinct score in descending order and the other three
-    arrays are one element longer, starting at the no-recall point
-    (sens 0, spec 1).
-    """
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
+    """Empirical ROC over all distinct score thresholds, from the tie
+    groups' class counts taken from the highest score down."""
+    scores, labels = _split_arrays(cases)
+    values, _, counts = _class_counts(scores, labels)
+    neg, pos, n_pos, n_neg = (a[0] for a in counts(np.arange(scores.size)[None, :]))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
-    pos_sorted = np.sort(scores[labels])
-    neg_sorted = np.sort(scores[~labels])
-    thresholds = np.unique(scores)[::-1]
-    # count(x >= t) = n - count(x < t), via left bisection
-    tp = n_pos - np.searchsorted(pos_sorted, thresholds, side="left")
-    fp = n_neg - np.searchsorted(neg_sorted, thresholds, side="left")
-    sens = np.concatenate(([0.0], tp / n_pos))
-    fpr = np.concatenate(([0.0], fp / n_neg))
-    spec = np.concatenate(([1.0], (n_neg - fp) / n_neg))
-    return thresholds, sens, spec, fpr
-
-
-def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
-    """Empirical ROC over all distinct score thresholds."""
-    scores, labels = _split_arrays(cases)
-    thresholds, sens, spec, _ = _curve_points(scores, labels)
+    tp = np.cumsum(pos[::-1])
+    fp = np.cumsum(neg[::-1])
     return RocAnalysis(
-        thresholds=(math.inf,) + tuple(thresholds.tolist()),
-        sensitivity=tuple(sens.tolist()),
-        specificity=tuple(spec.tolist()),
+        thresholds=(math.inf,) + tuple(values[::-1].tolist()),
+        sensitivity=(0.0,) + tuple((tp / n_pos).tolist()),
+        specificity=(1.0,) + tuple(((n_neg - fp) / n_neg).tolist()),
         auc=auc_mann_whitney(scores, labels),
     )
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    avg = starts + (counts + 1) / 2.0  # 1-based mean rank of each tie group
-    return avg[inverse]
-
-
-def _rank_auc(ranks: np.ndarray, labels: np.ndarray, n_pos: int, n_neg: int) -> float:
-    # U = (sum of positive midranks) - n_pos (n_pos + 1) / 2, an exact half-integer
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
 
 
 def auc_mann_whitney(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC: P(pos > neg) + 0.5 P(tie), the correctly rounded
     value of 2U / (2 n_pos n_neg)."""
     labels = np.asarray(labels, dtype=bool)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    auc, defined = _auc_block(np.asarray(scores, dtype=np.float64), labels)(
+        np.arange(labels.size)[None, :]
+    )
+    if not defined[0]:
         raise ValueError("AUC needs both classes")
-    ranks = _average_ranks(np.asarray(scores, dtype=np.float64))
-    return _rank_auc(ranks, labels, n_pos, n_neg)
+    return float(auc[0])
 
 
 def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target):
@@ -166,12 +138,6 @@ def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target):
     return np.interp(target, xs, sens_rev[first])
 
 
-def _spec_at_sens_arrays(sens: np.ndarray, spec: np.ndarray, target):
-    # the first point at each distinct sensitivity has the best specificity
-    xs, first = np.unique(sens, return_index=True)
-    return np.interp(target, xs, spec[first])
-
-
 def sensitivity_at_specificity(roc: RocAnalysis, target_spec: float) -> float:
     """Linear interpolation on the curve's upper envelope, clamped at ends."""
     return float(
@@ -180,9 +146,9 @@ def sensitivity_at_specificity(roc: RocAnalysis, target_spec: float) -> float:
 
 
 def specificity_at_sensitivity(roc: RocAnalysis, target_sens: float) -> float:
-    return float(
-        _spec_at_sens_arrays(np.asarray(roc.sensitivity), np.asarray(roc.specificity), target_sens)
-    )
+    # the first point at each distinct sensitivity has the best specificity
+    xs, first = np.unique(roc.sensitivity, return_index=True)
+    return float(np.interp(target_sens, xs, np.asarray(roc.specificity)[first]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +227,13 @@ def _row_offsets(rows: int, width: int) -> np.ndarray:
 
 
 def _class_counts(scores: np.ndarray, labels: np.ndarray):
-    """counts(idx) -> (neg, pos, n_pos, n_neg): per resample row, the
-    (rows, groups) counts of drawn negatives and positives in each tie
-    group of scores, in ascending score order, and the class sizes."""
-    _, group = np.unique(scores, return_inverse=True)
+    """Scores grouped into ties: (values, group, counts). values are the
+    distinct scores in ascending order and group[i] is case i's index
+    into them. counts(idx) -> (neg, pos, n_pos, n_neg): per resample
+    row, the (rows, groups) counts of drawn negatives and positives in
+    each tie group, and the class sizes; the row np.arange(n) counts
+    the cases themselves."""
+    values, group = np.unique(scores, return_inverse=True)
     n_groups = int(group.max()) + 1 if group.size else 0
     code = 2 * group + labels  # one bin per (group, class)
 
@@ -278,7 +247,7 @@ def _class_counts(scores: np.ndarray, labels: np.ndarray):
         n_pos = pos.sum(axis=1)
         return neg, pos, n_pos, n - n_pos
 
-    return counts
+    return values, group, counts
 
 
 def _auc_block(scores: np.ndarray, labels: np.ndarray):
@@ -286,7 +255,7 @@ def _auc_block(scores: np.ndarray, labels: np.ndarray):
     2U = sum over tie groups of pos * (2 * negatives below + neg), an
     exact integer, divided once by 2 n_pos n_neg, so each value equals
     auc_mann_whitney on that row bit for bit."""
-    counts = _class_counts(scores, labels)
+    _, _, counts = _class_counts(scores, labels)
 
     def block(idx: np.ndarray):
         neg, pos, n_pos, n_neg = counts(idx)
@@ -356,14 +325,14 @@ def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.nda
     readers of the model's sensitivity at that reader's specificity,
     minus the mean reader sensitivity.
 
-    Each value equals, bit for bit, np.interp on the collapsed curve of
-    _curve_points and _sens_at_spec_arrays for that row. The curve lies
+    Each value equals, bit for bit, sensitivity_at_specificity on that
+    row's roc_and_auc curve (np.interp on its upper envelope). The curve lies
     on the full tie-group grid: point j recalls all but the j lowest
     groups, and point n_groups recalls nothing. A group the row did not
     draw only repeats a point, and the first point of each run of equal
     specificity has the run's best sensitivity.
     """
-    counts = _class_counts(scores, labels)
+    _, _, counts = _class_counts(scores, labels)
     # reader recalls split by class, so one matmul counts both per row
     by_class = np.concatenate([recalls & labels[:, None], recalls & ~labels[:, None]], axis=1)
     by_class = by_class.astype(np.float64)
@@ -452,17 +421,18 @@ class DelongResult:
 
 
 def _structural_components(scores: np.ndarray, labels: np.ndarray):
-    """DeLong's V10, V01 and AUC from midranks (Sun & Xu 2014), in O(n)
-    memory. A case's midrank among all minus its midrank within its class
-    counts the other class below it, ties half: an exact half-integer
-    divided once, so V10 and V01 equal the pairwise kernel's row and
-    column means bit for bit."""
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    ranks = _average_ranks(scores)
-    neg_below = ranks[labels] - _average_ranks(scores[labels])
-    pos_above = n_pos - (ranks[~labels] - _average_ranks(scores[~labels]))
-    return neg_below / n_neg, pos_above / n_pos, _rank_auc(ranks, labels, n_pos, n_neg)
+    """DeLong's V10, V01 and AUC from tie-group counts (Sun & Xu 2014),
+    in O(n) memory. A positive's V10 is (2 * negatives below + negatives
+    tied) / (2 n_neg), and a negative's V01 is (2 * positives above +
+    positives tied) / (2 n_pos): exact integers divided once, so V10 and
+    V01 equal the pairwise kernel's row and column means bit for bit."""
+    _, group, counts = _class_counts(scores, labels)
+    neg, pos, n_pos, n_neg = (a[0] for a in counts(np.arange(scores.size)[None, :]))
+    neg_below = np.cumsum(neg) - neg
+    pos_above = n_pos - np.cumsum(pos)
+    v10 = (2 * neg_below + neg) / (2 * n_neg)
+    v01 = (2 * pos_above + pos) / (2 * n_pos)
+    return v10[group[labels]], v01[group[~labels]], auc_mann_whitney(scores, labels)
 
 
 def delong_test(scores_a, scores_b, labels) -> DelongResult:
@@ -591,13 +561,15 @@ class SizeHistogram:
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
+        shares = np.asarray(self.shares, dtype=np.float64)
+        if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(shares))):
+            raise ValueError("bin_edges and shares must be finite")
         if edges.size == 0 or np.any(np.diff(edges) <= 0):
             raise ValueError("bin_edges must be ascending and nonempty")
         if len(self.shares) != len(self.bin_edges) + 1:
             raise ValueError(
                 f"need {len(self.bin_edges) + 1} shares, got {len(self.shares)}"
             )
-        shares = np.asarray(self.shares, dtype=np.float64)
         if np.any(shares < 0):
             raise ValueError("shares must be nonnegative")
         if abs(shares.sum() - 1.0) > 1e-9:

@@ -430,6 +430,23 @@ class TestMalformedCasesCsv:
         err = capsys.readouterr().err
         assert f"{bad}: line 2: " in err
 
+    @pytest.mark.parametrize("size", ["inf", "1e999", "nan"])
+    @pytest.mark.parametrize("command", ["roc", "size-matched"])
+    def test_non_finite_tumor_size_names_the_line(self, tmp_path, capsys, command, size):
+        path = scored_csv(tmp_path, sizes=True)
+        lines = Path(path).read_text().splitlines()
+        fields = lines[1].split(",")
+        assert fields[:2] == ["case-000", "1"]
+        fields[3] = size
+        lines[1] = ",".join(fields)
+        Path(path).write_text("\n".join(lines) + "\n")
+        args = ["eval", command, "--cases", path, "--out", str(tmp_path / "o")]
+        if command == "size-matched":
+            args += ["--target", "source"]
+        assert main(args) == EXIT_CONFIG
+        want = f"error: {path}: line 2: case case-000: tumor size must be finite and positive"
+        assert capsys.readouterr().err.splitlines() == [want]
+
 
 class TestDuplicateCaseIds:
     """A case_id on two rows ends in exit 2 with one line naming the table
@@ -1073,6 +1090,26 @@ class TestEvalSizeMatched:
             ]
         )
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize(
+        "histogram",
+        [
+            {"bin_edges": [10.0, 20.0, 50.0], "shares": [float("nan"), 0.5, 0.25, 0.25]},
+            {"bin_edges": [10.0, float("nan"), 50.0], "shares": [0.25, 0.25, 0.25, 0.25]},
+            {"bin_edges": [10.0, 20.0, float("inf")], "shares": [0.25, 0.25, 0.25, 0.25]},
+        ],
+        ids=["nan-share", "nan-edge", "infinite-edge"],
+    )
+    def test_non_finite_target_exits_two_naming_the_file(self, tmp_path, capsys, histogram):
+        csv_path = scored_csv(tmp_path, sizes=True)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(histogram))  # Python's json writes NaN and Infinity
+        args = ["eval", "size-matched", "--cases", csv_path, "--target", str(target)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        want = f"error: {target}: bin_edges and shares must be finite"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not (tmp_path / "o" / "size_matched.json").exists()
 
 
 class TestPipelineChain:

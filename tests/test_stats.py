@@ -1,7 +1,8 @@
 """ROC/AUC, bootstrap, paired deltas, DeLong, reader panels, size matching.
 
 Oracles here are deliberately naive reimplementations: pairwise AUC
-loops, an explicit-loop DeLong, hand-tallied operating points.
+loops, the midrank AUC, the ROC curve by bisection of each class's
+sorted scores, an explicit-loop DeLong, hand-tallied operating points.
 """
 
 import math
@@ -43,7 +44,6 @@ from tomoscreen.stats import (
     write_panels_csv,
     write_roc_csv,
     write_roc_svg,
-    _curve_points,
     _sens_at_spec_arrays,
     _structural_components,
 )
@@ -70,6 +70,36 @@ def pairwise_auc(cases):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def midrank_auc(scores, labels):
+    """Midrank oracle: U = (sum of positive midranks) - n_pos (n_pos + 1) / 2,
+    an exact half-integer, divided once."""
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes")
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    ranks = (starts + (counts + 1) / 2.0)[inverse]  # 1-based mean rank of each tie group
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def bisection_curve(scores, labels):
+    """Bisection oracle: (thresholds_desc, sens, spec) with count(x >= t)
+    from a left bisection of each class's sorted scores; sens and spec
+    start at the no-recall point (sens 0, spec 1)."""
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("ROC needs at least one positive and one negative")
+    thresholds = np.unique(scores)[::-1]
+    tp = n_pos - np.searchsorted(np.sort(scores[labels]), thresholds, side="left")
+    fp = n_neg - np.searchsorted(np.sort(scores[~labels]), thresholds, side="left")
+    sens = np.concatenate(([0.0], tp / n_pos))
+    spec = np.concatenate(([1.0], (n_neg - fp) / n_neg))
+    return thresholds, sens, spec
 
 
 def sigmoid(z):
@@ -104,6 +134,11 @@ class TestCaseRecord:
             CaseRecord(case_id="x", label=True, score=0.5, tumor_size_mm=0.0)
         ok = CaseRecord(case_id="x", label=True, score=0.5, tumor_size_mm=12.0)
         assert ok.tumor_size_mm == 12.0
+
+    @pytest.mark.parametrize("size", [math.inf, math.nan, -math.inf])
+    def test_tumor_size_must_be_finite(self, size):
+        with pytest.raises(ValueError, match="tumor size must be finite and positive"):
+            CaseRecord(case_id="x", label=True, score=0.5, tumor_size_mm=size)
 
     def test_birads_range(self):
         with pytest.raises(ValueError):
@@ -181,6 +216,21 @@ class TestRocAndAuc:
         base = records(pos, neg)
         squared = records([s * s for s in pos], [s * s for s in neg])
         assert roc_and_auc(base).auc == roc_and_auc(squared).auc
+
+    @given(scores_strategy, scores_strategy)
+    @example([0.5, 0.5], [0.5, 0.5, 0.5])  # every score tied
+    @example([0.5, 0.5, 0.5], [0.5, 0.5, 0.25])  # one score differs
+    @example([0.25], [0.25])
+    def test_curve_equals_the_bisection_oracle(self, pos, neg):
+        cases = records(pos, neg)
+        scores = np.array([c.score for c in cases])
+        labels = np.array([c.label for c in cases])
+        thresholds, sens, spec = bisection_curve(scores, labels)
+        roc = roc_and_auc(cases)
+        assert np.array(roc.thresholds).tobytes() == np.append(np.inf, thresholds).tobytes()
+        assert np.array(roc.sensitivity).tobytes() == sens.tobytes()
+        assert np.array(roc.specificity).tobytes() == spec.tobytes()
+        assert auc_mann_whitney(scores, labels) == midrank_auc(scores, labels)
 
     def test_auc_mann_whitney_needs_both_classes(self):
         with pytest.raises(ValueError):
@@ -410,7 +460,7 @@ def resample_oracle(fn, n, n_resamples, seed, stream):
 def matched_delta_oracle(scores, labels, recalls):
     """One dataset's mean model sensitivity at each reader's specificity
     minus the mean reader sensitivity, via the ROC curve and np.interp."""
-    _, sens, spec, _ = _curve_points(scores, labels)
+    _, sens, spec = bisection_curve(scores, labels)
     reader_sens = recalls[labels].mean(axis=0)
     reader_spec = 1.0 - recalls[~labels].mean(axis=0)
     return float(np.mean(_sens_at_spec_arrays(sens, spec, reader_spec)) - np.mean(reader_sens))
@@ -441,7 +491,7 @@ def size_matched_oracle(cases, target, n_populations, seed):
     for r in range(n_populations):
         sp = pos_scores[pos_idx[r]]
         sn = neg_scores[neg_idx[r]]
-        aucs[r] = auc_mann_whitney(np.concatenate([sp, sn]), labels)
+        aucs[r] = midrank_auc(np.concatenate([sp, sn]), labels)
         got = np.bincount(bins[pos_idx[r]], minlength=target.n_bins) / n_pos
         tvs[r] = 0.5 * np.abs(got - shares).sum()
     return SizeMatchedResult(
@@ -514,7 +564,7 @@ class TestCountMatrixResampling:
                 n_resamples, seed, "paired-delta",
             )
         assert auc == resample_bytes(
-            resample_oracle, lambda r: auc_mann_whitney(scores[r], labels[r]),
+            resample_oracle, lambda r: midrank_auc(scores[r], labels[r]),
             n, n_resamples, seed, "bootstrap",
         )
         assert delta == resample_bytes(
@@ -542,12 +592,12 @@ class TestCountMatrixResampling:
 
         def boot_oracle():
             values, n_redraws = resample_oracle(
-                lambda r: auc_mann_whitney(scores[r], labels[r]),
+                lambda r: midrank_auc(scores[r], labels[r]),
                 len(cases), n_resamples, seed, "bootstrap",
             )
             lo, hi = np.percentile(values, [2.5, 97.5])
             return BootstrapResult(
-                auc_mann_whitney(scores, labels), float(lo), float(hi), n_resamples, n_redraws
+                midrank_auc(scores, labels), float(lo), float(hi), n_resamples, n_redraws
             )
 
         def delta_oracle():
@@ -613,7 +663,7 @@ class TestCountMatrixResampling:
         labels = np.arange(8) < 4
         got = stats._resample(stats._auc_block(scores, labels), 8, 10000, 6, "bootstrap")
         want = resample_oracle(
-            lambda r: auc_mann_whitney(scores[r], labels[r]), 8, 10000, 6, "bootstrap"
+            lambda r: midrank_auc(scores[r], labels[r]), 8, 10000, 6, "bootstrap"
         )
         assert got[1] == want[1] == 59
         assert got[0].tobytes() == want[0].tobytes()
@@ -980,6 +1030,19 @@ class TestSizeHistogram:
     def test_edges_ascending(self):
         with pytest.raises(ValueError):
             SizeHistogram(bin_edges=(20.0, 10.0), shares=(0.3, 0.3, 0.4))
+
+    @pytest.mark.parametrize(
+        "edges, shares",
+        [
+            ((10.0, 20.0, 50.0), (math.nan, 0.5, 0.25, 0.25)),
+            ((10.0, 20.0, 50.0), (math.inf, 0.0, 0.0, 0.0)),
+            ((10.0, math.nan, 50.0), (0.25,) * 4),
+            ((10.0, 20.0, math.inf), (0.25,) * 4),
+        ],
+    )
+    def test_non_finite_values_rejected(self, edges, shares):
+        with pytest.raises(ValueError, match="^bin_edges and shares must be finite$"):
+            SizeHistogram(bin_edges=edges, shares=shares)
 
     def test_bin_of_boundaries(self):
         h = SizeHistogram(bin_edges=(10.0, 20.0, 50.0), shares=(0.25,) * 4)
