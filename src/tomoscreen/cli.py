@@ -10,23 +10,23 @@ one process. Configuration is a JSON file; flags override file values.
 `main` owns the lifecycle of every stage: it loads the config, makes the
 --out directory, runs the stage, writes run_manifest.json (only when the
 stage succeeded), prints the stage's one-line summary and maps failures
-to exit codes: 2 for an invalid config, flag or input file (the message
-names the file), 3 for I/O errors and running out of memory, 4 for
-numeric failures.
+to exit codes: 2 for a config, flag or input file that is missing,
+unreadable or malformed (one line `error: <path>: <reason>` naming the
+file), 3 for an output that cannot be written and for running out of
+memory, 4 for numeric failures.
 
 Every subcommand writes only into its --out directory; the manifest
 records the resolved config, its sha256, the seed, and tool versions, so
 artifacts are traceable and reruns with the same config are
-byte-identical at any --threads value. Output paths are deliberately
-excluded from the hashed config: the same run into two different
-directories must produce identical bundles. `report` builds its summary
-from the same statistic blocks the `eval` subcommands write.
+byte-identical at any --threads value. Paths come only from flags and
+never enter the config: the same run into two different directories
+must produce identical bundles. `report` builds its summary from the
+same statistic blocks the `eval` subcommands write.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -50,7 +50,7 @@ from .condense import (
     study_max_box_score,
     trimmed_slices,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, reading
 from .imaging import (
     ImageGrid,
     normalize_range,
@@ -122,11 +122,7 @@ EXIT_NUMERIC = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Declarative description of a run; every field has a sane default.
-
-    Path fields (out_dir, cases_dir) are conveniences for config files;
-    they never enter the config hash or the manifest.
-    """
+    """Declarative description of a run; every field has a sane default."""
 
     # phantom cohort
     width: int = 128
@@ -154,9 +150,6 @@ class RunConfig:
     size_bin_edges: tuple[float, ...] = (10.0, 20.0, 50.0)
     # reproducibility
     seed: int = 0
-    # optional default paths
-    out_dir: str | None = None
-    cases_dir: str | None = None
 
     def __post_init__(self):
         def need(cond: bool, msg: str) -> None:
@@ -220,7 +213,6 @@ class RunConfig:
         object.__setattr__(self, "contrast_range", (float(lo), float(hi)))
 
 
-_PATH_FIELDS = ("out_dir", "cases_dir")
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
@@ -255,8 +247,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def config_payload(cfg: RunConfig) -> dict:
     payload = dataclasses.asdict(cfg)
-    for key in _PATH_FIELDS:
-        payload.pop(key, None)
     payload["contrast_range"] = list(cfg.contrast_range)
     payload["size_bin_edges"] = list(cfg.size_bin_edges)
     return payload
@@ -286,11 +276,10 @@ def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
     write_json(manifest, out / "run_manifest.json")
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
-    out = args.out if args.out is not None else cfg.out_dir
-    if out is None:
-        raise ConfigError("an output directory is required (--out or config out_dir)")
-    path = Path(out)
+def _out_dir(args) -> Path:
+    if args.out is None:
+        raise ConfigError("an output directory is required (--out)")
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -412,13 +401,12 @@ def synthetic_birads(
 # ---------------------------------------------------------------------------
 
 
-def _roc(cases: list[CaseRecord], cfg: RunConfig, out: Path):
-    """Write roc.csv; return the curve, the AUC bootstrap, the
-    {auc, auc_ci, n_resamples} block and the `operating` block, which
-    reads each rate off the curve at the other's target."""
+def _roc(cases: list[CaseRecord], cfg: RunConfig):
+    """The curve, the AUC bootstrap, the {auc, auc_ci, n_resamples} block
+    and the `operating` block, which reads each rate off the curve at the
+    other's target."""
     roc = roc_and_auc(cases)
     boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
-    write_roc_csv(roc, out / "roc.csv")
     block = {"auc": roc.auc, "auc_ci": [boot.lo, boot.hi], "n_resamples": boot.n_resamples}
     operating = {
         "specificity_target": 0.9,
@@ -440,12 +428,11 @@ def _delong(a: list[CaseRecord], b: list[CaseRecord]):
     return res, {"z": res.z, "p_value": res.p, "degenerate": res.degenerate}
 
 
-def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig, out: Path):
-    """Write panels.csv; return the {readers, n_panels, paired_delta}
-    block, (reader, sensitivity, specificity) plot markers and the paired
+def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig):
+    """The panel points, the {readers, n_panels, paired_delta} block,
+    (reader, sensitivity, specificity) plot markers and the paired
     model-vs-readers delta."""
     panels = enumerate_panels(cases, reader_ids)
-    write_panels_csv(panels, out / "panels.csv")
     points = {r: reader_operating_point(cases, r) for r in reader_ids}
     delta = paired_delta_pvalue(cases, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed)
     block = {
@@ -457,7 +444,7 @@ def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig
             "p_value": delta.p_value,
         },
     }
-    return block, [(r, se, sp) for r, (se, sp) in sorted(points.items())], delta
+    return panels, block, [(r, se, sp) for r, (se, sp) in sorted(points.items())], delta
 
 
 def _source_histogram(cases: list[CaseRecord], edges) -> SizeHistogram:
@@ -474,16 +461,6 @@ def _size_matched(cases: list[CaseRecord], target: SizeHistogram, cfg: RunConfig
     """The {mean_auc, sd_auc, mean_tv_distance, n_populations} block."""
     res = size_matched_auc(cases, target, n_populations=cfg.n_populations, seed=cfg.seed)
     return dataclasses.asdict(res)
-
-
-@contextlib.contextmanager
-def _statistics_on(*paths: str):
-    """A statistic that rejects its parsed inputs (ValueError) exits 2
-    naming the input files."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{', '.join(map(str, paths))}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +514,12 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
         _condense_one_volume(read_volume(args.volume), threshold, cfg.iou_threshold, out)
         return f"wrote composite bundle under {out}"
 
-    cases_root = args.cases if args.cases is not None else cfg.cases_dir
-    if cases_root is None:
-        raise ConfigError("a cases directory is required (--cases or config cases_dir)")
-    case_dirs = sorted(p for p in Path(cases_root).iterdir() if (p / "manifest.json").is_file())
-    if not case_dirs:
-        raise ConfigError(f"no case directories with volumes under {cases_root}")
+    if args.cases is None:
+        raise ConfigError("a volume or cases directory is required (--volume or --cases)")
+    with reading(args.cases):
+        case_dirs = sorted(p for p in Path(args.cases).iterdir() if p.is_dir())
+        if not case_dirs:
+            raise ValueError("no case directories")
     _build_detectors(*volume_shape(case_dirs[0])[1:])
 
     def one(case_dir: Path) -> CaseRecord:
@@ -563,25 +540,22 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
 def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
     manifest_path = Path(args.manifest)
     manifest = read_json(manifest_path)
-    if not isinstance(manifest, dict) or "views" not in manifest:
-        raise ConfigError(f"{manifest_path}: study manifest needs a 'views' list")
-    case_id = str(manifest.get("case_id", manifest_path.stem))
-    views = manifest["views"]
-    if not isinstance(views, list) or not views:
-        raise ConfigError(f"{manifest_path}: 'views' must be a nonempty list")
-
     scorers = default_ensemble()
     view_scores: list[ViewScore] = []
     keys = ("breast", "view", "path")
-    for entry in views:
-        if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
-            raise ConfigError(f"{manifest_path}: each view needs 'breast', 'view', 'path'")
-        try:
+    with reading(manifest_path):
+        if not isinstance(manifest, dict) or "views" not in manifest:
+            raise ValueError("study manifest needs a 'views' list")
+        case_id = str(manifest.get("case_id", manifest_path.stem))
+        views = manifest["views"]
+        if not isinstance(views, list) or not views:
+            raise ValueError("'views' must be a nonempty list")
+        for entry in views:
+            if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
+                raise ValueError("each view needs 'breast', 'view', 'path'")
             img = read_pgm(manifest_path.parent / entry["path"])
             score = ensemble_image_score(scorers, normalize_range(img))
             view_scores.append(ViewScore(case_id, entry["breast"], entry["view"], score))
-        except ValueError as exc:
-            raise ConfigError(f"{manifest_path}: {exc}") from None
 
     by_breast: dict[str, list[ViewScore]] = {}
     for v in view_scores:
@@ -643,8 +617,9 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
 
 def cmd_eval_roc(args, cfg: RunConfig, out: Path) -> str:
     cases = read_cases_csv(args.cases)
-    with _statistics_on(args.cases):
-        roc, boot, block, operating = _roc(cases, cfg, out)
+    with reading(args.cases):
+        roc, boot, block, operating = _roc(cases, cfg)
+    write_roc_csv(roc, out / "roc.csv")
     write_roc_svg([("model", roc)], out / "roc.svg")
     summary = {
         **block,
@@ -661,11 +636,11 @@ def cmd_eval_roc(args, cfg: RunConfig, out: Path) -> str:
 def cmd_eval_delong(args, cfg: RunConfig, out: Path) -> str:
     a = sorted(read_cases_csv(args.cases_a), key=lambda c: c.case_id)
     b = sorted(read_cases_csv(args.cases_b), key=lambda c: c.case_id)
-    if [c.case_id for c in a] != [c.case_id for c in b]:
-        raise ConfigError("case tables do not cover the same case_ids")
-    if [c.label for c in a] != [c.label for c in b]:
-        raise ConfigError("case tables disagree on labels")
-    with _statistics_on(args.cases_a, args.cases_b):
+    with reading(args.cases_a, args.cases_b):
+        if [c.case_id for c in a] != [c.case_id for c in b]:
+            raise ValueError("case tables do not cover the same case_ids")
+        if [c.label for c in a] != [c.label for c in b]:
+            raise ValueError("case tables disagree on labels")
         res, block = _delong(a, b)
     summary = {"n_cases": len(a), "auc_a": res.auc_a, "auc_b": res.auc_b, **block}
     write_json(summary, out / "delong.json")
@@ -675,11 +650,12 @@ def cmd_eval_delong(args, cfg: RunConfig, out: Path) -> str:
 def cmd_eval_readers(args, cfg: RunConfig, out: Path) -> str:
     cases = read_cases_csv(args.cases)
     reader_ids = sorted({r for c in cases for r in (c.reader_birads or {})})
-    if not reader_ids:
-        raise ConfigError(f"{args.cases}: no birads_<reader> columns found")
-    with _statistics_on(args.cases):
-        block, markers, delta = _reader_study(cases, reader_ids, cfg, out)
+    with reading(args.cases):
+        if not reader_ids:
+            raise ValueError("no birads_<reader> columns found")
+        panels, block, markers, delta = _reader_study(cases, reader_ids, cfg)
         roc = roc_and_auc(cases)
+    write_panels_csv(panels, out / "panels.csv")
     write_roc_svg([("model", roc)], out / "readers.svg", points=markers)
     block["paired_delta"].update(n_resamples=cfg.n_resamples, n_redraws=delta.n_redraws)
     write_json({"n_cases": len(cases), **block}, out / "readers.json")
@@ -691,12 +667,11 @@ def cmd_eval_readers(args, cfg: RunConfig, out: Path) -> str:
 
 def _read_histogram(path: str) -> SizeHistogram:
     data = read_json(path)
-    try:
-        return SizeHistogram(bin_edges=tuple(data["bin_edges"]), shares=tuple(data["shares"]))
-    except (TypeError, KeyError) as exc:
-        raise ConfigError(f"{path}: target histogram needs bin_edges and shares") from exc
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    with reading(path):
+        try:
+            return SizeHistogram(bin_edges=tuple(data["bin_edges"]), shares=tuple(data["shares"]))
+        except (TypeError, KeyError) as exc:
+            raise ValueError("target histogram needs bin_edges and shares") from exc
 
 
 def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:
@@ -705,7 +680,7 @@ def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:
         inputs, target = [args.cases], None
     else:
         inputs, target = [args.cases, args.target], _read_histogram(args.target)
-    with _statistics_on(*inputs):
+    with reading(*inputs):
         if target is None:
             target = _source_histogram(cases, cfg.size_bin_edges)
         block = _size_matched(cases, target, cfg)
@@ -746,10 +721,12 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     write_cases_csv(records, out / "cases.csv")
     write_cases_csv(center_records, out / "cases_center.csv")
 
-    roc, _, model, operating = _roc(records, cfg, out)
+    roc, _, model, operating = _roc(records, cfg)
+    write_roc_csv(roc, out / "roc.csv")
     roc_center = roc_and_auc(center_records)
     _, delong = _delong(records, center_records)
-    readers, markers, _ = _reader_study(records, sorted(profiles), cfg, out)
+    panels, readers, markers, _ = _reader_study(records, sorted(profiles), cfg)
+    write_panels_csv(panels, out / "panels.csv")
     matched = _size_matched(records, _source_histogram(records, cfg.size_bin_edges), cfg)
 
     curves = [("optimized", roc), ("center slice", roc_center)]
@@ -867,7 +844,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed})
-        out = _out_dir(args, cfg)
+        out = _out_dir(args)
         line = args.func(args, cfg, out)
         write_run_manifest(cfg, out, args.stage)
     except NumericError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .boxes import ScoredBox, nms
 from .imaging import ImageGrid, Volume
-from .scorer import ScorerHandle, mil_image_score
+from .scorer import BlobScorer, mil_image_score
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ def choose_score_threshold(
     return positives[k - 1]
 
 
-def detect_slices(norm: Volume, scorer: ScorerHandle, slices: Iterable[int]) -> list[ScoredBox]:
+def detect_slices(norm: Volume, scorer: BlobScorer, slices: Iterable[int]) -> list[ScoredBox]:
     """Boxes detected on the given slices of a normalized volume, each
     tagged with its slice.
 
@@ -140,7 +140,7 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
     )
 
 
-def study_max_box_score(norm: Volume, scorer: ScorerHandle) -> float:
+def study_max_box_score(norm: Volume, scorer: BlobScorer) -> float:
     """Best box score the condensation step would see for this normalized
     volume.
 

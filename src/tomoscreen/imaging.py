@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import reading
+
 NORM_LO = -127.5
 NORM_HI = 127.5
 PGM_MAXVAL = 65535
@@ -36,7 +38,7 @@ def _as_readonly(data: np.ndarray, ndim: int) -> np.ndarray:
         raise ValueError(f"every axis needs length >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("data contains non-finite values")
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr).view()  # a frozen view leaves the caller's array writable
     arr.flags.writeable = False
     return arr
 
@@ -241,24 +243,23 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
 
 
 def read_pgm(path: str | Path) -> ImageGrid:
-    """Read a binary PGM (P5) with maxval up to 65535."""
-    raw = Path(path).read_bytes()
-    if raw[:2] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    try:
+    """Read a binary PGM (P5) with maxval up to 65535. A missing,
+    unreadable or malformed file raises ValueError naming it."""
+    with reading(path):
+        raw = Path(path).read_bytes()
+        if raw[:2] != b"P5":
+            raise ValueError("not a binary PGM (missing P5 magic)")
         (width, height, maxval), pos = _read_pgm_tokens(raw[2:], 3)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    pos += 2  # magic bytes
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: invalid dimensions {width}x{height}")
-    if not 0 < maxval <= PGM_MAXVAL:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
-    n = width * height
-    if len(raw) - pos < n * dtype.itemsize:
-        raise ValueError(f"{path}: truncated raster")
+        pos += 2  # magic bytes
+        if width < 1 or height < 1:
+            raise ValueError(f"invalid dimensions {width}x{height}")
+        if not 0 < maxval <= PGM_MAXVAL:
+            raise ValueError(f"unsupported maxval {maxval}")
+        pos += 1  # single whitespace byte after maxval
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        n = width * height
+        if len(raw) - pos < n * dtype.itemsize:
+            raise ValueError("truncated raster")
     data = np.frombuffer(raw, dtype=dtype, count=n, offset=pos)
     return ImageGrid(data.reshape(height, width).astype(np.float64))
 
@@ -286,29 +287,31 @@ def _is_count(value) -> bool:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON file; bytes that are not UTF-8 JSON raise ValueError
-    naming the file."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    """Parse a JSON file; a missing or unreadable file, or bytes that are
+    not UTF-8 JSON, raise ValueError naming it."""
+    with reading(path):
+        try:
+            return json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"invalid JSON: {exc}") from exc
 
 
 def _read_manifest(directory: Path) -> dict:
     path = directory / "manifest.json"
     manifest = read_json(path)
-    if not (
-        isinstance(manifest, dict)
-        and isinstance(manifest.get("slices"), list)
-        and all(isinstance(name, str) for name in manifest["slices"])
-        and all(_is_count(manifest.get(k)) for k in ("slice_count", "width", "height"))
-    ):
-        raise ValueError(
-            f"{path}: manifest needs a 'slices' list of file names and positive "
-            "integer 'slice_count', 'width' and 'height'"
-        )
-    if len(manifest["slices"]) != manifest["slice_count"]:
-        raise ValueError(f"{path}: manifest slice_count mismatch")
+    with reading(path):
+        if not (
+            isinstance(manifest, dict)
+            and isinstance(manifest.get("slices"), list)
+            and all(isinstance(name, str) for name in manifest["slices"])
+            and all(_is_count(manifest.get(k)) for k in ("slice_count", "width", "height"))
+        ):
+            raise ValueError(
+                "manifest needs a 'slices' list of file names and positive "
+                "integer 'slice_count', 'width' and 'height'"
+            )
+        if len(manifest["slices"]) != manifest["slice_count"]:
+            raise ValueError("manifest slice_count mismatch")
     return manifest
 
 
@@ -322,8 +325,9 @@ def volume_shape(directory: str | Path) -> tuple[int, int, int]:
 def read_volume(directory: str | Path) -> Volume:
     """Read a volume written by write_volume.
 
-    A malformed manifest, or a slice that disagrees with it, raises
-    ValueError naming the offending file.
+    A missing, unreadable or malformed manifest or slice, or a slice that
+    disagrees with the manifest, raises ValueError naming the offending
+    file.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -332,10 +336,10 @@ def read_volume(directory: str | Path) -> Volume:
     planes = []
     for name in names:
         img = read_pgm(directory / name)
-        if img.data.shape != shape:
-            raise ValueError(
-                f"{directory / name}: slice is {img.width}x{img.height}, "
-                f"manifest says {shape[1]}x{shape[0]}"
-            )
+        with reading(directory / name):
+            if img.data.shape != shape:
+                raise ValueError(
+                    f"slice is {img.width}x{img.height}, manifest says {shape[1]}x{shape[0]}"
+                )
         planes.append(img.data)
     return Volume(np.stack(planes))

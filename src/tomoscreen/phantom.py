@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import reading
 from .imaging import (
     FoldedOperator,
     ImageGrid,
@@ -457,10 +458,8 @@ def write_truth(truth: PhantomTruth, path: str | Path) -> None:
 
 
 def read_truth(path: str | Path) -> PhantomTruth:
-    """Read a truth.json written by write_truth; a malformed file raises
-    ValueError naming it."""
+    """Read a truth.json written by write_truth; a missing, unreadable or
+    malformed file raises ValueError naming it."""
     data = read_json(path)
-    try:
+    with reading(path):
         return truth_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -34,13 +33,6 @@ from .imaging import (
 )
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
-
-
-@runtime_checkable
-class ScorerHandle(Protocol):
-    """Anything that maps an image to scored candidate boxes."""
-
-    def detect(self, img: ImageGrid) -> list[ScoredBox]: ...
 
 
 @functools.lru_cache(maxsize=32)
@@ -164,7 +156,7 @@ def mil_image_score(boxes: list[ScoredBox]) -> float:
     return max(b.score for b in boxes)
 
 
-def ensemble_image_score(scorers: list[ScorerHandle], img: ImageGrid) -> float:
+def ensemble_image_score(scorers: list[BlobScorer], img: ImageGrid) -> float:
     """Mean of max-box scores over the scorers.
 
     There is no mirrored second pass: BlobScorer's symmetric kernels make

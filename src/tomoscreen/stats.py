@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, reading
 from .seeds import rng_stream
 
 RECALL_BIRADS = 3  # BIRADS >= 3 means recall
@@ -778,10 +778,8 @@ def write_cases_csv(cases: list[CaseRecord], path: str | Path) -> None:
 
 
 def read_cases_csv(path: str | Path) -> list[CaseRecord]:
-    try:
+    with reading(path):
         return cases_from_csv(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_roc_csv(roc: RocAnalysis, path: str | Path) -> None:

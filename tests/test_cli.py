@@ -28,7 +28,6 @@ from tomoscreen.cli import (
     EXIT_OK,
     RunConfig,
     config_from_dict,
-    config_payload,
     load_config,
     main,
     reader_profiles,
@@ -225,11 +224,13 @@ class TestRunConfig:
         assert cfg.seed == 9
         assert cfg.n_slices == 12
 
-    def test_payload_excludes_paths(self):
-        cfg = config_from_dict({"out_dir": "/tmp/x", "cases_dir": "/tmp/y", "seed": 1})
-        payload = config_payload(cfg)
-        assert "out_dir" not in payload and "cases_dir" not in payload
-        assert payload["seed"] == 1
+    def test_path_keys_are_unknown(self, tmp_path, capsys):
+        # paths come only from --out and --cases, never from a config file
+        for key in ("out_dir", "cases_dir"):
+            cfg = write_config(tmp_path, **{key: str(tmp_path / "x")})
+            code = main(["phantom", "gen", "--config", cfg, "--out", str(tmp_path / "o")])
+            assert code == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: {key}\n"
 
 
 class TestReaderSynthesis:
@@ -282,11 +283,19 @@ class TestExitCodes:
         code = main(["phantom", "gen", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
-    def test_missing_input_file(self, tmp_path):
-        code = main(
-            ["eval", "roc", "--cases", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
-        )
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        code = main(["eval", "roc", "--cases", str(missing), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_unwritable_output_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["eval", "roc", "--cases", scored_csv(tmp_path), "--out", str(out)])
         assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
     def test_grid_too_large_for_memory(self, tmp_path, capsys):
         # 8e16 bytes per field: larger than any address space, so numpy's
@@ -711,6 +720,12 @@ class TestJsonInputsNameTheirFile:
         assert code == EXIT_CONFIG
         assert f"{path}: " in err
 
+    def test_view_path_with_a_newline_is_one_line(self, tmp_path):
+        path = write_study(tmp_path, [{"breast": "left", "view": "cc", "path": "a\n.pgm"}])
+        code, err = run_quietly(["score", "study", "--manifest", str(path), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert err == f"error: {path}: {tmp_path}/a\\n.pgm: No such file or directory\n"
+
     @pytest.mark.parametrize("reader", READERS)
     @settings(max_examples=40)
     @given(data=st.data())
@@ -720,11 +735,87 @@ class TestJsonInputsNameTheirFile:
             args, path = json_input_run(reader, root)
             path.write_bytes(data.draw(damaged(path.read_bytes()), label="content"))
             code, err = run_quietly(args + ["--out", str(root / "o")])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_IO)
-        # a damaged view path may point at a missing image, which the
-        # I/O error names instead of the manifest
-        if code != EXIT_OK and not (code == EXIT_IO and reader == "study manifest"):
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code != EXIT_OK:
             assert str(path) in err
+
+
+def bundle_run(stage: str, root: Path) -> tuple[list[str], list[Path]]:
+    """Arguments of a run of `stage` that succeeds on the bundle as
+    written, and the bundle's files: every input the run reads."""
+    cfg = Path(write_config(root))
+    run = ["--config", str(cfg), "--out", str(root / "o")]
+    volume = Volume(np.full((3, 40, 40), 1000.0))
+    if stage == "condense --cases":
+        lesion = LesionSpec(20.0, 20.0, 6.0, 1, 2, 100.0, True)
+        for case_id in ("cancer-0000", "cancer-0001"):
+            write_volume(volume, root / "cases" / case_id)
+            truth = PhantomTruth(case_id, (lesion,), True)
+            write_truth(truth, root / "cases" / case_id / "truth.json")
+        run = ["condense", "run", "--cases", str(root / "cases"), *run]
+    elif stage == "condense --volume":
+        write_volume(volume, root / "vol")
+        run = ["condense", "run", "--volume", str(root / "vol"), *run]
+    elif stage == "score study":
+        run = ["score", "study", "--manifest", str(write_study(root, TWO_VIEWS)), *run]
+    elif stage == "eval roc":
+        run = ["eval", "roc", "--cases", scored_csv(root), *run]
+    elif stage == "eval delong":
+        a, b = scored_csv(root, name="a.csv"), scored_csv(root, name="b.csv")
+        run = ["eval", "delong", "--cases-a", a, "--cases-b", b, *run]
+    else:
+        assert stage == "eval size-matched --target"
+        target = root / "target.json"
+        target.write_text(json.dumps({"bin_edges": [10.0, 20.0], "shares": [0.3, 0.3, 0.4]}))
+        table = scored_csv(root, sizes=True)
+        run = ["eval", "size-matched", "--cases", table, "--target", str(target), *run]
+    members = sorted(p for p in root.rglob("*") if p.is_file())
+    return run, members
+
+
+def truncate_csv(text: str, draw) -> str:
+    """`text` cut inside one line, before that line's last comma: a row
+    then has too few fields, and a cut header leaves no rows."""
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    start = sum(map(len, lines[:i]))
+    return text[: draw(st.integers(start + 1, start + lines[i].rindex(",")))]
+
+
+class TestDamagedBundles:
+    """A bundle member that is missing, a directory, or truncated ends in
+    exit 2 with one line naming it, at every stage that reads bundles."""
+
+    STAGES = (
+        "condense --cases", "condense --volume", "score study", "eval roc",
+        "eval delong", "eval size-matched --target",
+    )
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_exits_two_naming_the_member(self, data):
+        stage = data.draw(st.sampled_from(self.STAGES), label="stage")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            args, members = bundle_run(stage, root)
+            damage = data.draw(st.sampled_from(["delete", "directory", "truncate"]), label="damage")
+            if damage == "truncate":
+                members = [p for p in members if p.suffix in (".pgm", ".csv")]
+            path = data.draw(st.sampled_from(members), label="member")
+            if damage == "truncate" and path.suffix == ".pgm":
+                raw = path.read_bytes()
+                path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            elif damage == "truncate":
+                path.write_text(truncate_csv(path.read_text(), data.draw))
+            else:
+                path.unlink()
+                if damage == "directory":
+                    path.mkdir()
+            code, err = run_quietly(args)
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
 
 
 class TestPhantomGen:

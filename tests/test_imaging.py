@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from tomoscreen import imaging, phantom, scorer
+from tomoscreen.miltrain import N_FEATURES, TrainingCase
 from tomoscreen.imaging import (
     ImageGrid,
     Volume,
@@ -58,6 +59,25 @@ class TestImageGrid:
         assert (img.height, img.width) == (2, 3)
         assert img == ImageGrid(np.arange(6, dtype=np.float64).reshape(2, 3))
         assert img != ImageGrid(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "build, shape, field",
+    [
+        (ImageGrid, (2, 2), "data"),
+        (Volume, (2, 2, 2), "data"),
+        (lambda a: TrainingCase("x", a, True), (2, N_FEATURES), "features"),
+    ],
+    ids=["ImageGrid", "Volume", "TrainingCase"],
+)
+def test_freezing_leaves_the_callers_array_writable(build, shape, field):
+    caller = np.zeros(shape)
+    held = getattr(build(caller), field)
+    caller[(0,) * caller.ndim] = 1.0
+    assert caller.flags.writeable and not held.flags.writeable
+    assert np.shares_memory(caller, held)  # no copy was made
+    with pytest.raises(ValueError):
+        held[(0,) * held.ndim] = 2.0
 
 
 class TestVolume:
