@@ -11,9 +11,9 @@ one process. Configuration is a JSON file; flags override file values.
 --out directory, runs the stage, writes run_manifest.json (only when the
 stage succeeded), prints the stage's one-line summary and maps failures
 to exit codes: 2 for a config, flag or input file that is missing,
-unreadable or malformed (one line `error: <path>: <reason>` naming the
-file), 3 for an output that cannot be written and for running out of
-memory, 4 for numeric failures.
+unreadable or malformed, 3 for an output that cannot be written (both
+one line `error: <path>: <reason>` naming the file) or for running out
+of memory, 4 for numeric failures.
 
 Every subcommand writes only into its --out directory; the manifest
 records the resolved config, its sha256, the seed, and tool versions, so
@@ -33,6 +33,7 @@ import json
 import math
 import platform
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ from .condense import (
     study_max_box_score,
     trimmed_slices,
 )
-from .errors import ConfigError, NumericError, reading
+from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
     ImageGrid,
     normalize_range,
@@ -337,11 +338,17 @@ def _build_operators(cfg: RunConfig) -> None:
     _build_detectors(cfg.height, cfg.width)
 
 
-def _composite(norm, threshold: float, iou: float):
-    """Condense a normalized volume: detect on its trimmed slices, keep
-    the boxes at or above the threshold that survive NMS, and paint them."""
-    boxes = detect_slices(norm, default_condense_scorer(), trimmed_slices(norm.n_slices))
-    return build_optimized_image(norm, aggregate_boxes(boxes, threshold, iou))
+ScoredCase = namedtuple("ScoredCase", "opt slice_boxes composite_boxes score")
+
+
+def _condense_and_score(norm, threshold: float, iou: float) -> ScoredCase:
+    """Condense a normalized volume: detect on its trimmed slices (slice_boxes), paint the
+    boxes at or above the threshold that survive NMS (opt), then score the composite by its
+    boxes from each ensemble scorer (composite_boxes; the condense scorer is the last)."""
+    slice_boxes = detect_slices(norm, default_condense_scorer(), trimmed_slices(norm.n_slices))
+    opt = build_optimized_image(norm, aggregate_boxes(slice_boxes, threshold, iou))
+    boxes = [s.detect(opt.image) for s in default_ensemble()]
+    return ScoredCase(opt, slice_boxes, boxes, ensemble_image_score(boxes))
 
 
 def _select_threshold(cfg: RunConfig, threads: int) -> float:
@@ -349,11 +356,10 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
     that keeps target_sensitivity of it."""
     if cfg.n_validation < 1:
         raise ConfigError("threshold selection needs n_validation >= 1")
-    scorer = default_condense_scorer()
 
     def one(i: int) -> float:
         vol, _ = _case(cfg, f"val-{i:04d}", True)
-        return study_max_box_score(normalize_volume(vol), scorer)
+        return study_max_box_score(normalize_volume(vol), default_condense_scorer())
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
     return choose_score_threshold(
@@ -402,12 +408,12 @@ def synthetic_birads(
 
 
 def _roc(cases: list[CaseRecord], cfg: RunConfig):
-    """The curve, the AUC bootstrap, the {auc, auc_ci, n_resamples} block
-    and the `operating` block, which reads each rate off the curve at the
-    other's target."""
+    """The curve, the AUC bootstrap, the {auc, auc_ci, n_resamples, n_redraws} block and
+    the `operating` block, which reads each rate off the curve at the other's target."""
     roc = roc_and_auc(cases)
     boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
     block = {"auc": roc.auc, "auc_ci": [boot.lo, boot.hi], "n_resamples": boot.n_resamples}
+    block["n_redraws"] = boot.n_redraws
     operating = {
         "specificity_target": 0.9,
         "sensitivity_at_target": sensitivity_at_specificity(roc, 0.9),
@@ -491,13 +497,12 @@ def _condense_one_volume(vol, threshold: float, iou: float, case_dir: Path):
     """Condense a volume and write its composite artifacts; returns the
     ensemble score of the composite. optimized.pgm holds the raw volume's
     pixels picked by the composite's provenance."""
-    opt = _composite(normalize_volume(vol), threshold, iou)
+    opt, _, _, score = _condense_and_score(normalize_volume(vol), threshold, iou)
     case_dir.mkdir(parents=True, exist_ok=True)
     raw = np.take_along_axis(vol.data, opt.provenance[None], axis=0)[0]
     write_pgm(ImageGrid(raw), case_dir / "optimized.pgm")
     write_pgm(ImageGrid(opt.provenance.astype(np.float64)), case_dir / "provenance.pgm")
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
-    score = ensemble_image_score(default_ensemble(), opt.image)
     write_json(
         {"score": score, "n_boxes": len(opt.kept_boxes), "clip_warnings": list(opt.clip_warnings)},
         case_dir / "score.json",
@@ -525,12 +530,9 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     def one(case_dir: Path) -> CaseRecord:
         vol = read_volume(case_dir)
         truth = read_truth(case_dir / "truth.json")
-        score = _condense_one_volume(
-            vol, threshold, cfg.iou_threshold, out / "cases" / case_dir.name
-        )
-        return CaseRecord(
-            case_id=truth.case_id, label=truth.label, score=score, tumor_size_mm=truth.tumor_size_mm
-        )
+        case_out = out / "cases" / case_dir.name
+        score = _condense_one_volume(vol, threshold, cfg.iou_threshold, case_out)
+        return CaseRecord(truth.case_id, truth.label, score, truth.tumor_size_mm)
 
     records = _parallel_map(one, case_dirs, args.threads)
     write_cases_csv(records, out / "cases.csv")
@@ -553,8 +555,8 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
         for entry in views:
             if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
                 raise ValueError("each view needs 'breast', 'view', 'path'")
-            img = read_pgm(manifest_path.parent / entry["path"])
-            score = ensemble_image_score(scorers, normalize_range(img))
+            img = normalize_range(read_pgm(manifest_path.parent / entry["path"]))
+            score = ensemble_image_score([s.detect(img) for s in scorers])
             view_scores.append(ViewScore(case_id, entry["breast"], entry["view"], score))
 
     by_breast: dict[str, list[ViewScore]] = {}
@@ -576,17 +578,16 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
 def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
-    detector = default_condense_scorer()
     _build_operators(cfg)
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
         vol, truth = _case(cfg, case_id, cancer)
-        image = _composite(normalize_volume(vol), 0.0, cfg.iou_threshold).image
-        candidates = detector.detect(image)
+        case = _condense_and_score(normalize_volume(vol), 0.0, cfg.iou_threshold)
+        candidates = case.composite_boxes[-1]  # the condense scorer's
         if not candidates:
             return None
-        return TrainingCase(case_id, candidate_features(image, candidates), truth.label)
+        return TrainingCase(case_id, candidate_features(case.opt.image, candidates), truth.label)
 
     ids = _cohort_ids("train-", cfg.n_train_cancer, cfg.n_train_negative)
     cases = [c for c in _parallel_map(one, ids, args.threads) if c is not None]
@@ -625,7 +626,6 @@ def cmd_eval_roc(args, cfg: RunConfig, out: Path) -> str:
         **block,
         "n_cases": len(cases),
         "n_cancer": sum(c.label for c in cases),
-        "n_redraws": boot.n_redraws,
         "operating": operating,
         "seed": cfg.seed,
     }
@@ -699,21 +699,18 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     _build_operators(cfg)
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
-    scorers = default_ensemble()
 
     def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord]:
         case_id, cancer = item
         vol, truth = _case(cfg, case_id, cancer)
         norm = normalize_volume(vol)
-        image = _composite(norm, threshold, cfg.iou_threshold).image
-        record = CaseRecord(
-            case_id=truth.case_id,
-            label=truth.label,
-            score=ensemble_image_score(scorers, image),
-            tumor_size_mm=truth.tumor_size_mm,
-            reader_birads=synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles),
-        )
-        center_score = ensemble_image_score(scorers, norm.slice(norm.n_slices // 2))
+        case = _condense_and_score(norm, threshold, cfg.iou_threshold)
+        birads = synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles)
+        record = CaseRecord(truth.case_id, truth.label, case.score, truth.tumor_size_mm, birads)
+        c = norm.n_slices // 2  # always trimmed in, so slice_boxes hold the last scorer's term
+        center = [s.detect(norm.slice(c)) for s in default_ensemble()[:-1]]
+        center.append([b for b in case.slice_boxes if b.slice_index == c])
+        center_score = ensemble_image_score(center)
         return record, dataclasses.replace(record, score=center_score, reader_birads=None)
 
     ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)
@@ -851,10 +848,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = exc if exc.filename is None else f"{one_line(exc.filename)}: {exc.strerror}"
+        print(f"error: {where}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as exc:  # e.g. a grid too large to allocate
-        where = f"{args.config}: " if args.config else ""
+        where = f"{one_line(args.config)}: " if args.config else ""
         print(f"error: out of memory: {where}{exc or 'allocation failed'}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ValueError) as exc:

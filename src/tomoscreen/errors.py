@@ -1,7 +1,7 @@
-"""Exception types shared across the package, and `reading`, the one
-guard that names a failing input: a missing, unreadable or malformed
-file becomes ValueError("<path>: <reason>"), which the CLI exits 2 on.
-"""
+"""Exception types shared across the package, `one_line` (a path as one
+line of text) and `reading`, the one guard that names a failing input: a
+missing, unreadable or malformed file becomes ValueError("<path>: <reason>"),
+which the CLI exits 2 on."""
 
 import contextlib
 
@@ -14,13 +14,18 @@ class NumericError(Exception):
     """Raised when a computation diverges or loses numeric validity."""
 
 
+def one_line(path) -> str:
+    """`path` as text with control characters escaped, so it fits one line."""
+    return repr(str(path))[1:-1]
+
+
 @contextlib.contextmanager
 def reading(*paths):
-    """Name `paths` (control characters escaped: one line) in any OSError
-    or ValueError raised inside the block; an OSError's reason is its strerror."""
+    """Name `paths` (via one_line) in any OSError or ValueError raised
+    inside the block; an OSError's reason is its strerror."""
     try:
         yield
     except (OSError, ValueError) as exc:
         reason = (exc.strerror or exc) if isinstance(exc, OSError) else exc
-        names = ", ".join(repr(str(path))[1:-1] for path in paths)
+        names = ", ".join(one_line(path) for path in paths)
         raise ValueError(f"{names}: {reason}") from exc

@@ -140,13 +140,9 @@ def default_condense_scorer() -> BlobScorer:
     Its boxes (2.5x the prior) are the patches that get painted, so the
     prior must be generous enough that a whole lesion fits inside one
     box; cropping a lesion at a patch boundary costs response when the
-    composite is re-scored.
+    composite is re-scored. It is the ensemble's last scorer.
     """
-    return BlobScorer(
-        radius_prior=DEFAULT_RADIUS_PRIORS[-1],
-        response_floor=DEFAULT_RESPONSE_FLOOR,
-        response_scale=DEFAULT_RESPONSE_SCALE,
-    )
+    return default_ensemble()[-1]
 
 
 def mil_image_score(boxes: list[ScoredBox]) -> float:
@@ -156,16 +152,17 @@ def mil_image_score(boxes: list[ScoredBox]) -> float:
     return max(b.score for b in boxes)
 
 
-def ensemble_image_score(scorers: list[BlobScorer], img: ImageGrid) -> float:
-    """Mean of max-box scores over the scorers.
+def ensemble_image_score(boxes_per_scorer: list[list[ScoredBox]]) -> float:
+    """Mean of max-box scores over the scorers, given each scorer's boxes on
+    one image (`[s.detect(img) for s in scorers]`), which a caller may reuse.
 
     There is no mirrored second pass: BlobScorer's symmetric kernels make
     its detections on a column-reversed image the mirror of those on the
     image, with equal scores, so a flip would only repeat each term.
     """
-    if not scorers:
+    if not boxes_per_scorer:
         raise ValueError("ensemble needs at least one scorer")
-    return math.fsum(mil_image_score(s.detect(img)) for s in scorers) / len(scorers)
+    return math.fsum(mil_image_score(b) for b in boxes_per_scorer) / len(boxes_per_scorer)
 
 
 @dataclass(frozen=True)

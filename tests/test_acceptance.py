@@ -325,6 +325,10 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
     )
     ensemble = default_ensemble()
     detector = default_condense_scorer()
+
+    def ensemble_score(img):
+        return ensemble_image_score([s.detect(img) for s in ensemble])
+
     labels = []
     scores = {k: [] for k in ("optimized", "center", "projection", "slice_max")}
     for i in range(2 * n_per_class):
@@ -337,13 +341,9 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
         trimmed = trimmed_slices(vol.n_slices)
         kept = aggregate_boxes([b for b in boxes if b.slice_index in trimmed], 0.0, 0.2)
         labels.append(cancer)
-        scores["optimized"].append(
-            ensemble_image_score(ensemble, build_optimized_image(norm, kept).image)
-        )
-        scores["center"].append(
-            ensemble_image_score(ensemble, norm.slice(vol.n_slices // 2))
-        )
-        scores["projection"].append(ensemble_image_score(ensemble, project_dm(vol)))
+        scores["optimized"].append(ensemble_score(build_optimized_image(norm, kept).image))
+        scores["center"].append(ensemble_score(norm.slice(vol.n_slices // 2)))
+        scores["projection"].append(ensemble_score(project_dm(vol)))
         scores["slice_max"].append(mil_image_score(boxes))
     y = np.array(labels)
     return {k: auc_mann_whitney(np.array(v), y) for k, v in scores.items()}
@@ -539,7 +539,11 @@ def _run_pipeline(root: Path, config: str, threads: int) -> dict[str, bytes]:
         )
         == EXIT_OK
     )
-    assert main(["train", "mil", "--config", config, "--out", str(root / "train")]) == EXIT_OK
+    assert (
+        main(["train", "mil", "--config", config, "--out", str(root / "train"),
+              "--threads", str(threads)])
+        == EXIT_OK
+    )
     assert (
         main(["eval", "roc", "--config", config, "--cases", str(cond / "cases.csv"),
               "--out", str(root / "roc")])

@@ -33,8 +33,16 @@ from tomoscreen.cli import (
     reader_profiles,
     synthetic_birads,
 )
+from tomoscreen.condense import trimmed_slices
 from tomoscreen.errors import ConfigError
-from tomoscreen.imaging import ImageGrid, Volume, read_json, write_pgm, write_volume
+from tomoscreen.imaging import (
+    ImageGrid,
+    Volume,
+    normalize_volume,
+    read_json,
+    write_pgm,
+    write_volume,
+)
 from tomoscreen.phantom import (
     NOISE_SIGMA_MAX,
     LesionSpec,
@@ -42,6 +50,7 @@ from tomoscreen.phantom import (
     read_truth,
     write_truth,
 )
+from tomoscreen.scorer import default_ensemble, ensemble_image_score
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
 
 QUICK = {
@@ -294,8 +303,22 @@ class TestExitCodes:
         out.write_text("")
         code = main(["eval", "roc", "--cases", scored_csv(tmp_path), "--out", str(out)])
         assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+        assert capsys.readouterr().err == f"error: {out}: File exists\n"
+
+    def test_unwritable_output_with_a_newline_is_one_line(self, tmp_path, capsys):
+        out = tmp_path / "tak\nen"
+        out.write_text("")
+        code = main(["eval", "roc", "--cases", scored_csv(tmp_path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {tmp_path}/tak\\nen: File exists\n"
+
+    def test_output_file_that_is_a_directory_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "roc.csv").mkdir(parents=True)
+        code = main(["eval", "roc", "--cases", scored_csv(tmp_path), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {out / 'roc.csv'}: Is a directory\n"
+        assert not (out / "run_manifest.json").exists()
 
     def test_grid_too_large_for_memory(self, tmp_path, capsys):
         # 8e16 bytes per field: larger than any address space, so numpy's
@@ -309,6 +332,15 @@ class TestExitCodes:
         assert err.startswith(f"error: out of memory: {cfg}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "run_manifest.json").exists()
+
+    def test_out_of_memory_with_a_newline_in_the_config_path_is_one_line(self, tmp_path, capsys):
+        side = 10**8  # fails at allocation, as in test_grid_too_large_for_memory
+        cfg = write_config(tmp_path, "a\nb.json", width=side, height=side, n_cancer=1, n_negative=0)
+        code = main(["phantom", "gen", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory: {tmp_path}/a\\nb.json: ")
+        assert err.count("\n") == 1
 
     def test_numeric_abort_on_hopeless_bootstrap(self, tmp_path):
         csv_path = scored_csv(tmp_path, n_pos=1, n_neg=6)
@@ -1063,6 +1095,64 @@ class TestTrainMil:
         args = ["train", "mil", "--config", cfg, "--out", str(out), "--threads", "1"]
         assert main(args) == EXIT_OK
         assert rows and len(calls) == sum(rows)
+
+
+def count_detections(monkeypatch) -> list:
+    """Patch BlobScorer.detect to record one entry per call."""
+    calls = []
+
+    def counting(self, img, _original=scorer_module.BlobScorer.detect):
+        calls.append(1)
+        return _original(self, img)
+
+    monkeypatch.setattr(scorer_module.BlobScorer, "detect", counting)
+    return calls
+
+
+class TestSingleDetectionPass:
+    """Each image is detected once per scorer: a composite's boxes give
+    both its score and train mil's candidates, and report's center-slice
+    score reuses the condense scorer's boxes on that slice."""
+
+    def test_report(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, n_slices=12, n_cancer=6, n_negative=6)
+        calls = count_detections(monkeypatch)
+        out = tmp_path / "report"
+        assert main(["report", "--config", cfg, "--out", str(out), "--threads", "1"]) == EXIT_OK
+        trimmed = len(trimmed_slices(12))
+        assert trimmed == 10
+        n_cases = 12
+        assert len(calls) == QUICK["n_validation"] * trimmed + n_cases * (trimmed + 5)
+        monkeypatch.undo()
+
+        run = load_config(cfg, {})
+        center = read_cases_csv(out / "cases_center.csv")
+        assert len(center) == n_cases
+        for record in center:
+            vol, _ = cli_module._case(run, record.case_id, record.label)
+            img = normalize_volume(vol).slice(vol.n_slices // 2)
+            assert record.score == ensemble_image_score([s.detect(img) for s in default_ensemble()])
+
+    def test_train_mil(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, width=64, height=80, n_slices=12)
+        calls = count_detections(monkeypatch)
+        args = ["train", "mil", "--config", cfg, "--out", str(tmp_path / "t"), "--threads", "1"]
+        assert main(args) == EXIT_OK
+        n_train = QUICK["n_train_cancer"] + QUICK["n_train_negative"]
+        assert len(calls) == n_train * (len(trimmed_slices(12)) + 3)
+
+
+class TestReportSummary:
+    def test_model_block_is_eval_rocs(self, tmp_path):
+        cfg = write_config(tmp_path, n_cancer=6, n_negative=6)
+        out = tmp_path / "report"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        roc = tmp_path / "roc"
+        args = ["eval", "roc", "--config", cfg, "--cases", str(out / "cases.csv")]
+        assert main(args + ["--out", str(roc)]) == EXIT_OK
+        model = read_json(out / "summary.json")["model"]
+        assert sorted(model) == ["auc", "auc_ci", "n_redraws", "n_resamples"]
+        assert model == {k: v for k, v in read_json(roc / "summary.json").items() if k in model}
 
 
 class TestEvalRoc:

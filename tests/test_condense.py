@@ -322,8 +322,9 @@ class TestCondenseVolume:
         norm = normalize_volume(vol)
         kept = condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2)
         ensemble = default_ensemble()
-        opt_score = ensemble_image_score(ensemble, build_optimized_image(norm, kept).image)
-        ctr_score = ensemble_image_score(ensemble, norm.slice(10))
+        opt = build_optimized_image(norm, kept).image
+        opt_score = ensemble_image_score([s.detect(opt) for s in ensemble])
+        ctr_score = ensemble_image_score([s.detect(norm.slice(10)) for s in ensemble])
         assert opt_score > ctr_score
 
 

@@ -166,7 +166,7 @@ class TestFoldedResponse:
         scorer_module._smoothing_operator.cache_clear()
         slices = phantom_slices()
         for img in slices:
-            ensemble_image_score(default_ensemble(), img)
+            ensemble_image_score([s.detect(img) for s in default_ensemble()])
         # 3 scorers x (fine, coarse) x (height, width), each built once
         assert len(calls) == len(set(calls)) == 12
         h, w = slices[0].data.shape
@@ -275,6 +275,9 @@ class TestDefaults:
         assert tuple(s.radius_prior for s in default_ensemble()) == DEFAULT_RADIUS_PRIORS
 
     def test_condense_scorer_is_largest_prior(self):
+        # report's center-slice score reuses the condense scorer's slice
+        # boxes as the last ensemble term, so the two must be equal
+        assert default_condense_scorer() == default_ensemble()[-1]
         assert default_condense_scorer().radius_prior == DEFAULT_RADIUS_PRIORS[-1]
 
     def test_shared_floor_and_scale(self):
@@ -334,7 +337,8 @@ class TestEnsembleImageScore:
     def test_mean_over_scorers(self):
         scorers = [StubScorer(0.1), StubScorer(0.3), StubScorer(0.9)]
         img = probe_image()
-        assert ensemble_image_score(scorers, img) == math.fsum([0.1, 0.3, 0.9]) / 3
+        score = ensemble_image_score([s.detect(img) for s in scorers])
+        assert score == math.fsum([0.1, 0.3, 0.9]) / 3
         # each scorer runs once, on the image exactly as presented
         assert all(len(s.seen) == 1 and s.seen[0] is img for s in scorers)
 
@@ -342,15 +346,17 @@ class TestEnsembleImageScore:
         a = [StubScorer(0.1), StubScorer(0.3), StubScorer(0.7)]
         b = [a[2], a[0], a[1]]
         img = probe_image()
-        assert ensemble_image_score(a, img) == ensemble_image_score(b, img)
+        boxes_a = [s.detect(img) for s in a]
+        boxes_b = [s.detect(img) for s in b]
+        assert ensemble_image_score(boxes_a) == ensemble_image_score(boxes_b)
 
     def test_empty_scorer_list_rejected(self):
         with pytest.raises(ValueError):
-            ensemble_image_score([], probe_image())
+            ensemble_image_score([])
 
     def test_real_detector_on_lesion_slice(self):
         img, _ = lesion_slice(contrast=200.0)
-        score = ensemble_image_score(default_ensemble(), img)
+        score = ensemble_image_score([s.detect(img) for s in default_ensemble()])
         assert 0.5 < score < 1.0
 
 
