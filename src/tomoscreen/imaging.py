@@ -150,8 +150,11 @@ def maximum_filter(input, **kwargs):
 # E (a + b) + O (a - b) and its reversed second half E (a + b) - O (a - b),
 # where E and O are half the sum and difference of M's top-left block and
 # its column mirror. That is half the multiply-adds of M, and the result
-# is exactly mirror-equivariant: reversing the input swaps a and b, which
-# leaves a + b bitwise unchanged and negates a - b exactly.
+# is mirror-equivariant bit for bit, up to the sign of a zero: reversing
+# the input swaps a and b, which leaves a + b bitwise unchanged and
+# negates a - b exactly, except that a zero a - b is +0.0 either way, so
+# an output that sums to zero can be +0.0 on one side and -0.0 on the
+# other. The two zeros compare equal, so no score or box depends on it.
 # ---------------------------------------------------------------------------
 
 

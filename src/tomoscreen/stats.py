@@ -9,7 +9,11 @@ in row blocks, which equal one up-front draw of the whole index matrix,
 so neither the thread count nor the block size can change a result.
 Bootstrap, paired-delta and size-matched resamples are evaluated a block
 at a time on per-resample count matrices over tie groups, with no
-Python loop per resample.
+Python loop per resample. Paired-delta blocks count reader recalls per
+distinct recall pattern and find each reader's curve bracket by integer
+search; size-matched blocks map their doubles through a bucketed,
+bracketed inverse CDF, and the negatives' generator is advanced past the
+positives' doubles without drawing them.
 
 Scores are grouped into ties and counted per class in one place,
 _class_counts; every ROC point, AUC and DeLong component is read off
@@ -331,11 +335,23 @@ def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.nda
     groups, and point n_groups recalls nothing. A group the row did not
     draw only repeats a point, and the first point of each run of equal
     specificity has the run's best sensitivity.
+
+    Reader recalls come from pattern counts: the drawn cases are counted
+    per distinct recall pattern (a case's class and the readers who
+    recalled it), and those counts times the pattern matrix give each
+    reader's recalls per class, sums of small integers and so exact. The
+    curve point below each reader's specificity is found by integer
+    search: spec = neg_below / n_neg rises with the integer neg_below, and
+    distinct integers give distinct quotients, so the points at or below a
+    target are those with neg_below <= M, M the largest m with
+    m / n_neg <= target.
     """
     _, _, counts = _class_counts(scores, labels)
-    # reader recalls split by class, so one matmul counts both per row
     by_class = np.concatenate([recalls & labels[:, None], recalls & ~labels[:, None]], axis=1)
-    by_class = by_class.astype(np.float64)
+    patterns, pattern = np.unique(by_class, axis=0, return_inverse=True)
+    patterns = patterns.astype(np.float64)
+    pattern = pattern.reshape(-1)
+    n_patterns = patterns.shape[0]
     n_readers = recalls.shape[1]
 
     def block(idx: np.ndarray):
@@ -345,10 +361,10 @@ def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.nda
         n_pos_col = np.where(defined, n_pos, 1)[:, None]
         n_neg_col = np.where(defined, n_neg, 1)[:, None]
 
-        # case multiplicities; products and sums of small integers are exact
-        keys = idx + _row_offsets(rows, n)
-        mult = np.bincount(keys.ravel(), minlength=rows * n).reshape(rows, n)
-        recalled = np.dot(mult.astype(np.float64), by_class)
+        keys = pattern[idx]
+        keys += _row_offsets(rows, n_patterns)
+        drawn = np.bincount(keys.ravel(), minlength=rows * n_patterns)
+        recalled = np.dot(drawn.reshape(rows, n_patterns).astype(np.float64), patterns)
         reader_sens = recalled[:, :n_readers] / n_pos_col
         target = 1.0 - recalled[:, n_readers:] / n_neg_col
 
@@ -358,20 +374,31 @@ def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.nda
         pos_below = np.zeros_like(neg_below)
         np.cumsum(neg, axis=1, out=neg_below[:, 1:])
         np.cumsum(pos, axis=1, out=pos_below[:, 1:])
-        spec = neg_below / n_neg_col
+
+        # M from floor(target * n_neg), off by at most one either way
+        m = np.floor(target * n_neg_col).astype(np.int64)
+        m += (m + 1) / n_neg_col <= target
+        m -= m / n_neg_col > target
+
+        # each row's counts laid end to end, row r offset by r (n + 1) so
+        # that the whole is ascending: one search finds a flat index into
+        # every row's points at once
+        offsets = _row_offsets(rows, n + 1)
+        laid = (neg_below + offsets).ravel()
+        neg_flat, pos_flat = neg_below.ravel(), pos_below.ravel()
+        last = _row_offsets(rows, neg_below.shape[1]) + neg_below.shape[1] - 1
 
         def sens_at(points):
-            return (n_pos_col - np.take_along_axis(pos_below, points, axis=1)) / n_pos_col
+            return (n_pos_col - pos_flat[points]) / n_pos_col
 
         # np.interp: lo is the last point at or below the target (spec
         # starts at 0 <= target), and the point after lo starts the next
         # run; lo's value is the sensitivity at the first point of its run
-        lo = np.count_nonzero(spec[:, None, :] <= target[:, :, None], axis=2) - 1
-        x_lo = np.take_along_axis(spec, lo, axis=1)
-        y_lo = sens_at(np.count_nonzero(spec[:, None, :] < x_lo[:, :, None], axis=2))
-        last = spec.shape[1] - 1
+        lo = np.searchsorted(laid, m + offsets, side="right") - 1
+        x_lo = neg_flat[lo] / n_neg_col
+        y_lo = sens_at(np.searchsorted(laid, laid[lo], side="left"))
         hi = np.minimum(lo + 1, last)
-        x_hi = np.take_along_axis(spec, hi, axis=1)
+        x_hi = neg_flat[hi] / n_neg_col
         exact = (lo == last) | (x_lo == target)
         with np.errstate(invalid="ignore", divide="ignore"):
             slope = (sens_at(hi) - y_lo) / (x_hi - x_lo)
@@ -393,6 +420,8 @@ def paired_delta_pvalue(
     sensitivity at that reader's specificity; p is the fraction of
     resamples where the mean difference (model - readers) is negative.
     """
+    if not reader_ids:
+        raise ValueError("paired delta needs at least one reader")
     scores, labels = _split_arrays(cases)
     recalls = _birads_matrix(cases, reader_ids) >= RECALL_BIRADS
     delta = _matched_delta_block(scores, labels, recalls)
@@ -590,6 +619,44 @@ def source_histogram(sizes: np.ndarray, bin_edges=DEFAULT_SIZE_BIN_EDGES) -> Siz
     return SizeHistogram(bin_edges=tuple(bin_edges), shares=tuple(counts / counts.sum()))
 
 
+# Buckets of the bracketed inverse CDF, a power of two so that u * k is
+# exact. With 2**16 a key's bucket holds no CDF value for about 99% of
+# the keys on the 700-positive reader-stats table, so few keys need a
+# bisection round; the table takes 512 KiB.
+_CDF_BUCKETS = 1 << 16
+
+
+def _inverse_cdf(cdf: np.ndarray):
+    """lookup(u) == np.searchsorted(cdf, u, "right") for keys u in [0, 1)
+    and an ascending cdf.
+
+    With k = _CDF_BUCKETS buckets of width 1 / k, b = floor(u k) is
+    exact, and the answer lies in [below[b], below[b + 1]], where
+    below[b] counts the values at or below b / k. A vectorized bisection
+    inside that bracket makes the comparisons cdf[j] <= u that
+    searchsorted makes; it ends within log2 of the widest bracket
+    rounds, however many values repeat.
+    """
+    k = _CDF_BUCKETS
+    below = np.searchsorted(cdf, np.arange(k + 1) / k, side="right")
+
+    def lookup(u: np.ndarray) -> np.ndarray:
+        keys = u.ravel()
+        b = (keys * k).astype(np.int64)
+        lo, hi = below[b], below[b + 1]
+        # invariant: cdf[j] <= u below lo, cdf[j] > u from hi on
+        todo = np.flatnonzero(lo < hi)
+        while todo.size:
+            mid = (lo[todo] + hi[todo]) >> 1
+            le = cdf[mid] <= keys[todo]
+            lo[todo[le]] = mid[le] + 1
+            hi[todo[~le]] = mid[~le]
+            todo = todo[lo[todo] < hi[todo]]
+        return lo.reshape(u.shape)
+
+    return lookup
+
+
 @dataclass(frozen=True)
 class SizeMatchedResult:
     mean_auc: float
@@ -617,7 +684,11 @@ def size_matched_auc(
     (one double each, mapped through the inverse CDF of the weights as
     Generator.choice does) followed by every population's negative draws
     (integers). Both are drawn and evaluated in row blocks, so memory is
-    bounded by one block of populations whatever n_populations is.
+    bounded by one block of populations whatever n_populations is. The
+    inverse CDF is a bracketed search (_inverse_cdf) equal to
+    Generator.choice's searchsorted, and the negatives' generator reaches
+    its place in the stream by advancing Philox's counter, not by drawing
+    the positives' doubles a second time.
     """
     if n_populations < 1:
         raise ValueError("n_populations must be >= 1")
@@ -655,27 +726,33 @@ def size_matched_auc(
     # Generator.choice(p=w)'s inverse CDF, built once
     cdf = np.cumsum(w / total)
     cdf /= cdf[-1]
+    choose = _inverse_cdf(cdf)
 
     # The negatives follow every population's positives in the stream: a
     # second generator on it, moved past the positives' doubles, yields
-    # them block by block, so neither index matrix is held whole.
+    # them block by block, so neither index matrix is held whole. Each
+    # double takes one 64-bit output, and Philox4x64 makes four per
+    # counter step.
     rng = rng_stream(seed, "size-matched")
     neg_rng = rng_stream(seed, "size-matched")
-    step = _block_rows(n_pos + n_neg)
-    for start in range(0, n_populations, step):
-        neg_rng.random((min(step, n_populations - start), n_pos))
+    skip = n_populations * n_pos
+    neg_rng.bit_generator.advance(skip // 4)
+    neg_rng.bit_generator.random_raw(skip % 4)
 
     labels = np.concatenate([np.ones(n_pos, dtype=bool), np.zeros(n_neg, dtype=bool)])
     auc = _auc_block(np.concatenate([pos_scores, neg_scores]), labels)
     aucs = np.empty(n_populations, dtype=np.float64)
     tvs = np.empty(n_populations, dtype=np.float64)
+    step = _block_rows(n_pos + n_neg)
+    idx = np.empty((min(step, n_populations), n_pos + n_neg), dtype=np.int64)
     for start in range(0, n_populations, step):
         rows = min(step, n_populations - start)
         block = slice(start, start + rows)
-        pos_rows = np.searchsorted(cdf, rng.random((rows, n_pos)), side="right")
-        neg_rows = neg_rng.integers(0, n_neg, size=(rows, n_neg))
-        aucs[block], _ = auc(np.hstack([pos_rows, neg_rows + n_pos]))
-        keys = bins[pos_rows] + target.n_bins * np.arange(rows)[:, None]
+        drawn = idx[:rows]
+        drawn[:, :n_pos] = choose(rng.random((rows, n_pos)))
+        np.add(neg_rng.integers(0, n_neg, size=(rows, n_neg)), n_pos, out=drawn[:, n_pos:])
+        aucs[block], _ = auc(drawn)
+        keys = bins[drawn[:, :n_pos]] + target.n_bins * np.arange(rows)[:, None]
         got = np.bincount(keys.ravel(), minlength=rows * target.n_bins)
         got = got.reshape(rows, target.n_bins) / n_pos
         tvs[block] = 0.5 * np.abs(got - shares).sum(axis=1)

@@ -415,6 +415,11 @@ class TestPairedDelta:
         with pytest.raises(ValueError):
             paired_delta_pvalue(cases, ["r1", "r9"], n_resamples=10, seed=0)
 
+    def test_no_readers_rejected(self, rng):
+        cases = reader_cases(rng, n_pos=5, n_neg=5, readers=("r1",))
+        with pytest.raises(ValueError, match="^paired delta needs at least one reader$"):
+            paired_delta_pvalue(cases, [], n_resamples=10, seed=0)
+
     def test_hopeless_imbalance_aborts(self, rng):
         cases = reader_cases(rng, n_pos=1, n_neg=6, readers=("r1",))
         with pytest.raises(NumericError):
@@ -533,6 +538,26 @@ reader_rows_strategy = st.integers(min_value=1, max_value=4).flatmap(
 # block sizes in case indices: one row, a few rows, everything at once
 block_strategy = st.sampled_from([1, 50, 97, 1 << 19])
 
+# twelve readers, more than the strategy draws
+TWELVE_READERS = [(k / 8, k % 3 == 0, [(k + j) % 5 + 1 for j in range(12)]) for k in range(9)]
+# the reader recalls exactly the negatives at or above 0.75, so its
+# specificity lies on a curve point in the table and in most resamples
+ON_A_CURVE_POINT = [
+    (0.0, False, [1]), (0.25, False, [2]), (0.5, False, [1]), (0.75, False, [3]),
+    (0.25, True, [3]), (0.75, True, [4]), (1.0, True, [5]), (0.5, True, [1]),
+]
+# the reader recalls 19 of 45 and 2 of 11 negatives, the highest scored:
+# floor(target * n_neg) is one below and one above the count of
+# negatives below the reader's curve point
+FLOOR_ONE_BELOW = [(j / 64, False, [3 if j >= 26 else 1]) for j in range(45)] + [
+    (s / 128, True, [g]) for s, g in ((3, 2), (33, 1), (43, 2), (50, 1), (50, 1), (65, 1))
+]
+FLOOR_ONE_ABOVE = [(j / 64, False, [3 if j >= 9 else 1]) for j in range(11)] + [
+    (s, True, [g]) for s, g in (
+        (7.5 / 64, 3), (8.5 / 64, 1), (9.5 / 64, 4), (0.9, 5), (0.8, 5), (0.7, 1), (0.95, 3)
+    )
+]
+
 
 class TestCountMatrixResampling:
     @settings(max_examples=150)
@@ -549,6 +574,8 @@ class TestCountMatrixResampling:
         seed=1,
         block=97,
     )
+    @example(rows=TWELVE_READERS, n_resamples=300, seed=2, block=50)
+    @example(rows=ON_A_CURVE_POINT, n_resamples=300, seed=2, block=97)
     def test_auc_and_delta_equal_the_per_row_loops(self, rows, n_resamples, seed, block):
         scores = np.array([score for score, _, _ in rows])
         labels = np.array([label for _, label, _ in rows])
@@ -579,6 +606,10 @@ class TestCountMatrixResampling:
         seed=st.integers(min_value=0, max_value=3),
         block=block_strategy,
     )
+    @example(rows=TWELVE_READERS, n_resamples=300, seed=3, block=1 << 19)
+    @example(rows=ON_A_CURVE_POINT, n_resamples=300, seed=3, block=1)
+    @example(rows=FLOOR_ONE_BELOW, n_resamples=40, seed=0, block=97)
+    @example(rows=FLOOR_ONE_ABOVE, n_resamples=40, seed=0, block=97)
     def test_results_equal_the_per_row_loops(self, rows, n_resamples, seed, block):
         cases = [
             CaseRecord(case_id=f"c{i}", label=label, score=score,
@@ -635,6 +666,21 @@ class TestCountMatrixResampling:
         n_populations=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=3),
         block=block_strategy,
+    )
+    # n_populations * n_pos = 9, 10 and 15: the negatives start 1, 2 and 3
+    # outputs into a Philox counter step
+    @example(
+        rows=[(0.5, 4.0), (0.25, 15.0), (1.0, 70.0)], neg_scores=[0.5, 0.0],
+        shares="source", n_populations=3, seed=1, block=50,
+    )
+    @example(
+        rows=[(0.75, 30.0), (0.25, 4.0)], neg_scores=[0.5],
+        shares="source", n_populations=5, seed=2, block=1,
+    )
+    @example(
+        rows=[(0.5, 4.0), (0.125, 15.0), (0.75, 30.0), (1.0, 70.0), (0.0, 4.0)],
+        neg_scores=[0.25, 0.5, 0.875], shares=(0.7, 0.1, 0.1, 0.1),
+        n_populations=3, seed=3, block=97,
     )
     def test_size_matched_equals_the_per_population_loop(
         self, rows, neg_scores, shares, n_populations, seed, block
@@ -1148,6 +1194,29 @@ class TestSizeMatchedAuc:
         target = SizeHistogram(bin_edges=(10.0,), shares=(1.0, 0.0))
         with pytest.raises(ValueError):
             size_matched_auc(cases, target, n_populations=10, seed=0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.ones(700),  # as on a reader-stats table
+            np.array([1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0]),  # zero shares repeat CDF values
+            # a skewed target: 900 tiny-share positives next to each other
+            # share a few buckets, so brackets span dozens of values
+            np.concatenate([np.full(600, 1e-6), np.full(5, 1.0), np.full(300, 1e-6)]),
+            np.array([1.0]),  # one positive
+            np.ones(100000),  # more CDF values than buckets
+        ],
+    )
+    def test_bracketed_inverse_cdf_equals_searchsorted(self, weights):
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        k = stats._CDF_BUCKETS
+        edges = np.arange(k) / k  # every bucket edge
+        keys = np.concatenate([cdf, edges, np.random.default_rng(0).random(10000)])
+        keys = np.concatenate([keys, np.nextafter(keys, 0.0), np.nextafter(keys, 1.0)])
+        keys = keys[keys < 1.0]
+        got = stats._inverse_cdf(cdf)(keys)
+        assert np.array_equal(got, np.searchsorted(cdf, keys, side="right"))
 
 
 class TestCasesCsv:
