@@ -54,8 +54,10 @@ from .condense import (
 from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
     ImageGrid,
+    Volume,
     normalize_range,
     normalize_volume,
+    quantize,
     read_json,
     read_pgm,
     read_volume,
@@ -72,6 +74,7 @@ from .miltrain import (
     train,
 )
 from .phantom import (
+    MIN_LESION_SLICES,
     NOISE_SIGMA_MAX,
     PhantomConfig,
     clutter_blob_count,
@@ -197,6 +200,12 @@ class RunConfig:
         counts = ("n_cancer", "n_negative", "n_validation", "n_train_cancer", "n_train_negative")
         for name in counts:
             need(getattr(self, name) >= 0, f"{name} must be >= 0")
+        need(
+            self.n_cancer + self.n_validation + self.n_train_cancer == 0
+            or self.n_slices >= MIN_LESION_SLICES,
+            f"n_slices must be >= {MIN_LESION_SLICES} to fit every lesion extent "
+            "(or set n_cancer, n_validation and n_train_cancer to 0)",
+        )
         for name in ("iou_threshold", "target_sensitivity"):
             value = getattr(self, name)
             need(0.0 <= value <= 1.0, f"{name} {value} outside [0, 1]")
@@ -312,8 +321,12 @@ def _phantom_config(cfg: RunConfig) -> PhantomConfig:
 
 
 def _case(cfg: RunConfig, case_id: str, cancer: bool):
-    """One phantom case of the configured cohort: (volume, truth)."""
-    return generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
+    """One phantom case of the configured cohort: (volume, truth, clipped voxels). The volume
+    is quantized as phantom gen stores it, so report, train mil and threshold selection score
+    exactly what condense run reads back; the float draw is released before the caller's work."""
+    vol, truth = generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
+    data, clipped = quantize(vol.data)
+    return Volume(data), truth, clipped
 
 
 def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, bool]]:
@@ -341,12 +354,17 @@ def _build_operators(cfg: RunConfig) -> None:
 ScoredCase = namedtuple("ScoredCase", "opt slice_boxes composite_boxes score")
 
 
-def _condense_and_score(norm, threshold: float, iou: float) -> ScoredCase:
-    """Condense a normalized volume: detect on its trimmed slices (slice_boxes), paint the
-    boxes at or above the threshold that survive NMS (opt), then score the composite by its
-    boxes from each ensemble scorer (composite_boxes; the condense scorer is the last)."""
+def _condense(norm, threshold: float, iou: float):
+    """Condense a normalized volume: detect on its trimmed slices with the condense scorer
+    (slice_boxes), then paint the boxes at or above the threshold that survive NMS (opt)."""
     slice_boxes = detect_slices(norm, default_condense_scorer(), trimmed_slices(norm.n_slices))
-    opt = build_optimized_image(norm, aggregate_boxes(slice_boxes, threshold, iou))
+    return slice_boxes, build_optimized_image(norm, aggregate_boxes(slice_boxes, threshold, iou))
+
+
+def _condense_and_score(norm, threshold: float, iou: float) -> ScoredCase:
+    """_condense, then score the composite by its boxes from each ensemble scorer
+    (composite_boxes; the condense scorer is the last)."""
+    slice_boxes, opt = _condense(norm, threshold, iou)
     boxes = [s.detect(opt.image) for s in default_ensemble()]
     return ScoredCase(opt, slice_boxes, boxes, ensemble_image_score(boxes))
 
@@ -358,7 +376,7 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
         raise ConfigError("threshold selection needs n_validation >= 1")
 
     def one(i: int) -> float:
-        vol, _ = _case(cfg, f"val-{i:04d}", True)
+        vol, _, _ = _case(cfg, f"val-{i:04d}", True)
         return study_max_box_score(normalize_volume(vol), default_condense_scorer())
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
@@ -482,10 +500,10 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
 
     def one(item: tuple[str, bool]) -> str:
         case_id, cancer = item
-        vol, truth = _case(cfg, case_id, cancer)
+        vol, truth, clipped = _case(cfg, case_id, cancer)
         case_dir = cases_dir / case_id
         write_volume(vol, case_dir)
-        write_truth(truth, case_dir / "truth.json")
+        write_truth(truth, case_dir / "truth.json", clipped_voxels=clipped)
         return case_id
 
     texture_operators(_phantom_config(cfg))
@@ -582,12 +600,12 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
-        vol, truth = _case(cfg, case_id, cancer)
-        case = _condense_and_score(normalize_volume(vol), 0.0, cfg.iou_threshold)
-        candidates = case.composite_boxes[-1]  # the condense scorer's
+        vol, truth, _ = _case(cfg, case_id, cancer)
+        _, opt = _condense(normalize_volume(vol), 0.0, cfg.iou_threshold)
+        candidates = default_condense_scorer().detect(opt.image)
         if not candidates:
             return None
-        return TrainingCase(case_id, candidate_features(case.opt.image, candidates), truth.label)
+        return TrainingCase(case_id, candidate_features(opt.image, candidates), truth.label)
 
     ids = _cohort_ids("train-", cfg.n_train_cancer, cfg.n_train_negative)
     cases = [c for c in _parallel_map(one, ids, args.threads) if c is not None]
@@ -700,9 +718,9 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
 
-    def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord]:
+    def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord, int]:
         case_id, cancer = item
-        vol, truth = _case(cfg, case_id, cancer)
+        vol, truth, clipped = _case(cfg, case_id, cancer)
         norm = normalize_volume(vol)
         case = _condense_and_score(norm, threshold, cfg.iou_threshold)
         birads = synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles)
@@ -711,10 +729,11 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
         center = [s.detect(norm.slice(c)) for s in default_ensemble()[:-1]]
         center.append([b for b in case.slice_boxes if b.slice_index == c])
         center_score = ensemble_image_score(center)
-        return record, dataclasses.replace(record, score=center_score, reader_birads=None)
+        center_record = dataclasses.replace(record, score=center_score, reader_birads=None)
+        return record, center_record, clipped
 
     ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)
-    records, center_records = map(list, zip(*_parallel_map(one, ids, args.threads)))
+    records, center_records, clipped = map(list, zip(*_parallel_map(one, ids, args.threads)))
     write_cases_csv(records, out / "cases.csv")
     write_cases_csv(center_records, out / "cases_center.csv")
 
@@ -732,6 +751,7 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
         "n_cases": len(records),
         "n_cancer": sum(c.label for c in records),
         "score_threshold": threshold,
+        "clipped_voxels": sum(clipped),
         "model": model,
         "center_slice": {"auc": roc_center.auc},
         "delong_model_vs_center": delong,

@@ -4,8 +4,11 @@ folded one-axis operators, and portable file IO.
 Images are immutable 2D float64 grids; a volume is one immutable 3D
 float64 array. The on-disk format is binary PGM (P5) with maxval 65535,
 big-endian samples; volumes are a directory of one PGM per slice plus a
-manifest.json. Writing quantizes to 16-bit unsigned, so round trips are
-bit-exact for integer-valued grids in [0, 65535].
+manifest.json. `quantize` is the one 16-bit mapping: round half to even,
+then clip to [0, 65535]. `write_pgm` stores its result, and the CLI draws
+every cohort volume through it, so each stage scores exactly what
+`read_volume` returns. Round trips are bit-exact for integer-valued grids
+in [0, 65535].
 
 Folded operators are dense: their cost grows with the axis length, not
 with the kernel width, and each holds 4 n**2 bytes. On a 2-core x86 VM
@@ -216,9 +219,21 @@ def apply_folded(data: np.ndarray, rows: FoldedOperator, cols: FoldedOperator) -
 # ---------------------------------------------------------------------------
 
 
+def quantize(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """Round half to even, then clip to [0, 65535]: the values a 16-bit PGM
+    stores and read_pgm returns, -0.0 included as +0.0. Returns one new
+    float64 array and the count of samples whose rounded value fell
+    outside [0, 65535]."""
+    out = np.rint(data)
+    clipped = int(np.count_nonzero(out < 0)) + int(np.count_nonzero(out > PGM_MAXVAL))
+    np.clip(out, 0, PGM_MAXVAL, out=out)
+    out += 0.0  # -0.0 + 0.0 is +0.0
+    return out, clipped
+
+
 def write_pgm(img: ImageGrid, path: str | Path) -> None:
-    """Write a binary 16-bit PGM. Values are rounded and clipped to [0, 65535]."""
-    quant = np.clip(np.rint(img.data), 0, PGM_MAXVAL).astype(">u2")
+    """Write a binary 16-bit PGM of `quantize(img.data)`."""
+    quant = quantize(img.data)[0].astype(">u2")
     header = f"P5\n{img.width} {img.height}\n{PGM_MAXVAL}\n".encode("ascii")
     Path(path).write_bytes(header + quant.tobytes())
 

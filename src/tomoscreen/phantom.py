@@ -22,6 +22,7 @@ applied folded (see imaging). The field agrees with the filter to rounding
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -60,8 +61,11 @@ EDGE_NOISE_FACTOR = 8.0
 
 # generate_volume's terms sum to at most (COMMON_TEXTURE_RATIO + SLICE_TEXTURE_RATIO
 # + EDGE_NOISE_FACTOR) * noise_sigma = 10.75 noise_sigma per unit sample. At this cap
-# a volume and twice it (normalize's hi - lo) stay finite for samples below 8e6:
-# normal draws stay below 13, and unit-sd texture fields were measured below 60.
+# a volume and twice it (hi - lo of a float volume normalized directly) stay finite for
+# samples below 8e6: normal draws stay below 13, and unit-sd texture fields were
+# measured below 60. On every CLI path normalize's hi - lo sees only volumes quantized
+# to [0, 65535]; a large sigma clips there, and the CLI counts the clipped voxels
+# instead of bounding noise_sigma further.
 NOISE_SIGMA_MAX = 1e300
 
 # Cancer lesions: radius range (px) and slice persistence.
@@ -341,6 +345,25 @@ def case_seed(master_seed: int, case_id: str) -> int:
     return mix_seed(master_seed, "case", case_id)
 
 
+def _center_slices(n_slices: int, extent: int) -> tuple[int, int]:
+    """Inclusive (lo, hi) center slices of a lesion spanning `extent` slices
+    that keep it inside the stack and its center in the middle 70%; empty
+    when hi < lo."""
+    lo = max(int(math.ceil(0.15 * n_slices)), (extent - 1) // 2)
+    hi = min(int(math.floor(0.85 * n_slices)), n_slices - 1 - (extent - (extent - 1) // 2 - 1))
+    return lo, hi
+
+
+def _fits_every_extent(n_slices: int) -> bool:
+    extents = range(LESION_EXTENT_RANGE[0], LESION_EXTENT_RANGE[1] + 1)
+    return all(lo <= hi for lo, hi in (_center_slices(n_slices, e) for e in extents))
+
+
+# The shallowest stack that fits a lesion of every extent sample_lesion can draw
+# (5 slices); every deeper stack fits them too.
+MIN_LESION_SLICES = next(n for n in itertools.count(1) if _fits_every_extent(n))
+
+
 def sample_lesion(
     cfg: PhantomConfig,
     rng: np.random.Generator,
@@ -359,10 +382,7 @@ def sample_lesion(
     cx = rng.uniform(margin, cfg.width - margin)
     cy = rng.uniform(margin, cfg.height - margin)
     extent = int(rng.integers(LESION_EXTENT_RANGE[0], LESION_EXTENT_RANGE[1] + 1))
-    lo = max(int(math.ceil(0.15 * cfg.n_slices)), (extent - 1) // 2)
-    hi = min(
-        int(math.floor(0.85 * cfg.n_slices)), cfg.n_slices - 1 - (extent - (extent - 1) // 2 - 1)
-    )
+    lo, hi = _center_slices(cfg.n_slices, extent)
     if hi < lo:
         raise ValueError("volume too shallow to place a lesion inside the interior band")
     center_slice = int(rng.integers(lo, hi + 1))
@@ -453,8 +473,11 @@ def truth_from_dict(data) -> PhantomTruth:
     return PhantomTruth(case_id=data["case_id"], lesions=lesions, label=data["label"])
 
 
-def write_truth(truth: PhantomTruth, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(truth_to_dict(truth), indent=2, sort_keys=True) + "\n")
+def write_truth(truth: PhantomTruth, path: str | Path, **extra) -> None:
+    """Write truth.json; `extra` keys (phantom gen's clipped_voxels) sit beside
+    the truth's, and truth_from_dict ignores them."""
+    data = {**truth_to_dict(truth), **extra}
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def read_truth(path: str | Path) -> PhantomTruth:

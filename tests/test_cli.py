@@ -221,6 +221,24 @@ class TestRunConfig:
             assert f"{cfg}: clutter_density plans more blobs per volume" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_stack_too_shallow_for_a_lesion_names_the_file(self, tmp_path, capsys, seed):
+        # sample_lesion draws up to 5 slices of extent; below 5 some seeds
+        # fit every lesion (seed 1) and some do not (seed 0)
+        cfg = write_config(tmp_path, width=32, height=32, n_slices=4, n_cancer=3, n_negative=1)
+        args = ["phantom", "gen", "--config", cfg, "--seed", str(seed)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: n_slices must be >= 5")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_shallow_stack_without_lesions_is_valid(self):
+        counts = {"n_cancer": 0, "n_validation": 0, "n_train_cancer": 0}
+        assert config_from_dict({"n_slices": 1, **counts}).n_slices == 1
+        for name in counts:
+            with pytest.raises(ConfigError, match="^n_slices must be >= 5"):
+                config_from_dict({"n_slices": 4, **counts, name: 1})
+        assert config_from_dict({"n_slices": 5}).n_slices == 5
+
     def test_lists_become_tuples(self):
         cfg = config_from_dict({"contrast_range": [60.0, 220.0], "size_bin_edges": [5.0, 9.0]})
         assert cfg.contrast_range == (60.0, 220.0)
@@ -869,6 +887,7 @@ class TestPhantomGen:
             assert len(list(d.glob("slice_*.pgm"))) == QUICK["n_slices"]
             truth = read_truth(d / "truth.json")
             assert truth.label == d.name.startswith("cancer")
+            assert read_json(d / "truth.json")["clipped_voxels"] == 0
 
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["stage"] == "phantom-gen"
@@ -1129,7 +1148,7 @@ class TestSingleDetectionPass:
         center = read_cases_csv(out / "cases_center.csv")
         assert len(center) == n_cases
         for record in center:
-            vol, _ = cli_module._case(run, record.case_id, record.label)
+            vol, _, _ = cli_module._case(run, record.case_id, record.label)
             img = normalize_volume(vol).slice(vol.n_slices // 2)
             assert record.score == ensemble_image_score([s.detect(img) for s in default_ensemble()])
 
@@ -1139,10 +1158,19 @@ class TestSingleDetectionPass:
         args = ["train", "mil", "--config", cfg, "--out", str(tmp_path / "t"), "--threads", "1"]
         assert main(args) == EXIT_OK
         n_train = QUICK["n_train_cancer"] + QUICK["n_train_negative"]
-        assert len(calls) == n_train * (len(trimmed_slices(12)) + 3)
+        assert len(calls) == n_train * (len(trimmed_slices(12)) + 1)
 
 
 class TestReportSummary:
+    def test_clipped_voxels_sum_the_cases(self, tmp_path):
+        cfg = write_config(tmp_path, noise_sigma=400.0, n_cancer=6, n_negative=6)
+        out, gen = tmp_path / "report", tmp_path / "gen"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert main(["phantom", "gen", "--config", cfg, "--out", str(gen)]) == EXIT_OK
+        counts = [read_json(p)["clipped_voxels"] for p in sorted(gen.rglob("truth.json"))]
+        assert len(counts) == 12 and min(counts) > 0
+        assert read_json(out / "summary.json")["clipped_voxels"] == sum(counts)
+
     def test_model_block_is_eval_rocs(self, tmp_path):
         cfg = write_config(tmp_path, n_cancer=6, n_negative=6)
         out = tmp_path / "report"
@@ -1337,6 +1365,25 @@ class TestPipelineChain:
         summary = json.loads((ev / "summary.json").read_text())
         assert summary["n_cases"] == 20
         assert summary["auc"] > 0.5
+
+    def test_report_scores_what_the_chain_scores(self, tmp_path):
+        """report draws each volume as phantom gen stores it, so at report's
+        threshold the chain gives every case the same score string."""
+        demo = str(Path(__file__).resolve().parent.parent / "demo" / "run_config.json")
+        rep, gen, cond = tmp_path / "report", tmp_path / "gen", tmp_path / "cond"
+        assert main(["report", "--config", demo, "--out", str(rep), "--threads", "2"]) == EXIT_OK
+        threshold = repr(read_json(rep / "summary.json")["score_threshold"])
+        assert main(["phantom", "gen", "--config", demo, "--out", str(gen)]) == EXIT_OK
+        args = ["condense", "run", "--config", demo, "--cases", str(gen / "cases")]
+        assert main(args + ["--threshold", threshold, "--out", str(cond)]) == EXIT_OK
+
+        def scores(path: Path) -> dict[str, str]:
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            col = rows[0].index("score")
+            return {row[0]: row[col] for row in rows[1:]}
+
+        assert len(scores(rep / "cases.csv")) == 20
+        assert scores(rep / "cases.csv") == scores(cond / "cases.csv")
 
 
 class TestSubprocessEntry:

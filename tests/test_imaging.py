@@ -1,5 +1,8 @@
 """Image grid, volume, normalization, and PGM round-trip behavior."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -18,6 +21,7 @@ from tomoscreen.imaging import (
     maximum_filter,
     normalize_range,
     normalize_volume,
+    quantize,
     read_pgm,
     read_volume,
     volume_shape,
@@ -275,8 +279,36 @@ class TestPgm:
 
     def test_write_quantizes_and_clips(self, tmp_path):
         path = tmp_path / "img.pgm"
-        write_pgm(ImageGrid(np.array([[-5.0, 1.4, 70000.0]])), path)
-        assert np.array_equal(read_pgm(path).data, [[0.0, 1.0, 65535.0]])
+        data = np.array([[-5.0, 1.4, 70000.0, -0.5, 65535.5, 65535.4]])
+        write_pgm(ImageGrid(data), path)
+        assert np.array_equal(read_pgm(path).data, [[0.0, 1.0, 65535.0, 0.0, 65535.0, 65535.0]])
+        # -5 rounds below 0, 70000 and 65535.5 (half to even: 65536) above 65535
+        assert quantize(data)[1] == 3
+
+    # ties at +-0.5 round half to even; -0.4 rounds to -0.0, which a PGM reads back as +0.0
+    TIES = [-2.5, -1.5, -0.5, -0.4, 0.5, 1.5, 2.5, 65534.5, 65535.5, 65536.5]
+
+    @given(
+        hnp.arrays(
+            dtype=np.float64,
+            shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            elements=st.one_of(
+                st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False),
+                st.floats(-3.0, 65540.0),
+                st.sampled_from(TIES),
+            ),
+        )
+    )
+    @example(np.array([TIES, [-1e308, 1e308, -7e4, 7e4, 0.0, -0.0, 3.0, 65535.0, 1.4, 7.6]]))
+    def test_quantize_is_what_a_pgm_stores(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "img.pgm"
+            write_pgm(ImageGrid(data), path)
+            back = read_pgm(path).data
+        quant, clipped = quantize(data)
+        assert quant.dtype == np.float64 and quant.tobytes() == back.tobytes()
+        rounded = np.rint(data)
+        assert clipped == np.count_nonzero((rounded < 0) | (rounded > 65535))
 
     def test_reads_8bit_and_comments(self, tmp_path):
         path = tmp_path / "tiny.pgm"
