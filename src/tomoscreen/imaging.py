@@ -10,12 +10,19 @@ every cohort volume through it, so each stage scores exactly what
 `read_volume` returns. Round trips are bit-exact for integer-valued grids
 in [0, 65535].
 
-Folded operators are dense: their cost grows with the axis length, not
-with the kernel width, and each holds 4 n**2 bytes. On a 2-core x86 VM
-with one BLAS thread, the 10.5 px detector's difference of Gaussians took
-1.0 ms against scipy's 4.4 ms on 176 x 128 and 23 against 46 ms on
-512 x 512; it broke even on 64 x 2048 (16 ms, the ensemble's six width
-operators holding 96 MiB) and lost on 64 x 4096 (59 against 37 ms).
+The Gaussian and maximum filters are numpy code that equals
+scipy.ndimage's `nearest`-mode `gaussian_filter` and `-inf`-padded
+`maximum_filter` bit for bit: the same taps summed in the same order,
+and maxima, which are exact. No stage imports scipy.ndimage.
+
+A folded Gaussian operator is built from its kernel band with O(n r)
+multiply-adds (`fold_gaussian`) but stored dense: applying it costs in
+proportion to the axis length n, not the kernel radius r, and each
+holds 4 n**2 bytes. On a 2-core x86 VM with one BLAS thread, the
+10.5 px detector's difference of Gaussians took 1.0 ms against scipy's
+4.4 ms on 176 x 128 and 23 against 46 ms on 512 x 512; it broke even on
+64 x 2048 (16 ms, the ensemble's six width operators holding 96 MiB)
+and lost on 64 x 4096 (59 against 37 ms).
 """
 
 from __future__ import annotations
@@ -124,25 +131,84 @@ def normalize_volume(vol: Volume) -> Volume:
 
 
 # ---------------------------------------------------------------------------
-# scipy.ndimage filters, imported on first call: importing scipy.ndimage
-# takes about as long as the rest of the CLI's start-up, and stages that
-# never filter an image (every `eval`) should not pay for it. phantom and
-# scorer bind these names at import time, so they stay module attributes.
+# The image filters, in numpy. Each equals its scipy.ndimage namesake bit
+# for bit in the one call form phantom and scorer use, so no stage imports
+# scipy.ndimage; the tests keep scipy's as the oracle. phantom and scorer
+# bind these names at import time and perfbench counts Gaussian taps
+# through them there, so they stay module attributes.
 # ---------------------------------------------------------------------------
 
 
-def gaussian_filter(input, sigma, **kwargs):
-    """`scipy.ndimage.gaussian_filter(input, sigma, **kwargs)`."""
-    from scipy.ndimage import gaussian_filter as impl
+def gaussian_kernel(sigma: float) -> np.ndarray:
+    """scipy.ndimage's Gaussian taps for `sigma` at truncate 4: radius
+    r = int(4 sigma + 0.5), exp(-0.5 / sigma**2 * x**2) / sum for x in
+    [-r, r]. The taps are symmetric bit for bit."""
+    sigma = float(sigma)
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return phi / phi.sum()
 
-    return impl(input, sigma, **kwargs)
+
+def _correlate_nearest(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetric `weights` along axis 0 of float64 `data`, edges replicated,
+    summed in scipy's `correlate1d` order: x[i] w[r], then for k = r ... 1
+    the term (x[i - k] + x[i + k]) w[r - k]."""
+    r = len(weights) // 2
+    n = data.shape[0]
+    padded = np.pad(data, [(r, r)] + [(0, 0)] * (data.ndim - 1), mode="edge")
+    out = data * weights[r]
+    term = np.empty_like(out)
+    for k in range(r, 0, -1):
+        np.add(padded[r - k : r - k + n], padded[r + k : r + k + n], out=term)
+        term *= weights[r - k]
+        out += term
+    return out
 
 
-def maximum_filter(input, **kwargs):
-    """`scipy.ndimage.maximum_filter(input, **kwargs)`."""
-    from scipy.ndimage import maximum_filter as impl
+def gaussian_filter(input, sigma, mode="nearest", **unsupported) -> np.ndarray:
+    """`scipy.ndimage.gaussian_filter(input, sigma, mode="nearest")` of a
+    float64 array, bit for bit: the kernel of `gaussian_kernel` runs along
+    each axis whose sigma is above 1e-15, in axis order. `sigma` is one
+    number or one per axis. Any other mode or keyword raises ValueError."""
+    if mode != "nearest" or unsupported:
+        raise ValueError("gaussian_filter supports only mode='nearest' and no other keyword")
+    out = np.array(input, dtype=np.float64)
+    sigmas = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (out.ndim,))
+    for axis, s in enumerate(sigmas):
+        if s > 1e-15:
+            moved = np.moveaxis(out, axis, 0)
+            out = np.moveaxis(_correlate_nearest(moved, gaussian_kernel(s)), 0, axis)
+    return out
 
-    return impl(input, **kwargs)
+
+def _window_max(data: np.ndarray, size: int) -> np.ndarray:
+    """Maximum of each run of `size` consecutive samples along axis 0, by
+    doubling: after each pass an entry is the maximum of twice as many
+    samples, and two overlapping runs of the longest such span cover a
+    window."""
+    span = 1
+    while 2 * span <= size:
+        data = np.maximum(data[:-span], data[span:])
+        span *= 2
+    return np.maximum(data[: len(data) - (size - span)], data[size - span :])
+
+
+def maximum_filter(input, size, mode="constant", cval=-np.inf) -> np.ndarray:
+    """`scipy.ndimage.maximum_filter(input, size=size, mode="constant",
+    cval=-inf)` of a float64 array, bit for bit, since a maximum is exact:
+    each axis in turn takes the maximum of every window of an odd `size`
+    over a -inf-padded copy. Any other mode or cval, or an even size,
+    raises ValueError."""
+    if mode != "constant" or cval != -np.inf or size % 2 == 0:
+        raise ValueError("maximum_filter supports only an odd size, mode='constant' and cval=-inf")
+    out = np.array(input, dtype=np.float64)
+    h = size // 2
+    for axis in range(out.ndim):
+        moved = np.moveaxis(out, axis, 0)
+        padded = np.pad(moved, [(h, h)] + [(0, 0)] * (out.ndim - 1), constant_values=-np.inf)
+        out = np.moveaxis(_window_max(padded, size), 0, axis)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +238,15 @@ class FoldedOperator:
 
 
 def fold_operator(matrix: np.ndarray) -> FoldedOperator:
-    """Fold a centrosymmetric n x n operator; only its first ceil(n / 2)
-    rows are read, and the folded form applies their mirror below.
+    """Fold a centrosymmetric operator of n columns given at least its
+    first ceil(n / 2) rows; only those rows are read, and the folded form
+    applies their mirror below.
 
     For odd n the middle column counts once in the even half (a + b holds
     the middle sample twice), and the odd half is zero in the middle row,
     so the middle output is the same from either half.
     """
-    n = matrix.shape[0]
+    n = matrix.shape[1]
     k = n - n // 2
     top = matrix[:k]
     near, far = top[:, :k], top[:, ::-1][:, :k]
@@ -191,6 +258,34 @@ def fold_operator(matrix: np.ndarray) -> FoldedOperator:
     even.flags.writeable = False
     odd.flags.writeable = False
     return FoldedOperator(even, odd, n)
+
+
+def fold_gaussian(n: int, sigma: float, edge_filter) -> FoldedOperator:
+    """The folded `nearest`-mode Gaussian along an axis of length n: the
+    operator whose column j is `gaussian_filter` of the unit impulse at j.
+
+    Clamping only ever moves a sample to an end of the axis, so every
+    column but 0 and n - 1 holds at most one kernel tap per entry, tap
+    r + j - i in row i. The top ceil(n / 2) rows that fold_operator reads
+    are laid straight from the zero-padded kernel, and the two end columns
+    are `edge_filter(impulses, sigma=(sigma, 0), mode="nearest")` of the
+    n x 2 impulses at 0 and n - 1. The callers pass `gaussian_filter` as
+    bound in their own module. Bit for bit the filtered identity's fold,
+    with O(n r) multiply-adds instead of the identity's O(n**2 r).
+    """
+    k = n - n // 2
+    taps = gaussian_kernel(sigma)
+    r = len(taps) // 2
+    pad = np.zeros(max(n - 1 - r, 0))
+    band = np.concatenate([pad, taps, pad])
+    windows = np.lib.stride_tricks.sliding_window_view(band, n)
+    top = windows[len(pad) + r - np.arange(k)]  # row i starts at tap r - i
+    impulses = np.zeros((n, 2))
+    impulses[0, 0] = impulses[-1, 1] = 1.0
+    ends = edge_filter(impulses, sigma=(sigma, 0), mode="nearest")
+    top[:, 0] = ends[:k, 0]
+    top[:, -1] = ends[:k, 1]
+    return fold_operator(top)
 
 
 def _apply_last_axis(op: FoldedOperator, x: np.ndarray) -> np.ndarray:

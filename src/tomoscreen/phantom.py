@@ -14,9 +14,10 @@ independent: cases can be built in parallel in any order.
 
 Texture is white noise smoothed by a `nearest`-mode Gaussian. Along one
 axis that filter is a linear map, so it is an n x n operator, built once
-per (n, sigma) by filtering the identity with scipy's own kernel and
-applied folded (see imaging). The field agrees with the filter to rounding
-(about 1e-16); at sigma 24 on one core its passes beat it up to 64 x 4096.
+per (n, sigma) from the kernel band and two filtered end impulses
+(`imaging.fold_gaussian`), equal bit for bit to the filtered identity,
+and applied folded. The field agrees with the filter to rounding (about
+1e-16); at sigma 24 on one core its passes beat it up to 64 x 4096.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .imaging import (
     ImageGrid,
     Volume,
     apply_folded,
-    fold_operator,
+    fold_gaussian,
     gaussian_filter,
     normalize_range,
     read_json,
@@ -187,10 +188,9 @@ def _add_disc(canvas: np.ndarray, cx: float, cy: float, radius: float, amp: floa
 
 @functools.lru_cache(maxsize=16)
 def _folded_smoothing(n: int, sigma: float) -> FoldedOperator:
-    """`nearest`-mode Gaussian along an axis of length n, folded from
-    scipy's filter applied to the identity (column j is the filtered
-    impulse at j)."""
-    return fold_operator(gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest"))
+    """`nearest`-mode Gaussian along an axis of length n, folded; its end
+    columns are filtered through this module's `gaussian_filter`."""
+    return fold_gaussian(n, sigma, gaussian_filter)
 
 
 def texture_operators(cfg: PhantomConfig) -> tuple[FoldedOperator, FoldedOperator]:

@@ -7,11 +7,12 @@ score; an ensemble averages several scorers; breast scores average
 views and a study takes the worse (higher) breast.
 
 Each smoothing is scipy's `nearest`-mode Gaussian, applied per axis as
-a folded operator (see imaging): built once per (axis length, sigma) by
-filtering the identity through this module's `gaussian_filter`, cached
-read-only, and applied as matrix products. It agrees with the filter to
-rounding, at under a third of its cost on a 176 x 128 slice, and the fold
-makes each response exactly equivariant under column reversal.
+a folded operator (see imaging): built once per (axis length, sigma)
+from the kernel band, its two end columns filtered through this module's
+`gaussian_filter`, cached read-only, and applied as matrix products. It
+agrees with the filter to rounding, at under a third of its cost on a
+176 x 128 slice, and the fold makes each response exactly equivariant
+under column reversal.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .imaging import (
     FoldedOperator,
     ImageGrid,
     apply_folded,
-    fold_operator,
+    fold_gaussian,
     gaussian_filter,
     maximum_filter,
 )
@@ -37,10 +38,9 @@ BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 
 @functools.lru_cache(maxsize=32)
 def _smoothing_operator(n: int, sigma: float) -> FoldedOperator:
-    """`nearest`-mode Gaussian along an axis of length n, folded from
-    scipy's filter applied to the identity (column j is the filtered
-    impulse at j)."""
-    return fold_operator(gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest"))
+    """`nearest`-mode Gaussian along an axis of length n, folded; its end
+    columns are filtered through this module's `gaussian_filter`."""
+    return fold_gaussian(n, sigma, gaussian_filter)
 
 
 def _sigmoid(z: np.ndarray | float):

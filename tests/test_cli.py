@@ -1412,8 +1412,8 @@ class TestSubprocessEntry:
     def run_cli(self, *argv, env=None):
         return self.run_python("-m", "tomoscreen.cli", *argv, env=env)
 
-    def ndimage_loaded(self, *argv) -> bool:
-        proc = self.run_python("-c", self.NDIMAGE_PROBE, *argv)
+    def ndimage_loaded(self, *argv, preamble: str = "") -> bool:
+        proc = self.run_python("-c", preamble + self.NDIMAGE_PROBE, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         return proc.stderr.splitlines()[-1] == "True"
 
@@ -1427,10 +1427,23 @@ class TestSubprocessEntry:
         args = ["eval", "roc", "--config", write_config(tmp_path), "--cases", scored_csv(tmp_path)]
         assert not self.ndimage_loaded(*args, "--out", str(tmp_path / "ev"))
 
-    def test_phantom_gen_loads_scipy_ndimage(self, tmp_path):
-        # the probe's control: a stage that filters images imports it
-        cfg = write_config(tmp_path, n_cancer=1, n_negative=0)
-        assert self.ndimage_loaded("phantom", "gen", "--config", cfg, "--out", str(tmp_path / "g"))
+    @pytest.mark.parametrize("stage", ["phantom-gen", "condense-run", "train-mil", "report"])
+    def test_image_stages_leave_out_scipy_ndimage(self, stage, tmp_path, cohort):
+        # their filters are imaging's numpy code
+        cfg, cases = cohort
+        small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
+        report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
+        args = {
+            "phantom-gen": ["phantom", "gen", "--config", cfg],
+            "condense-run": ["condense", "run", "--config", cfg, "--cases", str(cases)],
+            "train-mil": ["train", "mil", "--config", small],
+            "report": ["report", "--config", report],
+        }[stage]
+        assert not self.ndimage_loaded(*args, "--out", str(tmp_path / "out"))
+
+    def test_probe_reads_true_when_the_child_imports_scipy_ndimage(self):
+        # the probe's control
+        assert self.ndimage_loaded("--version", preamble="import scipy.ndimage\n")
 
     def test_noise_sigma_at_its_cap_generates(self, tmp_path):
         cfg = write_config(tmp_path, width=32, height=32, n_slices=5, noise_sigma=NOISE_SIGMA_MAX)

@@ -173,9 +173,32 @@ class TestNormalize:
         assert np.all(normalize_volume(vol).data == 0.0)
 
 
+# sigmas with radius 0 (below 0.125), 1, a few taps, and longer than any axis
+SIGMAS = st.sampled_from([0.0, 0.05, 0.1249, 0.125, 0.7, 2.4, 4.2426, 24.0])
+
+gaussian_inputs = hnp.arrays(
+    dtype=np.float64,
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+    elements=st.one_of(
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2e-308]),
+    ),
+)
+
+# few distinct values, so windows tie, with both infinities and zeros
+max_inputs = hnp.arrays(
+    dtype=np.float64,
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=14),
+    elements=st.one_of(
+        st.sampled_from([-np.inf, np.inf, -1.0, -0.0, 0.0, 1.0, 5e-324]),
+        st.floats(allow_nan=False),
+    ),
+)
+
+
 class TestFilters:
-    """The filters imported from scipy.ndimage on first call are scipy's,
-    bit for bit, in the call forms phantom and scorer use."""
+    """imaging's numpy filters are scipy.ndimage's, bit for bit, in the
+    call forms phantom and scorer use; scipy's stay the oracle."""
 
     def image(self):
         return np.random.default_rng(3).standard_normal((40, 56))
@@ -194,6 +217,31 @@ class TestFilters:
         want = ndimage.maximum_filter(x, size=win, mode="constant", cval=-np.inf)
         assert got.tobytes() == want.tobytes()
 
+    @given(gaussian_inputs, st.data())
+    def test_gaussian_filter_equals_scipys(self, x, data):
+        sigma = data.draw(st.one_of(SIGMAS, st.tuples(*[SIGMAS] * x.ndim)), label="sigma")
+        want = ndimage.gaussian_filter(x, sigma, mode="nearest")
+        assert gaussian_filter(x, sigma, mode="nearest").tobytes() == want.tobytes()
+
+    @given(max_inputs, st.sampled_from([1, 3, 5, 7, 9, 11]))
+    def test_maximum_filter_equals_scipys(self, x, size):
+        got = maximum_filter(x, size=size, mode="constant", cval=-np.inf)
+        want = ndimage.maximum_filter(x, size=size, mode="constant", cval=-np.inf)
+        assert got.tobytes() == want.tobytes()
+
+    def test_other_call_forms_raise(self):
+        x = self.image()
+        with pytest.raises(ValueError):
+            gaussian_filter(x, 2.0, mode="reflect")
+        with pytest.raises(ValueError):
+            gaussian_filter(x, 2.0, mode="nearest", truncate=3.0)
+        with pytest.raises(ValueError):
+            maximum_filter(x, size=4, mode="constant", cval=-np.inf)
+        with pytest.raises(ValueError):
+            maximum_filter(x, size=3, mode="nearest", cval=-np.inf)
+        with pytest.raises(ValueError):
+            maximum_filter(x, size=3, mode="constant", cval=0.0)
+
     def test_phantom_and_scorer_bind_them_at_module_level(self):
         # perfbench finds the filters as these module attributes
         assert phantom.gaussian_filter is imaging.gaussian_filter
@@ -204,6 +252,26 @@ class TestFilters:
 def nearest_gaussian(n: int, sigma: float) -> np.ndarray:
     """Dense n x n operator of scipy's nearest-mode Gaussian along one axis."""
     return ndimage.gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest")
+
+
+# the texture sigma, each detector's fine and coarse sigma, and one whose
+# radius (1200) exceeds every n below
+BUILD_SIGMAS = [24.0, *(r / np.sqrt(2.0) * f for r in (6.0, 8.0, 10.5) for f in (1.0, 1.6)), 300.0]
+
+
+class TestGaussianBuilders:
+    """Each builder's operator, laid from the kernel band plus two filtered
+    end impulses, against the fold of scipy's filtered identity."""
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 96, 128, 176, 1024])
+    def test_equals_the_filtered_identity(self, n):
+        for sigma in BUILD_SIGMAS:
+            want = fold_operator(ndimage.gaussian_filter(np.eye(n), (sigma, 0), mode="nearest"))
+            for builder in (phantom._folded_smoothing, scorer._smoothing_operator):
+                got = builder.__wrapped__(n, sigma)  # uncached
+                assert got.n == n
+                assert got.even.tobytes() == want.even.tobytes()
+                assert got.odd.tobytes() == want.odd.tobytes()
 
 
 folded_inputs = hnp.arrays(
