@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .boxes import write_boxes_csv
@@ -55,6 +54,7 @@ from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
     ImageGrid,
     Volume,
+    gaussian_operator,
     normalize_range,
     normalize_volume,
     quantize,
@@ -80,7 +80,6 @@ from .phantom import (
     clutter_blob_count,
     generate_case,
     read_truth,
-    texture_operators,
     write_truth,
 )
 from .scorer import (
@@ -280,7 +279,6 @@ def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
             "tomoscreen": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
     write_json(manifest, out / "run_manifest.json")
@@ -335,20 +333,19 @@ def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, 
     return ids
 
 
-def _build_detectors(height: int, width: int) -> None:
-    """Build the ensemble's smoothing operators for one grid on the main
+def _detector_sigmas() -> list[float]:
+    """The fine and coarse smoothing scale of each ensemble scorer."""
+    return [sigma for scorer in default_ensemble() for sigma in scorer.sigmas]
+
+
+def _build_operators(height: int, width: int, sigmas) -> None:
+    """Build the Gaussian operators of one grid at each sigma on the main
     thread, before a case loop. Built inside the loop, they land between
     its transient arrays or in a worker thread's malloc arena, which kept
     the heap from shrinking and raised peak RSS by 10-13 %."""
-    for scorer in default_ensemble():
-        scorer.smoothing_operators(height, width)
-
-
-def _build_operators(cfg: RunConfig) -> None:
-    """The texture and detector operators of the configured cohort, built
-    before a loop that draws and detects its cases (see _build_detectors)."""
-    texture_operators(_phantom_config(cfg))
-    _build_detectors(cfg.height, cfg.width)
+    for sigma in sigmas:
+        for n in (height, width):
+            gaussian_operator(n, sigma)
 
 
 ScoredCase = namedtuple("ScoredCase", "opt slice_boxes composite_boxes score")
@@ -506,7 +503,7 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
         write_truth(truth, case_dir / "truth.json", clipped_voxels=clipped)
         return case_id
 
-    texture_operators(_phantom_config(cfg))
+    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale])
     done = _parallel_map(one, ids, args.threads)
     return f"wrote {len(done)} cases under {cases_dir}"
 
@@ -543,7 +540,7 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
         case_dirs = sorted(p for p in Path(args.cases).iterdir() if p.is_dir())
         if not case_dirs:
             raise ValueError("no case directories")
-    _build_detectors(*volume_shape(case_dirs[0])[1:])
+    _build_operators(*volume_shape(case_dirs[0])[1:], _detector_sigmas())
 
     def one(case_dir: Path) -> CaseRecord:
         vol = read_volume(case_dir)
@@ -596,7 +593,7 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
 def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
-    _build_operators(cfg)
+    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *_detector_sigmas()])
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
@@ -714,7 +711,7 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_cancer < 1 or cfg.n_negative < 1:
         raise ConfigError("report needs n_cancer >= 1 and n_negative >= 1")
 
-    _build_operators(cfg)
+    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *_detector_sigmas()])
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
 

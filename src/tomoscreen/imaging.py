@@ -1,5 +1,5 @@
-"""Intensity grids, volumes, intensity normalization, the image filters,
-folded one-axis operators, and portable file IO.
+"""Intensity grids, volumes, intensity normalization, the Gaussian and
+maximum filters, folded one-axis operators, and portable file IO.
 
 Images are immutable 2D float64 grids; a volume is one immutable 3D
 float64 array. The on-disk format is binary PGM (P5) with maxval 65535,
@@ -10,23 +10,26 @@ every cohort volume through it, so each stage scores exactly what
 `read_volume` returns. Round trips are bit-exact for integer-valued grids
 in [0, 65535].
 
-The Gaussian and maximum filters are numpy code that equals
-scipy.ndimage's `nearest`-mode `gaussian_filter` and `-inf`-padded
-`maximum_filter` bit for bit: the same taps summed in the same order,
-and maxima, which are exact. No stage imports scipy.ndimage.
+`gaussian_filter(data, sigma)` is the one Gaussian smoothing: scipy's
+`nearest`-mode kernel applied along both axes of a 2D array as two folded
+operators from `gaussian_operator`, the one builder and the one cache.
+Each operator equals scipy's filter of the identity bit for bit, and the
+smoothed image matches scipy's filter to rounding. `maximum_filter` is
+numpy code equal to scipy's `-inf`-padded filter bit for bit. No stage
+imports scipy.
 
-A folded Gaussian operator is built from its kernel band with O(n r)
-multiply-adds (`fold_gaussian`) but stored dense: applying it costs in
-proportion to the axis length n, not the kernel radius r, and each
-holds 4 n**2 bytes. On a 2-core x86 VM with one BLAS thread, the
-10.5 px detector's difference of Gaussians took 1.0 ms against scipy's
-4.4 ms on 176 x 128 and 23 against 46 ms on 512 x 512; it broke even on
-64 x 2048 (16 ms, the ensemble's six width operators holding 96 MiB)
-and lost on 64 x 4096 (59 against 37 ms).
+An operator is built from its kernel band with O(n r) multiply-adds but
+stored dense: applying it costs in proportion to the axis length n, not
+the kernel radius r, and each holds 4 n**2 bytes. On a 2-core x86 VM with
+one BLAS thread, the 10.5 px detector's difference of Gaussians took
+1.0 ms against scipy's 4.4 ms on 176 x 128 and 23 against 46 ms on
+512 x 512; it broke even on 64 x 2048 (16 ms, the ensemble's six width
+operators holding 96 MiB) and lost on 64 x 4096 (59 against 37 ms).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -131,20 +134,21 @@ def normalize_volume(vol: Volume) -> Volume:
 
 
 # ---------------------------------------------------------------------------
-# The image filters, in numpy. Each equals its scipy.ndimage namesake bit
-# for bit in the one call form phantom and scorer use, so no stage imports
-# scipy.ndimage; the tests keep scipy's as the oracle. phantom and scorer
-# bind these names at import time and perfbench counts Gaussian taps
-# through them there, so they stay module attributes.
+# The Gaussian kernel and the maximum filter, in numpy; the tests keep
+# scipy.ndimage as their oracle.
 # ---------------------------------------------------------------------------
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """scipy.ndimage's Gaussian taps for `sigma` at truncate 4: radius
     r = int(4 sigma + 0.5), exp(-0.5 / sigma**2 * x**2) / sum for x in
-    [-r, r]. The taps are symmetric bit for bit."""
+    [-r, r]. The taps are symmetric bit for bit. At r = 0 (sigma below
+    0.125) the kernel is [1.0], scipy's for every such sigma, without the
+    division by a sigma**2 that can underflow to zero."""
     sigma = float(sigma)
     radius = int(4.0 * sigma + 0.5)
+    if radius == 0:
+        return np.ones(1)
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return phi / phi.sum()
@@ -166,22 +170,6 @@ def _correlate_nearest(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_filter(input, sigma, mode="nearest", **unsupported) -> np.ndarray:
-    """`scipy.ndimage.gaussian_filter(input, sigma, mode="nearest")` of a
-    float64 array, bit for bit: the kernel of `gaussian_kernel` runs along
-    each axis whose sigma is above 1e-15, in axis order. `sigma` is one
-    number or one per axis. Any other mode or keyword raises ValueError."""
-    if mode != "nearest" or unsupported:
-        raise ValueError("gaussian_filter supports only mode='nearest' and no other keyword")
-    out = np.array(input, dtype=np.float64)
-    sigmas = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (out.ndim,))
-    for axis, s in enumerate(sigmas):
-        if s > 1e-15:
-            moved = np.moveaxis(out, axis, 0)
-            out = np.moveaxis(_correlate_nearest(moved, gaussian_kernel(s)), 0, axis)
-    return out
-
-
 def _window_max(data: np.ndarray, size: int) -> np.ndarray:
     """Maximum of each run of `size` consecutive samples along axis 0, by
     doubling: after each pass an entry is the maximum of twice as many
@@ -194,15 +182,14 @@ def _window_max(data: np.ndarray, size: int) -> np.ndarray:
     return np.maximum(data[: len(data) - (size - span)], data[size - span :])
 
 
-def maximum_filter(input, size, mode="constant", cval=-np.inf) -> np.ndarray:
-    """`scipy.ndimage.maximum_filter(input, size=size, mode="constant",
+def maximum_filter(data: np.ndarray, size: int) -> np.ndarray:
+    """`scipy.ndimage.maximum_filter(data, size=size, mode="constant",
     cval=-inf)` of a float64 array, bit for bit, since a maximum is exact:
     each axis in turn takes the maximum of every window of an odd `size`
-    over a -inf-padded copy. Any other mode or cval, or an even size,
-    raises ValueError."""
-    if mode != "constant" or cval != -np.inf or size % 2 == 0:
-        raise ValueError("maximum_filter supports only an odd size, mode='constant' and cval=-inf")
-    out = np.array(input, dtype=np.float64)
+    over a -inf-padded copy. An even size raises ValueError."""
+    if size % 2 == 0:
+        raise ValueError("maximum_filter needs an odd size")
+    out = np.array(data, dtype=np.float64)
     h = size // 2
     for axis in range(out.ndim):
         moved = np.moveaxis(out, axis, 0)
@@ -260,18 +247,19 @@ def fold_operator(matrix: np.ndarray) -> FoldedOperator:
     return FoldedOperator(even, odd, n)
 
 
-def fold_gaussian(n: int, sigma: float, edge_filter) -> FoldedOperator:
+@functools.lru_cache(maxsize=32)
+def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
     """The folded `nearest`-mode Gaussian along an axis of length n: the
-    operator whose column j is `gaussian_filter` of the unit impulse at j.
+    operator whose column j is scipy's filter of the unit impulse at j.
+    Built once per (n, sigma) and cached read-only.
 
     Clamping only ever moves a sample to an end of the axis, so every
     column but 0 and n - 1 holds at most one kernel tap per entry, tap
     r + j - i in row i. The top ceil(n / 2) rows that fold_operator reads
     are laid straight from the zero-padded kernel, and the two end columns
-    are `edge_filter(impulses, sigma=(sigma, 0), mode="nearest")` of the
-    n x 2 impulses at 0 and n - 1. The callers pass `gaussian_filter` as
-    bound in their own module. Bit for bit the filtered identity's fold,
-    with O(n r) multiply-adds instead of the identity's O(n**2 r).
+    are the n x 2 impulses at 0 and n - 1 correlated in scipy's order. Bit
+    for bit the filtered identity's fold, with O(n r) multiply-adds instead
+    of the identity's O(n**2 r).
     """
     k = n - n // 2
     taps = gaussian_kernel(sigma)
@@ -282,7 +270,7 @@ def fold_gaussian(n: int, sigma: float, edge_filter) -> FoldedOperator:
     top = windows[len(pad) + r - np.arange(k)]  # row i starts at tap r - i
     impulses = np.zeros((n, 2))
     impulses[0, 0] = impulses[-1, 1] = 1.0
-    ends = edge_filter(impulses, sigma=(sigma, 0), mode="nearest")
+    ends = _correlate_nearest(impulses, taps)
     top[:, 0] = ends[:k, 0]
     top[:, -1] = ends[:k, 1]
     return fold_operator(top)
@@ -307,6 +295,15 @@ def apply_folded(data: np.ndarray, rows: FoldedOperator, cols: FoldedOperator) -
     """Apply `rows` along axis 0 of a 2D array, then `cols` along axis 1,
     each half of each pass as one matrix product."""
     return _apply_last_axis(cols, _apply_last_axis(rows, data.T).T)
+
+
+def gaussian_filter(data: np.ndarray, sigma: float) -> np.ndarray:
+    """scipy.ndimage's `nearest`-mode Gaussian of a 2D float64 array along
+    both axes, to rounding: `gaussian_operator` of each axis, applied folded.
+    phantom and scorer call it through their own module-level name, where
+    perfbench counts its taps."""
+    height, width = data.shape
+    return apply_folded(data, gaussian_operator(height, sigma), gaussian_operator(width, sigma))
 
 
 # ---------------------------------------------------------------------------

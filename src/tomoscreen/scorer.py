@@ -6,41 +6,24 @@ one fixed box size per scorer. Image-level suspicion is the maximum box
 score; an ensemble averages several scorers; breast scores average
 views and a study takes the worse (higher) breast.
 
-Each smoothing is scipy's `nearest`-mode Gaussian, applied per axis as
-a folded operator (see imaging): built once per (axis length, sigma)
-from the kernel band, its two end columns filtered through this module's
-`gaussian_filter`, cached read-only, and applied as matrix products. It
-agrees with the filter to rounding, at under a third of its cost on a
-176 x 128 slice, and the fold makes each response exactly equivariant
-under column reversal.
+Each smoothing is `imaging.gaussian_filter`: scipy's `nearest`-mode
+Gaussian applied as two cached folded operators, one per (axis length,
+sigma). It agrees with scipy's filter to rounding, at under a third of
+its cost on a 176 x 128 slice, and the fold makes each response exactly
+equivariant under column reversal.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import ScoredBox
-from .imaging import (
-    FoldedOperator,
-    ImageGrid,
-    apply_folded,
-    fold_gaussian,
-    gaussian_filter,
-    maximum_filter,
-)
+from .imaging import ImageGrid, gaussian_filter, maximum_filter
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
-
-
-@functools.lru_cache(maxsize=32)
-def _smoothing_operator(n: int, sigma: float) -> FoldedOperator:
-    """`nearest`-mode Gaussian along an axis of length n, folded; its end
-    columns are filtered through this module's `gaussian_filter`."""
-    return fold_gaussian(n, sigma, gaussian_filter)
 
 
 def _sigmoid(z: np.ndarray | float):
@@ -70,19 +53,17 @@ class BlobScorer:
         if not self.response_scale > 0:
             raise ValueError("response_scale must be positive")
 
-    def smoothing_operators(self, height: int, width: int) -> tuple[FoldedOperator, ...]:
-        """Row and column operators of the fine and then the coarse
-        smoothing of a height x width image, built on first use."""
+    @property
+    def sigmas(self) -> tuple[float, float]:
+        """The fine and the coarse smoothing scale."""
         inner = self.radius_prior / math.sqrt(2.0)
-        return tuple(
-            _smoothing_operator(n, sigma) for sigma in (inner, 1.6 * inner) for n in (height, width)
-        )
+        return inner, 1.6 * inner
 
     def response(self, img: ImageGrid) -> np.ndarray:
         """Bright-blob response map (difference of smoothings)."""
-        fine_rows, fine_cols, coarse_rows, coarse_cols = self.smoothing_operators(*img.data.shape)
-        response = apply_folded(img.data, fine_rows, fine_cols)
-        response -= apply_folded(img.data, coarse_rows, coarse_cols)
+        fine, coarse = self.sigmas
+        response = gaussian_filter(img.data, fine)
+        response -= gaussian_filter(img.data, coarse)
         return response
 
     @property
@@ -94,7 +75,7 @@ class BlobScorer:
     def detect(self, img: ImageGrid) -> list[ScoredBox]:
         resp = self.response(img)
         win = max(3, 2 * int(round(self.radius_prior / 2.0)) + 1)
-        local_max = maximum_filter(resp, size=win, mode="constant", cval=-np.inf)
+        local_max = maximum_filter(resp, win)
         keep = (resp == local_max) & (resp > self.response_floor)
         m = self.border_margin
         if 2 * m < min(keep.shape):

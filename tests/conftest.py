@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from tomoscreen import cli, imaging
 from tomoscreen.boxes import ScoredBox
 from tomoscreen.imaging import ImageGrid, Volume
 
@@ -52,3 +56,21 @@ class LookupScorer:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260817)
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Every uncached Gaussian operator build, as (n, sigma, ran on the main
+    thread), through a fresh cache over the builder that replaces
+    `imaging.gaussian_operator` where it is called."""
+    builds = []
+    build = imaging.gaussian_operator.__wrapped__
+
+    def recording(n, sigma):
+        builds.append((n, sigma, threading.current_thread() is threading.main_thread()))
+        return build(n, sigma)
+
+    cached = functools.lru_cache(maxsize=32)(recording)
+    monkeypatch.setattr(imaging, "gaussian_operator", cached)
+    monkeypatch.setattr(cli, "gaussian_operator", cached)
+    return builds

@@ -892,7 +892,8 @@ class TestPhantomGen:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["stage"] == "phantom-gen"
         assert manifest["seed"] == QUICK["seed"]
-        assert "config_sha256" in manifest and "versions" in manifest
+        assert "config_sha256" in manifest
+        assert sorted(manifest["versions"]) == ["numpy", "python", "tomoscreen"]
         assert "out_dir" not in manifest["config"]
 
     def test_reruns_are_byte_identical_across_dirs_and_threads(self, tmp_path):
@@ -935,17 +936,7 @@ class TestOperatorsBuiltBeforeThePool:
     worker's malloc arena and raises peak RSS."""
 
     @pytest.mark.parametrize("stage", ["phantom-gen", "condense-run", "train-mil", "report"])
-    def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, monkeypatch):
-        on_main = []
-        for module in (scorer_module, phantom_module):
-
-            def recording(*args, _original=module.gaussian_filter, **kwargs):
-                on_main.append(threading.current_thread() is threading.main_thread())
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, "gaussian_filter", recording)
-        scorer_module._smoothing_operator.cache_clear()
-        phantom_module._folded_smoothing.cache_clear()
+    def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, operator_builds):
         cfg, cases = cohort
         small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
         report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
@@ -956,7 +947,41 @@ class TestOperatorsBuiltBeforeThePool:
             "report": ["report", "--config", report],
         }[stage]
         assert main(args + ["--out", str(tmp_path / "out"), "--threads", "2"]) == EXIT_OK
-        assert on_main and all(on_main)
+        assert operator_builds and all(on_main for _, _, on_main in operator_builds)
+
+
+class TestSmoothingHooks:
+    """perfbench counts Gaussian taps at phantom's and scorer's
+    module-level `gaussian_filter`, so every smoothing goes through it."""
+
+    def test_one_call_per_field_two_per_detect_one_build_per_operator(
+        self, tmp_path, monkeypatch, operator_builds
+    ):
+        calls = {"texture": 0, "dog": 0, "case": 0, "detect": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr, name in [
+            (phantom_module, "gaussian_filter", "texture"),
+            (scorer_module, "gaussian_filter", "dog"),
+            (cli_module, "generate_case", "case"),
+            (scorer_module.BlobScorer, "detect", "detect"),
+        ]:
+            monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+        n_slices = 10
+        cfg = write_config(tmp_path, n_cancer=6, n_negative=6, n_slices=n_slices)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls["case"] > 0 and calls["detect"] > 0
+        # the common texture field, then one per slice
+        assert calls["texture"] == calls["case"] * (1 + n_slices)
+        assert calls["dog"] == 2 * calls["detect"]
+        built = [(n, sigma) for n, sigma, _ in operator_builds]
+        assert len(built) == len(set(built)) == 2 * (1 + 2 * len(default_ensemble()))
 
 
 class TestCondenseRun:
@@ -1388,10 +1413,12 @@ class TestPipelineChain:
 
 class TestSubprocessEntry:
     # Runs the CLI as `python -m tomoscreen.cli` does and, on exit, prints
-    # to stderr whether scipy.ndimage was ever imported.
-    NDIMAGE_PROBE = (
+    # to stderr whether the module named by its first argument was ever
+    # imported.
+    PROBE = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print('scipy.ndimage' in sys.modules, file=sys.stderr))\n"
+        "module = sys.argv.pop(1)\n"
+        "atexit.register(lambda: print(module in sys.modules, file=sys.stderr))\n"
         "sys.argv[0] = 'tomoscreen'\n"
         "runpy.run_module('tomoscreen.cli', run_name='__main__')\n"
     )
@@ -1412,16 +1439,25 @@ class TestSubprocessEntry:
     def run_cli(self, *argv, env=None):
         return self.run_python("-m", "tomoscreen.cli", *argv, env=env)
 
-    def ndimage_loaded(self, *argv, preamble: str = "") -> bool:
-        proc = self.run_python("-c", preamble + self.NDIMAGE_PROBE, *argv)
+    def loaded(self, module: str, *argv, preamble: str = "") -> bool:
+        proc = self.run_python("-c", preamble + self.PROBE, module, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         return proc.stderr.splitlines()[-1] == "True"
+
+    def ndimage_loaded(self, *argv, preamble: str = "") -> bool:
+        return self.loaded("scipy.ndimage", *argv, preamble=preamble)
 
     def test_import_and_version_leave_out_scipy_ndimage(self):
         proc = self.run_python("-c", "import sys, tomoscreen.cli; print(sorted(sys.modules))")
         assert proc.returncode == 0
         assert "'scipy.ndimage'" not in proc.stdout and "'tomoscreen.scorer'" in proc.stdout
+        assert "'scipy'" not in proc.stdout
         assert not self.ndimage_loaded("--version")
+
+    def test_report_leaves_out_scipy(self, tmp_path):
+        cfg = write_config(tmp_path, n_cancer=6, n_negative=6)
+        assert not self.loaded("scipy", "report", "--config", cfg, "--out", str(tmp_path / "r"))
+        assert self.loaded("scipy", "--version", preamble="import scipy\n")
 
     def test_eval_roc_leaves_out_scipy_ndimage(self, tmp_path):
         args = ["eval", "roc", "--config", write_config(tmp_path), "--cases", scored_csv(tmp_path)]
@@ -1444,6 +1480,14 @@ class TestSubprocessEntry:
     def test_probe_reads_true_when_the_child_imports_scipy_ndimage(self):
         # the probe's control
         assert self.ndimage_loaded("--version", preamble="import scipy.ndimage\n")
+
+    @pytest.mark.parametrize("stage", ["phantom gen", "train mil", "report"])
+    def test_a_texture_scale_below_the_first_tap_runs(self, stage, tmp_path):
+        # sigma**2 underflows to 0.0 at 1e-200; a radius-0 kernel is one tap
+        cfg = write_config(tmp_path, n_cancer=6, n_negative=6, background_texture_scale=1e-200)
+        proc = self.run_cli(*stage.split(), "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
 
     def test_noise_sigma_at_its_cap_generates(self, tmp_path):
         cfg = write_config(tmp_path, width=32, height=32, n_slices=5, noise_sigma=NOISE_SIGMA_MAX)

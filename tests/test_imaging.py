@@ -1,6 +1,7 @@
 """Image grid, volume, normalization, and PGM round-trip behavior."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,8 @@ from tomoscreen.imaging import (
     apply_folded,
     fold_operator,
     gaussian_filter,
+    gaussian_kernel,
+    gaussian_operator,
     maximum_filter,
     normalize_range,
     normalize_volume,
@@ -176,9 +179,10 @@ class TestNormalize:
 # sigmas with radius 0 (below 0.125), 1, a few taps, and longer than any axis
 SIGMAS = st.sampled_from([0.0, 0.05, 0.1249, 0.125, 0.7, 2.4, 4.2426, 24.0])
 
+# 2D, odd and even sides, 1-px axes
 gaussian_inputs = hnp.arrays(
     dtype=np.float64,
-    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
+    shape=st.tuples(st.integers(1, 23), st.integers(1, 23)),
     elements=st.one_of(
         st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2e-308]),
@@ -197,8 +201,9 @@ max_inputs = hnp.arrays(
 
 
 class TestFilters:
-    """imaging's numpy filters are scipy.ndimage's, bit for bit, in the
-    call forms phantom and scorer use; scipy's stay the oracle."""
+    """imaging's Gaussian against scipy.ndimage's `nearest`-mode filter, to
+    rounding, and its maximum filter against scipy's, bit for bit; scipy's
+    stay the oracles."""
 
     def image(self):
         return np.random.default_rng(3).standard_normal((40, 56))
@@ -206,41 +211,49 @@ class TestFilters:
     @pytest.mark.parametrize("sigma", [2.4, 3.8, 24.0])
     def test_gaussian_filter_is_scipys(self, sigma):
         x = self.image()
-        want = ndimage.gaussian_filter(x, sigma=sigma, mode="nearest").tobytes()
-        assert gaussian_filter(x, sigma=sigma, mode="nearest").tobytes() == want
-        assert gaussian_filter(x, sigma, mode="nearest").tobytes() == want
+        want = ndimage.gaussian_filter(x, sigma=sigma, mode="nearest")
+        assert np.abs(gaussian_filter(x, sigma) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("win", [3, 5, 7])
     def test_maximum_filter_is_scipys(self, win):
         x = self.image()
-        got = maximum_filter(x, size=win, mode="constant", cval=-np.inf)
         want = ndimage.maximum_filter(x, size=win, mode="constant", cval=-np.inf)
-        assert got.tobytes() == want.tobytes()
+        assert maximum_filter(x, win).tobytes() == want.tobytes()
 
-    @given(gaussian_inputs, st.data())
-    def test_gaussian_filter_equals_scipys(self, x, data):
-        sigma = data.draw(st.one_of(SIGMAS, st.tuples(*[SIGMAS] * x.ndim)), label="sigma")
+    @given(gaussian_inputs, SIGMAS)
+    def test_gaussian_filter_equals_scipys(self, x, sigma):
+        # each output is a convex combination of inputs, so rounding scales
+        # with the largest input
         want = ndimage.gaussian_filter(x, sigma, mode="nearest")
-        assert gaussian_filter(x, sigma, mode="nearest").tobytes() == want.tobytes()
+        tol = 1e-12 * max(1.0, np.abs(x).max())
+        assert np.abs(gaussian_filter(x, sigma) - want).max() <= tol
 
     @given(max_inputs, st.sampled_from([1, 3, 5, 7, 9, 11]))
     def test_maximum_filter_equals_scipys(self, x, size):
-        got = maximum_filter(x, size=size, mode="constant", cval=-np.inf)
         want = ndimage.maximum_filter(x, size=size, mode="constant", cval=-np.inf)
-        assert got.tobytes() == want.tobytes()
+        assert maximum_filter(x, size).tobytes() == want.tobytes()
 
     def test_other_call_forms_raise(self):
         x = self.image()
         with pytest.raises(ValueError):
-            gaussian_filter(x, 2.0, mode="reflect")
+            gaussian_filter(x[0], 2.0)
         with pytest.raises(ValueError):
-            gaussian_filter(x, 2.0, mode="nearest", truncate=3.0)
+            gaussian_filter(x[None], 2.0)
         with pytest.raises(ValueError):
-            maximum_filter(x, size=4, mode="constant", cval=-np.inf)
-        with pytest.raises(ValueError):
-            maximum_filter(x, size=3, mode="nearest", cval=-np.inf)
-        with pytest.raises(ValueError):
-            maximum_filter(x, size=3, mode="constant", cval=0.0)
+            maximum_filter(x, 4)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-15, 0.1])
+    def test_a_radius_zero_kernel_is_one_tap(self, sigma):
+        # sigma**2 underflows to zero or a subnormal below about 1e-154;
+        # scipy's kernel at radius 0 is [1.0], or it skips the axis
+        x = self.image()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gaussian_kernel(sigma).tolist() == [1.0]
+            got = gaussian_filter(x, sigma)
+        want = ndimage.gaussian_filter(x, sigma, mode="nearest")
+        assert want.tobytes() == x.tobytes()
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_phantom_and_scorer_bind_them_at_module_level(self):
         # perfbench finds the filters as these module attributes
@@ -254,24 +267,28 @@ def nearest_gaussian(n: int, sigma: float) -> np.ndarray:
     return ndimage.gaussian_filter(np.eye(n), sigma=(sigma, 0), mode="nearest")
 
 
-# the texture sigma, each detector's fine and coarse sigma, and one whose
-# radius (1200) exceeds every n below
-BUILD_SIGMAS = [24.0, *(r / np.sqrt(2.0) * f for r in (6.0, 8.0, 10.5) for f in (1.0, 1.6)), 300.0]
+# the texture sigma, each detector's fine and coarse sigma, one whose
+# radius (1200) exceeds every n below, and one of radius 0
+BUILD_SIGMAS = [
+    24.0,
+    *(r / np.sqrt(2.0) * f for r in (6.0, 8.0, 10.5) for f in (1.0, 1.6)),
+    300.0,
+    0.1,
+]
 
 
 class TestGaussianBuilders:
-    """Each builder's operator, laid from the kernel band plus two filtered
-    end impulses, against the fold of scipy's filtered identity."""
+    """The operator laid from the kernel band plus two correlated end
+    impulses, against the fold of scipy's filtered identity."""
 
     @pytest.mark.parametrize("n", [*range(1, 65), 96, 128, 176, 1024])
     def test_equals_the_filtered_identity(self, n):
         for sigma in BUILD_SIGMAS:
             want = fold_operator(ndimage.gaussian_filter(np.eye(n), (sigma, 0), mode="nearest"))
-            for builder in (phantom._folded_smoothing, scorer._smoothing_operator):
-                got = builder.__wrapped__(n, sigma)  # uncached
-                assert got.n == n
-                assert got.even.tobytes() == want.even.tobytes()
-                assert got.odd.tobytes() == want.odd.tobytes()
+            got = gaussian_operator.__wrapped__(n, sigma)  # uncached
+            assert got.n == n
+            assert got.even.tobytes() == want.even.tobytes()
+            assert got.odd.tobytes() == want.odd.tobytes()
 
 
 folded_inputs = hnp.arrays(

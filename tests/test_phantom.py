@@ -1,5 +1,5 @@
 """Phantom generation: determinism, exact noiseless construction, the
-texture operators against scipy's filter, truth IO."""
+texture smoothing against scipy's filter, truth IO."""
 
 import dataclasses
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from tomoscreen import phantom
+from tomoscreen import imaging
 from tomoscreen.imaging import Volume, fold_operator
 from tomoscreen.phantom import (
     BACKGROUND_LEVEL,
@@ -236,7 +236,7 @@ def default_cfg(seed=0) -> PhantomConfig:
 
 
 class TestTexture:
-    """The texture operators against scipy's nearest-mode filter, which
+    """The texture smoothing against scipy's nearest-mode filter, which
     stays the oracle."""
 
     GRIDS = [(176, 128), (128, 96), (16, 16), (33, 47), (1, 1)]
@@ -263,29 +263,20 @@ class TestTexture:
             impulse[j] = 1.0
             columns.append(ndimage.gaussian_filter(impulse, sigma=24.0, mode="nearest"))
         want = fold_operator(np.stack(columns, axis=1))
-        got = phantom._folded_smoothing(n, 24.0)
+        got = imaging.gaussian_operator(n, 24.0)
         assert not got.even.flags.writeable and not got.odd.flags.writeable
         assert got.n == n
         assert got.even.tobytes() == want.even.tobytes()
         assert got.odd.tobytes() == want.odd.tobytes()
 
-    def test_operators_are_built_once_per_axis(self, monkeypatch):
-        calls = []
-        original = phantom.gaussian_filter
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(phantom, "gaussian_filter", counting)
-        phantom._folded_smoothing.cache_clear()
+    def test_operators_are_built_once_per_axis(self, operator_builds):
         for i in range(3):
             generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0)
-        assert len(calls) <= 2
+        assert len(operator_builds) == 2
 
     def test_threaded_cases_equal_serial(self):
         case_ids = [f"negative-{i:04d}" for i in range(4)]
-        phantom._folded_smoothing.cache_clear()
+        imaging.gaussian_operator.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
         for case_id, (vol, _) in zip(case_ids, threaded):
@@ -294,24 +285,16 @@ class TestTexture:
 
 
 class TestFoldedTexture:
-    def test_folded_operators_are_built_once_per_axis(self, monkeypatch):
-        calls = []
-        original = phantom.gaussian_filter
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(phantom, "gaussian_filter", counting)
-        phantom._folded_smoothing.cache_clear()
+    def test_folded_operators_are_built_once_per_axis(self, operator_builds):
         cfg = default_cfg()
         for i in range(3):
             generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)
-        # each build filters only the n x 2 impulses at the axis ends
-        assert sorted(calls) == sorted([(cfg.height, 2), (cfg.width, 2)])
-        for op in phantom.texture_operators(cfg):
+        want = [(cfg.height, 24.0, True), (cfg.width, 24.0, True)]
+        assert sorted(operator_builds) == sorted(want)
+        for n in (cfg.height, cfg.width):
+            op = imaging.gaussian_operator(n, 24.0)
             assert not op.even.flags.writeable and not op.odd.flags.writeable
-        assert len(calls) == 2
+        assert len(operator_builds) == 2
 
 
 class TestTruthIo:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from tomoscreen import scorer as scorer_module
+from tomoscreen import imaging
 from tomoscreen.boxes import ScoredBox
 from tomoscreen.imaging import ImageGrid, normalize_range, normalize_volume
 from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
@@ -154,34 +154,28 @@ class TestFoldedResponse:
         for scorer in default_ensemble():
             assert np.abs(scorer.response(img) - scipy_dog(scorer, img)).max() <= 1e-12
 
-    def test_operators_are_read_only_and_built_once_per_axis_and_sigma(self, monkeypatch):
-        calls = []
-        original = scorer_module.gaussian_filter
-
-        def counting(*args, **kwargs):
-            calls.append((args[0].shape[0], kwargs["sigma"]))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scorer_module, "gaussian_filter", counting)
-        scorer_module._smoothing_operator.cache_clear()
+    def test_operators_are_read_only_and_built_once_per_axis_and_sigma(self, operator_builds):
         slices = phantom_slices()
+        operator_builds.clear()  # the texture's
         for img in slices:
             ensemble_image_score([s.detect(img) for s in default_ensemble()])
         # 3 scorers x (fine, coarse) x (height, width), each built once
-        assert len(calls) == len(set(calls)) == 12
+        assert len(operator_builds) == len(set(operator_builds)) == 12
         h, w = slices[0].data.shape
         for scorer in default_ensemble():
-            ops = scorer.smoothing_operators(h, w)
-            assert [op.n for op in ops] == [h, w, h, w]
-            for op in ops:
-                assert not op.even.flags.writeable and not op.odd.flags.writeable
-        assert len(calls) == 12
+            for sigma in scorer.sigmas:
+                for n in (h, w):
+                    assert (n, sigma, True) in operator_builds
+                    op = imaging.gaussian_operator(n, sigma)
+                    assert op.n == n
+                    assert not op.even.flags.writeable and not op.odd.flags.writeable
+        assert len(operator_builds) == 12
 
     def test_threaded_detection_equals_serial(self):
         slices = phantom_slices()
         scorers = default_ensemble()
         jobs = [(s, img) for img in slices for s in scorers]
-        scorer_module._smoothing_operator.cache_clear()
+        imaging.gaussian_operator.cache_clear()
 
         def run(job):
             s, img = job
