@@ -8,8 +8,9 @@ center-slice canvas. Painting goes in ascending score order, so wherever
 partially-overlapping boxes survive NMS the higher-scoring patch ends up
 on top. Every output pixel therefore comes verbatim from some slice of
 the painted volume: painting the normalized volume gives the composite
-that is scored, and picking the raw volume's pixels by the same
-provenance gives the composite on the raw intensity scale.
+that is scored, and the raw volume's pixels at the same provenance give
+the composite on the raw intensity scale (`imaging.denormalize` recovers
+them exactly from the scored composite of a 16-bit volume).
 """
 
 from __future__ import annotations

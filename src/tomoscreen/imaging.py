@@ -10,6 +10,14 @@ every cohort volume through it, so each stage scores exactly what
 `read_volume` returns. Round trips are bit-exact for integer-valued grids
 in [0, 65535].
 
+A stage holds each case in one float64 stack from render or read to
+score: phantom's generate_case and `read_volume` return a new writable
+stack, `quantize(stack, out=stack)` maps a rendered one in place, and
+`normalize_volume(stack)` normalizes it in place and hands it over as a
+Volume, making the stack read-only. A Volume never wraps a buffer that
+is written after it is made. `denormalize` maps normalized values back
+to the 16-bit samples they came from, exactly.
+
 `gaussian_filter(data, sigma)` is the one Gaussian smoothing: scipy's
 `nearest`-mode kernel applied along both axes of a 2D array as two folded
 operators from `gaussian_operator`, the one builder and the one cache.
@@ -104,11 +112,15 @@ class Volume:
         return ImageGrid(self.data[i])
 
 
-def _affine(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """(data - lo) / (hi - lo) * 255 - 127.5 in one buffer; a degenerate range maps to zeros."""
+def _affine(data: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
+    """(data - lo) / (hi - lo) * 255 - 127.5 in one buffer, `out` if given; a degenerate
+    range maps to zeros."""
     if hi == lo:
-        return np.zeros_like(data)
-    out = np.subtract(data, lo)
+        if out is None:
+            return np.zeros_like(data)
+        out.fill(0.0)
+        return out
+    out = np.subtract(data, lo, out=out)
     out /= hi - lo
     out *= NORM_HI - NORM_LO
     out += NORM_LO
@@ -124,13 +136,37 @@ def normalize_range(img: ImageGrid) -> ImageGrid:
     return ImageGrid(_affine(img.data, img.data.min(), img.data.max()))
 
 
-def normalize_volume(vol: Volume) -> Volume:
+def normalize_volume(stack: np.ndarray) -> Volume:
     """Map a volume onto [-127.5, 127.5] with one affine for all slices.
 
     A shared mapping keeps slice intensities mutually comparable, which
     per-slice normalization would destroy. A constant volume maps to zeros.
+
+    `stack`, a writable C-contiguous float64 array of shape (n_slices,
+    height, width), is normalized in place and handed over: it is made
+    read-only and the returned Volume wraps it, so no later write can
+    change the Volume.
     """
-    return Volume(_affine(vol.data, vol.data.min(), vol.data.max()))
+    if not (stack.dtype == np.float64 and stack.flags.c_contiguous and stack.flags.writeable):
+        raise ValueError("normalizing in place needs a writable C-contiguous float64 stack")
+    _affine(stack, stack.min(), stack.max(), out=stack)
+    stack.flags.writeable = False
+    return Volume(stack)
+
+
+def denormalize(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The integer samples that normalize's affine for the range [lo, hi]
+    maps to `values`: np.rint of the inverse affine, as a new array.
+
+    Exact for integer samples in [0, 65535], such as a volume read from
+    PGM: the inverse is off by about 1e-11 there, far below the 0.5 that
+    rounding absorbs. A constant volume (hi == lo) maps back to lo.
+    """
+    out = np.subtract(values, NORM_LO)
+    out /= NORM_HI - NORM_LO
+    out *= hi - lo
+    out += lo
+    return np.rint(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +260,42 @@ class FoldedOperator:
     n: int
 
 
-def fold_operator(matrix: np.ndarray) -> FoldedOperator:
-    """Fold a centrosymmetric operator of n columns given at least its
-    first ceil(n / 2) rows; only those rows are read, and the folded form
-    applies their mirror below.
+def _fold_into(top: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
+    """Fold the rows `top` of a centrosymmetric operator of n columns into
+    `even` and `odd`, preallocated (rows, ceil(n / 2)) arrays, with no
+    temporaries; `top` may be any view, strided or reversed.
 
     For odd n the middle column counts once in the even half (a + b holds
     the middle sample twice), and the odd half is zero in the middle row,
     so the middle output is the same from either half.
     """
-    n = matrix.shape[1]
+    n = top.shape[1]
     k = n - n // 2
-    top = matrix[:k]
     near, far = top[:, :k], top[:, ::-1][:, :k]
-    even = 0.5 * (near + far)
-    odd = 0.5 * (near - far)
+    np.add(near, far, out=even)
+    np.subtract(near, far, out=odd)
+    even *= 0.5
+    odd *= 0.5
     if n % 2:
-        even[:, -1] = 0.5 * top[:, k - 1]
+        np.multiply(top[:, k - 1], 0.5, out=even[:, -1])
         odd[-1] = 0.0
+
+
+def _frozen(even: np.ndarray, odd: np.ndarray, n: int) -> FoldedOperator:
     even.flags.writeable = False
     odd.flags.writeable = False
     return FoldedOperator(even, odd, n)
+
+
+def fold_operator(matrix: np.ndarray) -> FoldedOperator:
+    """Fold a centrosymmetric operator of n columns given at least its
+    first ceil(n / 2) rows; only those rows are read, and the folded form
+    applies their mirror below."""
+    n = matrix.shape[1]
+    k = n - n // 2
+    even, odd = np.empty((k, k)), np.empty((k, k))
+    _fold_into(matrix[:k], even, odd)
+    return _frozen(even, odd, n)
 
 
 @functools.lru_cache(maxsize=32)
@@ -255,25 +306,28 @@ def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
 
     Clamping only ever moves a sample to an end of the axis, so every
     column but 0 and n - 1 holds at most one kernel tap per entry, tap
-    r + j - i in row i. The top ceil(n / 2) rows that fold_operator reads
-    are laid straight from the zero-padded kernel, and the two end columns
-    are the n x 2 impulses at 0 and n - 1 correlated in scipy's order. Bit
-    for bit the filtered identity's fold, with O(n r) multiply-adds instead
-    of the identity's O(n**2 r).
+    r + j - i in row i. The top ceil(n / 2) rows, a strided view of the
+    zero-padded kernel, fold straight into the even and odd halves; the
+    end columns, the impulses at 0 and n - 1 correlated in scipy's order,
+    fold into column 0 alone and replace it. Bit for bit `fold_operator`
+    of the filtered identity, with O(n r) multiply-adds instead of the
+    identity's O(n**2 r), and no array beyond the two k x k halves it
+    keeps and O(n) scratch.
     """
     k = n - n // 2
+    even = np.empty((k, k))  # the two halves are all the build keeps, so a grid
+    odd = np.empty((k, k))  # too large for memory fails here, before any work
     taps = gaussian_kernel(sigma)
     r = len(taps) // 2
     pad = np.zeros(max(n - 1 - r, 0))
     band = np.concatenate([pad, taps, pad])
     windows = np.lib.stride_tricks.sliding_window_view(band, n)
-    top = windows[len(pad) + r - np.arange(k)]  # row i starts at tap r - i
-    impulses = np.zeros((n, 2))
-    impulses[0, 0] = impulses[-1, 1] = 1.0
-    ends = _correlate_nearest(impulses, taps)
-    top[:, 0] = ends[:k, 0]
-    top[:, -1] = ends[:k, 1]
-    return fold_operator(top)
+    start = len(pad) + r
+    _fold_into(windows[start - k + 1 : start + 1][::-1], even, odd)  # row i starts at tap r - i
+    impulses = np.zeros((n, min(n, 2)))  # one column when the ends coincide
+    impulses[0, 0] = impulses[-1, -1] = 1.0
+    _fold_into(_correlate_nearest(impulses, taps)[:k], even[:, :1], odd[:, :1])
+    return _frozen(even, odd, n)
 
 
 def _apply_last_axis(op: FoldedOperator, x: np.ndarray) -> np.ndarray:
@@ -311,23 +365,32 @@ def gaussian_filter(data: np.ndarray, sigma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def quantize(data: np.ndarray) -> tuple[np.ndarray, int]:
+def quantize(data: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Round half to even, then clip to [0, 65535]: the values a 16-bit PGM
-    stores and read_pgm returns, -0.0 included as +0.0. Returns one new
-    float64 array and the count of samples whose rounded value fell
-    outside [0, 65535]."""
-    out = np.rint(data)
+    stores and read_pgm returns, -0.0 included as +0.0. Returns the result,
+    a new float64 array or `out` (which may be `data` itself), and the
+    count of samples whose rounded value fell outside [0, 65535]."""
+    out = np.rint(data, out=out)
     clipped = int(np.count_nonzero(out < 0)) + int(np.count_nonzero(out > PGM_MAXVAL))
     np.clip(out, 0, PGM_MAXVAL, out=out)
     out += 0.0  # -0.0 + 0.0 is +0.0
     return out, clipped
 
 
+def _pgm_bytes(data: np.ndarray, scratch: np.ndarray) -> bytes:
+    """A 16-bit PGM of a 2D array: the header, then the samples quantize
+    maps it to as big-endian 16-bit words. `scratch`, a float64 array of
+    the same shape, holds the quantized samples, so a writer of many
+    slices reuses one."""
+    quantize(data, out=scratch)
+    height, width = data.shape
+    header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
+    return header + scratch.astype(">u2").tobytes()
+
+
 def write_pgm(img: ImageGrid, path: str | Path) -> None:
     """Write a binary 16-bit PGM of `quantize(img.data)`."""
-    quant = quantize(img.data)[0].astype(">u2")
-    header = f"P5\n{img.width} {img.height}\n{PGM_MAXVAL}\n".encode("ascii")
-    Path(path).write_bytes(header + quant.tobytes())
+    Path(path).write_bytes(_pgm_bytes(img.data, np.empty(img.data.shape)))
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
@@ -352,9 +415,11 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i
 
 
-def read_pgm(path: str | Path) -> ImageGrid:
-    """Read a binary PGM (P5) with maxval up to 65535. A missing,
-    unreadable or malformed file raises ValueError naming it."""
+def _read_pgm_raster(path: str | Path) -> np.ndarray:
+    """The samples of a binary PGM (P5) with maxval up to 65535, as a
+    read-only (height, width) view of its bytes (unsigned 8- or big-endian
+    16-bit). A missing, unreadable or malformed file raises ValueError
+    naming it."""
     with reading(path):
         raw = Path(path).read_bytes()
         if raw[:2] != b"P5":
@@ -370,8 +435,13 @@ def read_pgm(path: str | Path) -> ImageGrid:
         n = width * height
         if len(raw) - pos < n * dtype.itemsize:
             raise ValueError("truncated raster")
-    data = np.frombuffer(raw, dtype=dtype, count=n, offset=pos)
-    return ImageGrid(data.reshape(height, width).astype(np.float64))
+    return np.frombuffer(raw, dtype=dtype, count=n, offset=pos).reshape(height, width)
+
+
+def read_pgm(path: str | Path) -> ImageGrid:
+    """Read a binary PGM (P5) with maxval up to 65535. A missing,
+    unreadable or malformed file raises ValueError naming it."""
+    return ImageGrid(_read_pgm_raster(path).astype(np.float64))
 
 
 def write_volume(vol: Volume, directory: str | Path) -> None:
@@ -379,8 +449,9 @@ def write_volume(vol: Volume, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = [f"slice_{i:04d}.pgm" for i in range(vol.n_slices)]
-    for i, name in enumerate(names):
-        write_pgm(vol.slice(i), directory / name)
+    scratch = np.empty(vol.data.shape[1:])
+    for plane, name in zip(vol.data, names):
+        (directory / name).write_bytes(_pgm_bytes(plane, scratch))
     manifest = {
         "width": vol.width,
         "height": vol.height,
@@ -432,24 +503,35 @@ def volume_shape(directory: str | Path) -> tuple[int, int, int]:
     return manifest["slice_count"], manifest["height"], manifest["width"]
 
 
-def read_volume(directory: str | Path) -> Volume:
-    """Read a volume written by write_volume.
+def read_volume(directory: str | Path) -> np.ndarray:
+    """Read a volume written by write_volume into a new writable float64
+    stack of shape (n_slices, height, width), each slice's samples going
+    straight into it; the caller owns the stack, to work on in place or to
+    wrap in a Volume.
 
     A missing, unreadable or malformed manifest or slice, or a slice that
     disagrees with the manifest, raises ValueError naming the offending
-    file.
+    file. The first slice is checked before the stack is allocated, so a
+    manifest that claims a larger grid than its slices fails there.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
     names = manifest["slices"]
     shape = (manifest["height"], manifest["width"])
-    planes = []
-    for name in names:
-        img = read_pgm(directory / name)
+
+    def samples(name: str) -> np.ndarray:
+        raster = _read_pgm_raster(directory / name)
         with reading(directory / name):
-            if img.data.shape != shape:
+            if raster.shape != shape:
                 raise ValueError(
-                    f"slice is {img.width}x{img.height}, manifest says {shape[1]}x{shape[0]}"
+                    f"slice is {raster.shape[1]}x{raster.shape[0]}, "
+                    f"manifest says {shape[1]}x{shape[0]}"
                 )
-        planes.append(img.data)
-    return Volume(np.stack(planes))
+        return raster
+
+    first = samples(names[0])
+    stack = np.empty((len(names), *shape))
+    stack[0] = first
+    for plane, name in zip(stack[1:], names[1:]):
+        plane[...] = samples(name)
+    return stack

@@ -249,7 +249,7 @@ def _check_lesion_bounds(cfg: PhantomConfig, les: LesionSpec) -> None:
 
 def generate_volume(
     cfg: PhantomConfig, lesions: list[LesionSpec], case_id: str = "case"
-) -> tuple[Volume, PhantomTruth]:
+) -> tuple[np.ndarray, PhantomTruth]:
     """Render a phantom volume and its ground truth.
 
     Args:
@@ -258,14 +258,18 @@ def generate_volume(
         case_id: identifier recorded in the returned PhantomTruth.
 
     Returns:
-        (volume, truth). Deterministic given (cfg, lesions): identical
-        inputs give bit-identical volumes.
+        (stack, truth): the stack is a new writable float64 array of
+        shape (n_slices, height, width) that the caller owns, to work on
+        in place or to wrap in a Volume.
+        Deterministic given (cfg, lesions): identical inputs give
+        bit-identical volumes.
 
     Raises:
         ValueError: when a lesion does not fit inside the volume.
     """
     for les in lesions:
         _check_lesion_bounds(cfg, les)
+    data = np.full((cfg.n_slices, cfg.height, cfg.width), BACKGROUND_LEVEL)
 
     common_amp = COMMON_TEXTURE_RATIO * cfg.noise_sigma
     slice_amp = SLICE_TEXTURE_RATIO * cfg.noise_sigma
@@ -280,7 +284,6 @@ def generate_volume(
             weight = _slice_weight(s - les.center_slice, les.slice_extent)
             lesion_cover.setdefault(s, []).append((les, weight))
 
-    data = np.full((cfg.n_slices, cfg.height, cfg.width), BACKGROUND_LEVEL)
     for i, canvas in enumerate(data):
         if common is not None:
             canvas += common_amp * common
@@ -306,7 +309,7 @@ def generate_volume(
         lesions=tuple(lesions),
         label=any(les.malignant for les in lesions),
     )
-    return Volume(data), truth
+    return data, truth
 
 
 def project_dm(vol: Volume) -> ImageGrid:
@@ -382,12 +385,13 @@ def generate_case(
     case_id: str,
     cancer: bool,
     contrast_range: tuple[float, float] = (60.0, 220.0),
-) -> tuple[Volume, PhantomTruth]:
+) -> tuple[np.ndarray, PhantomTruth]:
     """Generate one cohort case with a per-case derived seed.
 
     Cancer cases get a single malignant lesion with contrast drawn from
     contrast_range; negatives get none. The base seed is mixed with the
-    case_id, so cohorts are order- and parallelism-independent.
+    case_id, so cohorts are order- and parallelism-independent. Returns
+    (stack, truth) as generate_volume does.
     """
     cfg = replace(base_cfg, seed=case_seed(base_cfg.seed, case_id))
     lesions: list[LesionSpec] = []

@@ -26,6 +26,11 @@ def make_volume(arrays) -> Volume:
     return Volume(np.asarray(arrays, dtype=np.float64))
 
 
+def normalized(vol: Volume) -> Volume:
+    """normalize_volume of a copy of `vol`'s data; `vol` is left as it is."""
+    return imaging.normalize_volume(vol.data.copy())
+
+
 def constant_slice_volume(n_slices: int, height: int = 40, width: int = 40) -> Volume:
     """Volume whose slice i is constant i everywhere; provenance assertions
     reduce to reading pixel values."""

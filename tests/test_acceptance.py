@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import normalized
 from test_boxes import random_boxes, reference_nms
 
 from tomoscreen.boxes import ScoredBox, nms
@@ -24,7 +25,7 @@ from tomoscreen.condense import (
     detect_slices,
     trimmed_slices,
 )
-from tomoscreen.imaging import ImageGrid, normalize_volume
+from tomoscreen.imaging import ImageGrid, Volume
 from tomoscreen.miltrain import (
     ToyScorer,
     candidate_features,
@@ -334,8 +335,8 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
     for i in range(2 * n_per_class):
         cancer = i < n_per_class
         case_id = f"{'c' if cancer else 'n'}-{i % n_per_class:03d}"
-        vol, _ = generate_case(base, case_id, cancer=cancer, contrast_range=(60.0, 220.0))
-        norm = normalize_volume(vol)
+        vol = Volume(generate_case(base, case_id, cancer=cancer, contrast_range=(60.0, 220.0))[0])
+        norm = normalized(vol)
         # one detection pass over every slice feeds both box pathways
         boxes = detect_slices(norm, detector, range(vol.n_slices))
         trimmed = trimmed_slices(vol.n_slices)
@@ -396,8 +397,8 @@ def test_criterion_07_provenance_and_pixel_origin():
             contrast=float(rng.uniform(60.0, 220.0)),
             malignant=True,
         )
-        vol, _ = generate_volume(replace(base, seed=k), [spec], case_id=f"p{k:03d}")
-        boxes = detect_slices(normalize_volume(vol), detector, trimmed_slices(vol.n_slices))
+        vol = Volume(generate_volume(replace(base, seed=k), [spec], case_id=f"p{k:03d}")[0])
+        boxes = detect_slices(normalized(vol), detector, trimmed_slices(vol.n_slices))
         opt = build_optimized_image(vol, aggregate_boxes(boxes, 0.0, 0.2))
 
         cols, rows = np.meshgrid(np.arange(base.width), np.arange(base.height))

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomoscreen.cli as cli_module
+import tomoscreen.imaging as imaging_module
 import tomoscreen.miltrain as miltrain_module
 import tomoscreen.phantom as phantom_module
 import tomoscreen.scorer as scorer_module
@@ -40,6 +42,8 @@ from tomoscreen.imaging import (
     Volume,
     normalize_volume,
     read_json,
+    read_pgm,
+    read_volume,
     write_pgm,
     write_volume,
 )
@@ -456,6 +460,18 @@ class TestMalformedVolume:
         path.write_text(json.dumps(manifest))
         assert self.condense(directory, tmp_path) == EXIT_CONFIG
         assert str(path) in capsys.readouterr().err
+
+    def test_manifest_claiming_a_huge_grid_names_the_first_slice(self, tmp_path, capsys):
+        # the first slice is checked before a stack of the claimed grid is allocated,
+        # so this is a bad input (exit 2), not an out-of-memory failure (exit 3)
+        directory = self.volume(tmp_path)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(width=10**6, height=10**6)
+        path.write_text(json.dumps(manifest))
+        assert self.condense(directory, tmp_path) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(directory / "slice_0000.pgm") in err and "manifest says 1000000x1000000" in err
 
 
 class TestMalformedCasesCsv:
@@ -1045,6 +1061,114 @@ class TestCondenseRun:
         assert tree_bytes(a) == tree_bytes(b)
 
 
+# the RunConfig default grid, with a cohort just large enough for report's statistics
+DEFAULT_GRID = {"n_cancer": 4, "n_negative": 4, "n_validation": 1, "n_resamples": 200,
+                "n_populations": 50}
+
+
+@pytest.fixture(scope="module")
+def default_grid_cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("default-grid")
+    cfg = str(root / "config.json")
+    Path(cfg).write_text(json.dumps(DEFAULT_GRID))
+    assert main(["phantom", "gen", "--config", cfg, "--out", str(root / "gen")]) == EXIT_OK
+    return cfg, root / "gen" / "cases"
+
+
+class TestOneStackPerCase:
+    """A case lives in one float64 stack from render or read to score:
+    generate_case or read_volume returns it, and it is quantized and
+    normalized in place. numpy reports its buffers to tracemalloc, so a stage's traced
+    peak, after a warm run has built its operators and imported what it
+    imports lazily, is one volume plus per-slice work."""
+
+    @pytest.mark.parametrize("stage", ["report", "phantom gen", "condense run --volume"])
+    def test_traced_peak_stays_below_one_and_a_half_volumes(
+        self, stage, default_grid_cohort, tmp_path
+    ):
+        cfg, cases = default_grid_cohort
+        args = {
+            "report": ["report", "--config", cfg],
+            "phantom gen": ["phantom", "gen", "--config", cfg],
+            "condense run --volume": ["condense", "run", "--volume", str(cases / "cancer-0000")],
+        }[stage]
+        run = RunConfig()
+        volume_bytes = 8 * run.n_slices * run.height * run.width
+        assert main(args + ["--out", str(tmp_path / "warm")]) == EXIT_OK
+        tracemalloc.start()
+        try:
+            assert main(args + ["--out", str(tmp_path / "traced")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * volume_bytes
+
+    def test_optimized_pgm_is_the_raw_volume_at_the_provenance(self, tmp_path):
+        # noise this strong clips at both ends, so the volume spans [0, 65535]
+        cfg = write_config(tmp_path, noise_sigma=1e4, n_cancer=1, n_negative=0)
+        gen = ["phantom", "gen", "--config", cfg, "--out", str(tmp_path / "gen")]
+        assert main(gen) == EXIT_OK
+        case = tmp_path / "gen" / "cases" / "cancer-0000"
+        assert read_json(case / "truth.json")["clipped_voxels"] > 0
+        out = tmp_path / "one"
+        assert main(["condense", "run", "--volume", str(case), "--out", str(out)]) == EXIT_OK
+        raw = read_volume(case)
+        assert raw.min() == 0.0 and raw.max() == 65535.0
+        provenance = read_pgm(out / "provenance.pgm").data.astype(np.intp)
+        picked = np.take_along_axis(raw, provenance[None], axis=0)[0]
+        write_pgm(ImageGrid(picked), tmp_path / "picked.pgm")
+        assert (out / "optimized.pgm").read_bytes() == (tmp_path / "picked.pgm").read_bytes()
+
+    def test_returned_volumes_never_change(self, cohort, tmp_path, monkeypatch):
+        """generate_case, generate_volume and read_volume hand a stage a
+        writable stack of its own and no Volume, and every Volume that
+        normalize_volume returns, wherever a stage calls it, holds the same
+        bytes when the stage has finished."""
+        stacks, volumes = [], []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                out = result[0] if isinstance(result, tuple) else result
+                if isinstance(out, Volume):
+                    volumes.append((fn.__name__, out, out.data.tobytes()))
+                else:
+                    stacks.append((fn.__name__, out.dtype, out.flags.writeable))
+                return result
+
+            return wrapper
+
+        for module, name in [
+            (imaging_module, "read_volume"),
+            (imaging_module, "normalize_volume"),
+            (phantom_module, "generate_volume"),
+            (phantom_module, "generate_case"),
+        ]:
+            original = getattr(module, name)
+            wrapped = recording(original)
+            for owner in (imaging_module, phantom_module, cli_module):
+                if getattr(owner, name, None) is original:
+                    monkeypatch.setattr(owner, name, wrapped)
+        cfg, cases = cohort
+        small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
+        report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
+        runs = [
+            ["phantom", "gen", "--config", cfg],
+            ["condense", "run", "--config", cfg, "--cases", str(cases)],
+            ["condense", "run", "--config", cfg, "--volume", str(cases / "cancer-0000")],
+            ["train", "mil", "--config", small],
+            ["report", "--config", report],
+        ]
+        for i, args in enumerate(runs):
+            assert main(args + ["--out", str(tmp_path / str(i)), "--threads", "2"]) == EXIT_OK
+        names = {name for name, _, _ in stacks}
+        assert names == {"generate_case", "generate_volume", "read_volume"}
+        assert all(dtype == np.float64 and writeable for _, dtype, writeable in stacks)
+        assert {name for name, _, _ in volumes} == {"normalize_volume"}
+        for _, vol, data in volumes:
+            assert vol.data.tobytes() == data
+
+
 class TestScoreStudy:
     def make_view(self, path, bright=False):
         rng = np.random.default_rng(3)
@@ -1173,8 +1297,8 @@ class TestSingleDetectionPass:
         center = read_cases_csv(out / "cases_center.csv")
         assert len(center) == n_cases
         for record in center:
-            vol, _, _ = cli_module._case(run, record.case_id, record.label)
-            img = normalize_volume(vol).slice(vol.n_slices // 2)
+            stack, _, _ = cli_module._case(run, record.case_id, record.label)
+            img = normalize_volume(stack).slice(len(stack) // 2)
             assert record.score == ensemble_image_score([s.detect(img) for s in default_ensemble()])
 
     def test_train_mil(self, tmp_path, monkeypatch):

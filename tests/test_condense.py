@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import LookupScorer, constant_slice_volume, make_volume
+from conftest import LookupScorer, constant_slice_volume, make_volume, normalized
 from hypothesis import given
 from hypothesis import strategies as st
 from test_boxes import reference_nms
@@ -19,7 +19,7 @@ from tomoscreen.condense import (
     study_max_box_score,
     trimmed_slices,
 )
-from tomoscreen.imaging import ImageGrid, normalize_volume
+from tomoscreen.imaging import ImageGrid, Volume
 from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
 from tomoscreen.scorer import (
     default_condense_scorer,
@@ -36,7 +36,7 @@ def box(x0, y0, x1, y1, score, s=None):
 def condensed_boxes(vol, scorer, score_threshold, iou_threshold):
     """The boxes condensation keeps: detection on the trimmed slices of
     the normalized volume, thresholded and suppressed."""
-    norm = normalize_volume(vol)
+    norm = normalized(vol)
     boxes = detect_slices(norm, scorer, trimmed_slices(vol.n_slices))
     return aggregate_boxes(boxes, score_threshold, iou_threshold)
 
@@ -51,7 +51,7 @@ def phantom_volumes():
         noise_sigma=18.0,
         seed=4,
     )
-    return [generate_case(cfg, f"case-{k}", cancer=k == 0)[0] for k in range(2)]
+    return [Volume(generate_case(cfg, f"case-{k}", cancer=k == 0)[0]) for k in range(2)]
 
 
 class TestSliceRange:
@@ -73,7 +73,7 @@ class TestDetectSlices:
     def test_matches_per_slice_detect_on_phantoms(self):
         scorer = default_condense_scorer()
         for vol in phantom_volumes():
-            norm = normalize_volume(vol)
+            norm = normalized(vol)
             for slices in (range(vol.n_slices), trimmed_slices(vol.n_slices), [7, 2]):
                 expected = [
                     b.with_slice(i) for i in slices for b in scorer.detect(norm.slice(i))
@@ -269,7 +269,7 @@ class TestBuildOptimizedImage:
         }
         kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.5)
         assert len(kept) == 4  # overlapping boxes survive a loose NMS
-        painted = build_optimized_image(normalize_volume(vol), kept)
+        painted = build_optimized_image(normalized(vol), kept)
         raw = build_optimized_image(vol, kept)
         picked = np.take_along_axis(vol.data, painted.provenance[None], axis=0)[0]
         assert np.array_equal(painted.provenance, raw.provenance)
@@ -293,7 +293,7 @@ class TestCondenseVolume:
         assert all(kept for _, kept in cases)
         cases.append((make_volume(np.full((10, 40, 40), 7.0)), [box(10, 10, 20, 20, 0.5, s=3)]))
         for vol, kept in cases:
-            painted = build_optimized_image(normalize_volume(vol), kept)
+            painted = build_optimized_image(normalized(vol), kept)
             raw = build_optimized_image(vol, kept).image.data
             lo, hi = vol.data.min(), vol.data.max()
             expected = (raw - lo) / (hi - lo) * 255 - 127.5 if hi > lo else np.zeros_like(raw)
@@ -318,8 +318,8 @@ class TestCondenseVolume:
             contrast=150.0,
             malignant=True,
         )
-        vol, _ = generate_volume(cfg, [les])
-        norm = normalize_volume(vol)
+        vol = Volume(generate_volume(cfg, [les])[0])
+        norm = normalized(vol)
         kept = condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2)
         ensemble = default_ensemble()
         opt = build_optimized_image(norm, kept).image
@@ -331,7 +331,7 @@ class TestCondenseVolume:
 class TestStudyMaxBoxScore:
     def test_empty_volume_scores_zero(self):
         vol = constant_slice_volume(10)
-        assert study_max_box_score(normalize_volume(vol), LookupScorer(10, {})) == 0.0
+        assert study_max_box_score(normalized(vol), LookupScorer(10, {})) == 0.0
 
     def test_max_over_trimmed_slices_only(self):
         vol = constant_slice_volume(10)
@@ -341,7 +341,7 @@ class TestStudyMaxBoxScore:
             9: [box(10, 10, 20, 20, 0.95)],
         }
         scorer = LookupScorer(10, b)
-        assert study_max_box_score(normalize_volume(vol), scorer) == 0.7
+        assert study_max_box_score(normalized(vol), scorer) == 0.7
 
     def test_agrees_with_direct_scan(self, rng):
         n = 12
@@ -351,7 +351,7 @@ class TestStudyMaxBoxScore:
             for s in range(n)
         }
         scorer = LookupScorer(n, by_slice)
-        norm = normalize_volume(vol)
+        norm = normalized(vol)
         direct = max(mil_image_score(scorer.detect(norm.slice(i))) for i in range(1, n - 1))
         assert study_max_box_score(norm, scorer) == direct
 
@@ -364,10 +364,10 @@ class TestSliceMaxScore:
         vol = constant_slice_volume(10)
         b = {0: [box(10, 10, 20, 20, 0.99)], 5: [box(10, 10, 20, 20, 0.3)]}
         scorer = LookupScorer(10, b)
-        norm = normalize_volume(vol)
+        norm = normalized(vol)
         assert mil_image_score(detect_slices(norm, scorer, range(10))) == 0.99
         assert study_max_box_score(norm, scorer) == 0.3
 
     def test_empty_detections_score_zero(self):
-        norm = normalize_volume(constant_slice_volume(4))
+        norm = normalized(constant_slice_volume(4))
         assert mil_image_score(detect_slices(norm, LookupScorer(4, {}), range(4))) == 0.0

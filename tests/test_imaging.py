@@ -1,5 +1,6 @@
 """Image grid, volume, normalization, and PGM round-trip behavior."""
 
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,9 +15,12 @@ from scipy import ndimage
 from tomoscreen import imaging, phantom, scorer
 from tomoscreen.miltrain import N_FEATURES, TrainingCase
 from tomoscreen.imaging import (
+    PGM_MAXVAL,
     ImageGrid,
     Volume,
+    _affine,
     apply_folded,
+    denormalize,
     fold_operator,
     gaussian_filter,
     gaussian_kernel,
@@ -141,10 +145,10 @@ class TestNormalize:
         assert np.all(np.diff(flat_out[order]) >= -1e-9)
 
     def test_volume_range_spans_all_slices(self):
-        vol = Volume(
+        stack = np.array(
             [np.full((2, 2), 3.0), np.array([[0.0, 9.0], [4.0, 4.0]]), np.full((2, 2), 5.0)]
         )
-        norm = normalize_volume(vol).data
+        norm = normalize_volume(stack).data
         assert norm.min() == norm[1, 0, 0] == -127.5
         assert norm.max() == norm[1, 0, 1] == 127.5
         # a constant slice keeps its place in the volume's range
@@ -152,28 +156,75 @@ class TestNormalize:
 
     def test_normalize_volume_matches_inline_affine(self):
         rng = np.random.default_rng(3)
-        vol = Volume(rng.random((3, 4, 4)) * 50)
-        lo, hi = vol.data.min(), vol.data.max()
-        expected = (vol.data - lo) / (hi - lo) * 255 - 127.5
-        assert normalize_volume(vol).data.tobytes() == expected.tobytes()
+        data = rng.random((3, 4, 4)) * 50
+        lo, hi = data.min(), data.max()
+        expected = (data - lo) / (hi - lo) * 255 - 127.5
+        assert normalize_volume(data).data.tobytes() == expected.tobytes()
 
     def test_degenerate_range_maps_to_zero(self):
         # a single voxel or pixel has a degenerate range by size alone
-        assert np.all(normalize_volume(Volume(np.full((1, 1, 1), 5.0))).data == 0.0)
+        assert np.all(normalize_volume(np.full((1, 1, 1), 5.0)).data == 0.0)
         assert np.all(normalize_range(ImageGrid(np.array([[5.0]]))).data == 0.0)
 
     def test_normalize_volume_shares_one_affine(self):
         a = np.array([[0.0, 1.0]])
         b = np.array([[3.0, 4.0]])
-        norm = normalize_volume(Volume([a, b]))
+        norm = normalize_volume(np.array([a, b]))
         # 0 -> -127.5 and 4 -> 127.5; interior values keep their ratios
         assert norm.data[0, 0, 0] == -127.5
         assert norm.data[1, 0, 1] == 127.5
         assert norm.data[0, 0, 1] == pytest.approx(-127.5 + 255.0 / 4)
 
     def test_constant_volume_maps_to_zero(self):
-        vol = Volume(np.full((2, 2, 2), 9.0))
-        assert np.all(normalize_volume(vol).data == 0.0)
+        assert np.all(normalize_volume(np.full((2, 2, 2), 9.0)).data == 0.0)
+
+    def test_normalizes_in_place_and_freezes_the_stack(self):
+        rng = np.random.default_rng(4)
+        for data in (rng.random((3, 4, 5)) * 900, np.full((2, 3, 3), 7.0)):
+            want = _affine(data, data.min(), data.max()).tobytes()
+            stack = data.copy()
+            norm = normalize_volume(stack)
+            assert norm.data.tobytes() == stack.tobytes() == want
+            assert np.shares_memory(norm.data, stack)
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+
+    def test_in_place_needs_a_writable_float64_stack(self):
+        frozen = np.zeros((2, 2, 2))
+        frozen.flags.writeable = False
+        strided = np.zeros((2, 2, 4))[..., ::2]
+        for stack in (np.zeros((2, 2, 2), dtype=np.float32), frozen, strided):
+            with pytest.raises(ValueError, match="in place"):
+                normalize_volume(stack)
+
+
+SAMPLES_16BIT = np.arange(PGM_MAXVAL + 1, dtype=np.float64)
+
+
+class TestDenormalize:
+    """The inverse affine gives back a 16-bit volume's samples exactly, so
+    condense run can recover raw pixels from the normalized composite."""
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 1), (0, 65535), (65534, 65535)]
+        + [tuple(sorted(p)) for p in np.random.default_rng(22).integers(0, 65536, (20, 2))],
+    )
+    def test_every_sample_comes_back(self, lo, hi):
+        # samples outside [lo, hi] too; a sample 0 below lo can come back as -0.0
+        lo, hi = float(lo), float(hi)
+        assert np.array_equal(denormalize(_affine(SAMPLES_16BIT, lo, hi), lo, hi), SAMPLES_16BIT)
+
+    def test_a_volumes_own_range_through_normalize_volume(self):
+        data = np.random.default_rng(5).integers(300, 4001, size=(4, 6, 7)).astype(np.float64)
+        norm = normalize_volume(data.copy()).data
+        assert denormalize(norm, data.min(), data.max()).tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("level", [0.0, 7.0, 65535.0])
+    def test_a_constant_volume_maps_back_to_lo(self, level):
+        norm = normalize_volume(np.full((2, 3, 3), level)).data
+        assert np.all(denormalize(norm, level, level) == level)
 
 
 # sigmas with radius 0 (below 0.125), 1, a few taps, and longer than any axis
@@ -433,8 +484,28 @@ class TestPgm:
         vol = Volume(rng.integers(0, 65536, size=(4, 5, 6)).astype(np.float64))
         write_volume(vol, tmp_path / "vol")
         back = read_volume(tmp_path / "vol")
-        assert back.n_slices == 4
-        assert np.array_equal(back.data, vol.data)
+        assert back.dtype == np.float64 and back.flags.writeable and back.flags.c_contiguous
+        assert back.tobytes() == vol.data.tobytes()
+
+    def test_volume_slices_are_the_pgms_write_pgm_stores(self, tmp_path):
+        # non-integer, negative, out-of-range and -0.0 samples
+        rng = np.random.default_rng(6)
+        data = rng.normal(0.0, 5e4, size=(3, 4, 5))
+        data[0, 0, :3] = [-0.0, -0.4, 65535.5]
+        write_volume(Volume(data), tmp_path / "vol")
+        for i, plane in enumerate(data):
+            write_pgm(ImageGrid(plane), tmp_path / "one.pgm")
+            assert (tmp_path / "vol" / f"slice_{i:04d}.pgm").read_bytes() == (
+                tmp_path / "one.pgm"
+            ).read_bytes()
+        assert read_volume(tmp_path / "vol").tobytes() == quantize(data)[0].tobytes()
+
+    def test_quantize_in_place(self):
+        data = np.array([[-3.2, -0.4, 2.5, 65535.5, 1e9]])
+        want, clipped = quantize(data)
+        got, n = quantize(data, out=data)
+        assert got is data and n == clipped == 3
+        assert data.tobytes() == want.tobytes()
 
     def test_volume_shape_reads_the_manifest_alone(self, tmp_path):
         write_volume(Volume(np.ones((3, 5, 4))), tmp_path)
@@ -462,6 +533,16 @@ class TestPgm:
             with pytest.raises(ValueError) as exc:
                 read_volume(tmp_path)
             assert str(tmp_path / "manifest.json") in str(exc.value)
+
+    def test_manifest_claiming_a_larger_grid_fails_at_the_first_slice(self, tmp_path):
+        # a stack of the claimed grid (16 TB) is never allocated
+        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest.update(width=10**6, height=10**6)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest says 1000000x1000000") as exc:
+            read_volume(tmp_path)
+        assert str(tmp_path / "slice_0000.pgm") in str(exc.value)
 
     def test_slice_with_wrong_dimensions_names_the_slice(self, tmp_path):
         write_volume(Volume(np.ones((2, 3, 4))), tmp_path)

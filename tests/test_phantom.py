@@ -86,25 +86,25 @@ class TestGenerateVolume:
         contrast = 137.0
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(contrast)])
         # lesion center sits on the center of pixel (32, 32)
-        value = vol.data[5, 32, 32]
+        value = vol[5, 32, 32]
         assert value - BACKGROUND_LEVEL == contrast
 
     def test_flat_background_off_lesion(self):
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0)])
-        assert vol.data[5, 2, 2] == BACKGROUND_LEVEL
-        assert np.all(vol.data[0] == BACKGROUND_LEVEL)
+        assert vol[5, 2, 2] == BACKGROUND_LEVEL
+        assert np.all(vol[0] == BACKGROUND_LEVEL)
 
     def test_bit_identical_across_runs(self):
         cfg = quiet_cfg(seed=99, clutter_density=1.5, noise_sigma=12.0)
         lesions = [centered_lesion(80.0)]
         a, _ = generate_volume(cfg, lesions)
         b, _ = generate_volume(cfg, lesions)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a, _ = generate_volume(quiet_cfg(seed=1, noise_sigma=10.0), [])
         b, _ = generate_volume(quiet_cfg(seed=2, noise_sigma=10.0), [])
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(a, b)
 
     def test_no_lesions_means_negative_label(self):
         _, truth = generate_volume(quiet_cfg(), [])
@@ -130,16 +130,16 @@ class TestGenerateVolume:
 
     def test_lesion_fades_away_from_center_slice(self):
         vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0, slice_extent=3)])
-        peak = vol.data[5, 32, 32]
-        adjacent = vol.data[6, 32, 32]
+        peak = vol[5, 32, 32]
+        adjacent = vol[6, 32, 32]
         assert BACKGROUND_LEVEL < adjacent < peak
-        assert vol.data[8, 32, 32] == BACKGROUND_LEVEL
+        assert vol[8, 32, 32] == BACKGROUND_LEVEL
 
     def test_edge_slices_are_noisier(self):
         cfg = quiet_cfg(seed=4, noise_sigma=10.0, n_slices=20)
         vol, _ = generate_volume(cfg, [])
-        edge_sd = vol.data[0].std()
-        interior_sd = vol.data[10].std()
+        edge_sd = vol[0].std()
+        interior_sd = vol[10].std()
         assert edge_sd > 3 * interior_sd
 
     def test_edge_slice_count_is_floor_ten_percent(self):
@@ -154,13 +154,13 @@ class TestProjectDm:
             quiet_cfg(n_slices=1),
             [centered_lesion(50.0, center_slice=0, slice_extent=1)],
         )
-        proj = project_dm(vol)
+        proj = project_dm(Volume(vol))
         assert proj.data.max() == 127.5
         assert proj.data.min() == -127.5
 
     def test_constant_volume_projects_to_zero(self):
         vol, _ = generate_volume(quiet_cfg(), [])
-        assert np.all(project_dm(vol).data == 0.0)
+        assert np.all(project_dm(Volume(vol)).data == 0.0)
 
     def test_contrast_diluted_by_slice_count(self):
         # 10-slice noiseless volume, lesion on exactly 1 slice, contrast c:
@@ -169,12 +169,12 @@ class TestProjectDm:
         vol, _ = generate_volume(
             quiet_cfg(n_slices=10), [centered_lesion(c, slice_extent=1)]
         )
-        mean_stack = vol.data.mean(axis=0)
+        mean_stack = vol.mean(axis=0)
         assert mean_stack[32, 32] - BACKGROUND_LEVEL == pytest.approx(c / 10, abs=1e-9)
         # and project_dm is exactly the normalization of that mean
         span = mean_stack.max() - mean_stack.min()
         expected = (mean_stack - mean_stack.min()) / span * 255.0 - 127.5
-        assert np.allclose(project_dm(vol).data, expected, atol=1e-12)
+        assert np.allclose(project_dm(Volume(vol)).data, expected, atol=1e-12)
 
 
 class TestCases:
@@ -187,7 +187,7 @@ class TestCases:
         cfg = quiet_cfg(noise_sigma=8.0, clutter_density=1.0)
         a, ta = generate_case(cfg, "cancer-0001", True)
         b, tb = generate_case(cfg, "cancer-0001", True)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
         assert ta == tb
 
     def test_cancer_case_has_one_malignant_lesion(self):
@@ -281,7 +281,7 @@ class TestTexture:
             threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
         for case_id, (vol, _) in zip(case_ids, threaded):
             serial, _ = generate_case(default_cfg(), case_id, False)
-            assert vol.data.tobytes() == serial.data.tobytes()
+            assert vol.tobytes() == serial.tobytes()
 
 
 class TestFoldedTexture:
@@ -349,9 +349,9 @@ class TestConfigValidation:
             quiet_cfg(clutter_density=-0.5)
 
     def test_volume_matches_config_shape(self):
-        vol, _ = generate_volume(quiet_cfg(width=40, height=50, n_slices=7), [])
-        assert isinstance(vol, Volume)
-        assert (vol.width, vol.height, vol.n_slices) == (40, 50, 7)
+        stack, _ = generate_volume(quiet_cfg(width=40, height=50, n_slices=7), [])
+        assert stack.shape == (7, 50, 40) and stack.dtype == np.float64
+        assert stack.flags.writeable and stack.flags.c_contiguous
 
     def test_replace_keeps_frozen_semantics(self):
         cfg = quiet_cfg()
