@@ -53,12 +53,9 @@ from .condense import (
 from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
     ImageGrid,
-    Volume,
-    denormalize,
     gaussian_operator,
     normalize_range,
     normalize_volume,
-    quantize,
     read_json,
     read_pgm,
     read_volume,
@@ -320,12 +317,10 @@ def _phantom_config(cfg: RunConfig) -> PhantomConfig:
 
 
 def _case(cfg: RunConfig, case_id: str, cancer: bool):
-    """One phantom case of the configured cohort: (stack, truth, clipped voxels). The stack is
-    the one writable float64 array the case lives in: generate_case renders it, and it is
-    quantized in place as phantom gen stores it, so report, train mil and threshold selection,
-    which then normalize it in place, score exactly what condense run reads back."""
-    stack, truth = generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
-    return stack, truth, quantize(stack, out=stack)[1]
+    """One phantom case of the configured cohort: (samples, truth, clipped voxels). The uint16
+    samples are what phantom gen stores, so report, train mil and threshold selection, which
+    normalize them, score exactly what condense run reads back."""
+    return generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
 
 
 def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, bool]]:
@@ -374,8 +369,8 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
         raise ConfigError("threshold selection needs n_validation >= 1")
 
     def one(i: int) -> float:
-        stack, _, _ = _case(cfg, f"val-{i:04d}", True)
-        return study_max_box_score(normalize_volume(stack), default_condense_scorer())
+        samples, _, _ = _case(cfg, f"val-{i:04d}", True)
+        return study_max_box_score(normalize_volume(samples), default_condense_scorer())
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
     return choose_score_threshold(
@@ -498,9 +493,9 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
 
     def one(item: tuple[str, bool]) -> str:
         case_id, cancer = item
-        stack, truth, clipped = _case(cfg, case_id, cancer)
+        samples, truth, clipped = _case(cfg, case_id, cancer)
         case_dir = cases_dir / case_id
-        write_volume(Volume(stack), case_dir)
+        write_volume(samples, case_dir)
         write_truth(truth, case_dir / "truth.json", clipped_voxels=clipped)
         return case_id
 
@@ -509,15 +504,14 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
     return f"wrote {len(done)} cases under {cases_dir}"
 
 
-def _condense_one_volume(stack: np.ndarray, threshold: float, iou: float, case_dir: Path):
+def _condense_one_volume(samples: np.ndarray, threshold: float, iou: float, case_dir: Path):
     """Condense a volume read by read_volume and write its composite artifacts; returns the
-    ensemble score of the composite. The stack is normalized in place, and optimized.pgm holds
-    the raw volume's pixels picked by the composite's provenance: the normalized composite
-    mapped back through the affine, exact for 16-bit samples."""
-    lo, hi = stack.min(), stack.max()
-    opt, _, _, score = _condense_and_score(normalize_volume(stack), threshold, iou)
+    ensemble score of the composite. optimized.pgm holds the samples picked by the composite's
+    provenance: the scored composite on the raw intensity scale."""
+    opt, _, _, score = _condense_and_score(normalize_volume(samples), threshold, iou)
+    raw = np.take_along_axis(samples, opt.provenance[None], axis=0)[0]
     case_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(ImageGrid(denormalize(opt.image.data, lo, hi)), case_dir / "optimized.pgm")
+    write_pgm(ImageGrid(raw), case_dir / "optimized.pgm")
     write_pgm(ImageGrid(opt.provenance.astype(np.float64)), case_dir / "provenance.pgm")
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
     write_json(
@@ -545,10 +539,10 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     _build_operators(*volume_shape(case_dirs[0])[1:], _detector_sigmas())
 
     def one(case_dir: Path) -> CaseRecord:
-        stack = read_volume(case_dir)
+        samples = read_volume(case_dir)
         truth = read_truth(case_dir / "truth.json")
         case_out = out / "cases" / case_dir.name
-        score = _condense_one_volume(stack, threshold, cfg.iou_threshold, case_out)
+        score = _condense_one_volume(samples, threshold, cfg.iou_threshold, case_out)
         return CaseRecord(truth.case_id, truth.label, score, truth.tumor_size_mm)
 
     records = _parallel_map(one, case_dirs, args.threads)
@@ -599,8 +593,8 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
-        stack, truth, _ = _case(cfg, case_id, cancer)
-        _, opt = _condense(normalize_volume(stack), 0.0, cfg.iou_threshold)
+        samples, truth, _ = _case(cfg, case_id, cancer)
+        _, opt = _condense(normalize_volume(samples), 0.0, cfg.iou_threshold)
         candidates = default_condense_scorer().detect(opt.image)
         if not candidates:
             return None
@@ -719,8 +713,8 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
 
     def one(item: tuple[str, bool]) -> tuple[CaseRecord, CaseRecord, int]:
         case_id, cancer = item
-        stack, truth, clipped = _case(cfg, case_id, cancer)
-        norm = normalize_volume(stack)
+        samples, truth, clipped = _case(cfg, case_id, cancer)
+        norm = normalize_volume(samples)
         case = _condense_and_score(norm, threshold, cfg.iou_threshold)
         birads = synthetic_birads(cfg.seed, truth.case_id, truth.label, profiles)
         record = CaseRecord(truth.case_id, truth.label, case.score, truth.tumor_size_mm, birads)

@@ -1,16 +1,17 @@
 """Collapse a slice stack into a single 2D image built from its most
 suspicious patches.
 
-The procedure: normalize the volume once, detect on every slice in the
-trimmed range, pool the boxes, run one x-y NMS over the pool, then paint
-each surviving box's pixel rectangle from its source slice onto a
-center-slice canvas. Painting goes in ascending score order, so wherever
+The procedure: fix the volume's one normalizing affine, detect on every
+slice in the trimmed range, pool the boxes, run one x-y NMS over the
+pool, then paint each surviving box's pixel rectangle from its source
+slice onto a center-slice canvas. Slices and patches are normalized from
+the 16-bit samples as they are read, so no normalized stack is ever
+built. Painting goes in ascending score order, so wherever
 partially-overlapping boxes survive NMS the higher-scoring patch ends up
 on top. Every output pixel therefore comes verbatim from some slice of
-the painted volume: painting the normalized volume gives the composite
-that is scored, and the raw volume's pixels at the same provenance give
-the composite on the raw intensity scale (`imaging.denormalize` recovers
-them exactly from the scored composite of a 16-bit volume).
+the normalized volume: that composite is what gets scored, and the
+samples at the same provenance (`np.take_along_axis`) give the composite
+on the raw intensity scale.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def choose_score_threshold(
 
 
 def detect_slices(norm: Volume, scorer: BlobScorer, slices: Iterable[int]) -> list[ScoredBox]:
-    """Boxes detected on the given slices of a normalized volume, each
-    tagged with its slice.
+    """Boxes detected on the given slices of a volume, each normalized as
+    it is read and tagged with its slice.
 
     `norm` comes from normalize_volume: one volume-level affine keeps box
     scores comparable across slices.
@@ -101,14 +102,15 @@ def _pixel_rect(box: ScoredBox, width: int, height: int) -> tuple[int, int, int,
 
 
 def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage:
-    """Paint box patches from their source slices over a center-slice canvas.
+    """Paint normalized box patches from their source slices over the
+    normalized center slice.
 
     Empty pixels keep the center slice (index floor(n/2)). Boxes are
     painted in ascending score order; ties fall back to input order.
     Boxes reaching past the grid are clipped and the event recorded.
     """
     center = vol.n_slices // 2
-    canvas = vol.data[center].copy()
+    canvas = vol.patch(center)
     h, w = canvas.shape
     provenance = np.full((h, w), center, dtype=np.int32)
     warnings: list[str] = []
@@ -130,7 +132,7 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
             log.warning(msg)
         if x0 >= x1 or y0 >= y1:
             continue
-        canvas[y0:y1, x0:x1] = vol.data[box.slice_index, y0:y1, x0:x1]
+        canvas[y0:y1, x0:x1] = vol.patch(box.slice_index, slice(y0, y1), slice(x0, x1))
         provenance[y0:y1, x0:x1] = box.slice_index
 
     return OptimizedImage(
@@ -142,8 +144,7 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
 
 
 def study_max_box_score(norm: Volume, scorer: BlobScorer) -> float:
-    """Best box score the condensation step would see for this normalized
-    volume.
+    """Best box score the condensation step would see for this volume.
 
     Detection runs over the trimmed slice range, exactly as condensation
     does, but with no threshold and no suppression (neither changes the

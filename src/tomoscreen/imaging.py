@@ -1,22 +1,19 @@
 """Intensity grids, volumes, intensity normalization, the Gaussian and
 maximum filters, folded one-axis operators, and portable file IO.
 
-Images are immutable 2D float64 grids; a volume is one immutable 3D
-float64 array. The on-disk format is binary PGM (P5) with maxval 65535,
-big-endian samples; volumes are a directory of one PGM per slice plus a
+Images are immutable 2D float64 grids. A volume is a case's 16-bit
+samples: one immutable uint16 (slices, height, width) stack plus the one
+affine, from the stack's range, that maps every slice onto [-127.5, 127.5].
+Normalized float64 data exists one slice or one patch at a time
+(`Volume.slice`, `Volume.patch`): the affine is elementwise, so each
+equals the matching part of the whole stack normalized at once, bit for
+bit. The on-disk format is binary PGM (P5) with maxval 65535, big-endian
+samples; volumes are a directory of one PGM per slice plus a
 manifest.json. `quantize` is the one 16-bit mapping: round half to even,
-then clip to [0, 65535]. `write_pgm` stores its result, and the CLI draws
-every cohort volume through it, so each stage scores exactly what
-`read_volume` returns. Round trips are bit-exact for integer-valued grids
-in [0, 65535].
-
-A stage holds each case in one float64 stack from render or read to
-score: phantom's generate_case and `read_volume` return a new writable
-stack, `quantize(stack, out=stack)` maps a rendered one in place, and
-`normalize_volume(stack)` normalizes it in place and hands it over as a
-Volume, making the stack read-only. A Volume never wraps a buffer that
-is written after it is made. `denormalize` maps normalized values back
-to the 16-bit samples they came from, exactly.
+then clip to [0, 65535]. phantom renders each slice through it into the
+sample stack, `write_pgm` stores its result, and `write_volume` and
+`read_volume` move the samples as they are, so each stage scores exactly
+the samples `phantom gen` writes.
 
 `gaussian_filter(data, sigma)` is the one Gaussian smoothing: scipy's
 `nearest`-mode kernel applied along both axes of a 2D array as two folded
@@ -39,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +46,24 @@ from .errors import reading
 NORM_LO = -127.5
 NORM_HI = 127.5
 PGM_MAXVAL = 65535
+_WHOLE = slice(None)
 
 
-def _as_readonly(data: np.ndarray, ndim: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+def _as_readonly(data: np.ndarray, ndim: int, dtype=np.float64) -> np.ndarray:
+    """A read-only view of `data` as a C-contiguous `dtype` array of `ndim`
+    axes, each of length >= 1. Float data is converted and must be finite;
+    integer data must already be `dtype`, so it needs no finiteness pass."""
+    if np.dtype(dtype).kind == "f":
+        arr = np.asarray(data, dtype=dtype)
+    else:
+        arr = np.asarray(data)
+        if arr.dtype != dtype:
+            raise ValueError(f"expected {np.dtype(dtype)} samples, got {arr.dtype}")
     if arr.ndim != ndim:
         raise ValueError(f"expected {ndim}D data, got shape {arr.shape}")
     if 0 in arr.shape:
         raise ValueError(f"every axis needs length >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValueError("data contains non-finite values")
     arr = np.ascontiguousarray(arr).view()  # a frozen view leaves the caller's array writable
     arr.flags.writeable = False
@@ -85,46 +91,63 @@ class ImageGrid:
         return isinstance(other, ImageGrid) and np.array_equal(self.data, other.data)
 
 
-@dataclass(frozen=True, eq=False)
-class Volume:
-    """An ordered stack of co-registered slices. `data` is read-only,
-    shape (n_slices, height, width)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_readonly(self.data, 3))
-
-    @property
-    def n_slices(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    def slice(self, i: int) -> ImageGrid:
-        """Slice i as a 2D grid (a read-only view, no copy)."""
-        return ImageGrid(self.data[i])
-
-
-def _affine(data: np.ndarray, lo: float, hi: float, out: np.ndarray | None = None) -> np.ndarray:
-    """(data - lo) / (hi - lo) * 255 - 127.5 in one buffer, `out` if given; a degenerate
-    range maps to zeros."""
+def _affine(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(data - lo) / (hi - lo) * 255 - 127.5 as a new float64 array, worked in that one
+    buffer; the subtraction casts integer samples to float64 exactly as it reads them. A
+    degenerate range maps to zeros."""
     if hi == lo:
-        if out is None:
-            return np.zeros_like(data)
-        out.fill(0.0)
-        return out
-    out = np.subtract(data, lo, out=out)
+        return np.zeros(data.shape)
+    out = np.subtract(data, lo, dtype=np.float64)
     out /= hi - lo
     out *= NORM_HI - NORM_LO
     out += NORM_LO
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Volume:
+    """An ordered stack of co-registered 16-bit slices and the one affine
+    that normalizes them all.
+
+    `samples` is read-only uint16, shape (n_slices, height, width); `lo` and
+    `hi`, its smallest and largest sample, fix the affine. A shared mapping
+    keeps slice intensities mutually comparable, which per-slice
+    normalization would destroy. Normalized data is made on demand, one
+    slice or patch at a time.
+    """
+
+    samples: np.ndarray
+    lo: float = field(init=False)
+    hi: float = field(init=False)
+
+    def __post_init__(self):
+        samples = _as_readonly(self.samples, 3, np.uint16)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "lo", float(samples.min()))
+        object.__setattr__(self, "hi", float(samples.max()))
+
+    @property
+    def n_slices(self) -> int:
+        return self.samples.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.samples.shape[2]
+
+    def patch(self, i: int, ys: slice = _WHOLE, xs: slice = _WHOLE) -> np.ndarray:
+        """The rows `ys` and columns `xs` of slice i, normalized: `_affine` of
+        those samples cast to float64, as a new writable array. Elementwise,
+        so it equals the same pixels of the whole stack normalized at once,
+        bit for bit; a constant volume gives zeros."""
+        return _affine(self.samples[i, ys, xs], self.lo, self.hi)
+
+    def slice(self, i: int) -> ImageGrid:
+        """Slice i, normalized, as a 2D grid of its own."""
+        return ImageGrid(self.patch(i))
 
 
 def normalize_range(img: ImageGrid) -> ImageGrid:
@@ -136,37 +159,16 @@ def normalize_range(img: ImageGrid) -> ImageGrid:
     return ImageGrid(_affine(img.data, img.data.min(), img.data.max()))
 
 
-def normalize_volume(stack: np.ndarray) -> Volume:
-    """Map a volume onto [-127.5, 127.5] with one affine for all slices.
+def normalize_volume(samples: np.ndarray) -> Volume:
+    """The Volume of a uint16 sample stack of shape (n_slices, height,
+    width): its range is read once, and its slices are then normalized
+    onto [-127.5, 127.5] with one affine as they are asked for. A
+    constant volume maps to zeros.
 
-    A shared mapping keeps slice intensities mutually comparable, which
-    per-slice normalization would destroy. A constant volume maps to zeros.
-
-    `stack`, a writable C-contiguous float64 array of shape (n_slices,
-    height, width), is normalized in place and handed over: it is made
-    read-only and the returned Volume wraps it, so no later write can
-    change the Volume.
+    No sample is copied or changed: the Volume holds a read-only view, so
+    the caller must not write to `samples` while the Volume is in use.
     """
-    if not (stack.dtype == np.float64 and stack.flags.c_contiguous and stack.flags.writeable):
-        raise ValueError("normalizing in place needs a writable C-contiguous float64 stack")
-    _affine(stack, stack.min(), stack.max(), out=stack)
-    stack.flags.writeable = False
-    return Volume(stack)
-
-
-def denormalize(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The integer samples that normalize's affine for the range [lo, hi]
-    maps to `values`: np.rint of the inverse affine, as a new array.
-
-    Exact for integer samples in [0, 65535], such as a volume read from
-    PGM: the inverse is off by about 1e-11 there, far below the 0.5 that
-    rounding absorbs. A constant volume (hi == lo) maps back to lo.
-    """
-    out = np.subtract(values, NORM_LO)
-    out /= NORM_HI - NORM_LO
-    out *= hi - lo
-    out += lo
-    return np.rint(out, out=out)
+    return Volume(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +368,32 @@ def gaussian_filter(data: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def quantize(data: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Round half to even, then clip to [0, 65535]: the values a 16-bit PGM
-    stores and read_pgm returns, -0.0 included as +0.0. Returns the result,
-    a new float64 array or `out` (which may be `data` itself), and the
-    count of samples whose rounded value fell outside [0, 65535]."""
-    out = np.rint(data, out=out)
-    clipped = int(np.count_nonzero(out < 0)) + int(np.count_nonzero(out > PGM_MAXVAL))
-    np.clip(out, 0, PGM_MAXVAL, out=out)
-    out += 0.0  # -0.0 + 0.0 is +0.0
+    """Round half to even, then clip to [0, 65535]: the samples a 16-bit PGM
+    stores for float `data`. Returns them, in `out` (a uint16 array of
+    data's shape) or a new uint16 array, and the count of values whose
+    rounded value fell outside [0, 65535]. Works through one float64
+    temporary the size of `data`, so a caller quantizing a volume does it
+    slice by slice."""
+    rounded = np.rint(data)
+    clipped = int(np.count_nonzero(rounded < 0)) + int(np.count_nonzero(rounded > PGM_MAXVAL))
+    np.clip(rounded, 0, PGM_MAXVAL, out=rounded)
+    if out is None:
+        return rounded.astype(np.uint16), clipped
+    np.copyto(out, rounded, casting="unsafe")  # exact: integers in [0, 65535]
     return out, clipped
 
 
-def _pgm_bytes(data: np.ndarray, scratch: np.ndarray) -> bytes:
-    """A 16-bit PGM of a 2D array: the header, then the samples quantize
-    maps it to as big-endian 16-bit words. `scratch`, a float64 array of
-    the same shape, holds the quantized samples, so a writer of many
-    slices reuses one."""
-    quantize(data, out=scratch)
-    height, width = data.shape
+def _pgm_bytes(samples: np.ndarray) -> bytes:
+    """A 16-bit PGM of a 2D uint16 array: the header, then the samples as
+    big-endian 16-bit words."""
+    height, width = samples.shape
     header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
-    return header + scratch.astype(">u2").tobytes()
+    return header + samples.astype(">u2").tobytes()
 
 
 def write_pgm(img: ImageGrid, path: str | Path) -> None:
     """Write a binary 16-bit PGM of `quantize(img.data)`."""
-    Path(path).write_bytes(_pgm_bytes(img.data, np.empty(img.data.shape)))
+    Path(path).write_bytes(_pgm_bytes(quantize(img.data)[0]))
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
@@ -444,20 +447,17 @@ def read_pgm(path: str | Path) -> ImageGrid:
     return ImageGrid(_read_pgm_raster(path).astype(np.float64))
 
 
-def write_volume(vol: Volume, directory: str | Path) -> None:
-    """Write a volume as a directory of PGM slices plus manifest.json."""
+def write_volume(samples: np.ndarray, directory: str | Path) -> None:
+    """Write a uint16 sample stack of shape (n_slices, height, width) as a
+    directory of PGM slices plus manifest.json."""
+    samples = _as_readonly(samples, 3, np.uint16)
+    n_slices, height, width = samples.shape
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = [f"slice_{i:04d}.pgm" for i in range(vol.n_slices)]
-    scratch = np.empty(vol.data.shape[1:])
-    for plane, name in zip(vol.data, names):
-        (directory / name).write_bytes(_pgm_bytes(plane, scratch))
-    manifest = {
-        "width": vol.width,
-        "height": vol.height,
-        "slice_count": vol.n_slices,
-        "slices": names,
-    }
+    names = [f"slice_{i:04d}.pgm" for i in range(n_slices)]
+    for plane, name in zip(samples, names):
+        (directory / name).write_bytes(_pgm_bytes(plane))
+    manifest = {"width": width, "height": height, "slice_count": n_slices, "slices": names}
     (directory / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
@@ -504,15 +504,16 @@ def volume_shape(directory: str | Path) -> tuple[int, int, int]:
 
 
 def read_volume(directory: str | Path) -> np.ndarray:
-    """Read a volume written by write_volume into a new writable float64
-    stack of shape (n_slices, height, width), each slice's samples going
-    straight into it; the caller owns the stack, to work on in place or to
-    wrap in a Volume.
+    """Read a volume written by write_volume into a new writable uint16
+    stack of shape (n_slices, height, width), each raster's samples going
+    straight into it; the caller owns the stack, to hand to
+    normalize_volume.
 
     A missing, unreadable or malformed manifest or slice, or a slice that
     disagrees with the manifest, raises ValueError naming the offending
     file. The first slice is checked before the stack is allocated, so a
-    manifest that claims a larger grid than its slices fails there.
+    manifest that claims a larger grid than its slices fails there. An
+    8-bit slice reads as its values, as read_pgm reads it.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -530,7 +531,7 @@ def read_volume(directory: str | Path) -> np.ndarray:
         return raster
 
     first = samples(names[0])
-    stack = np.empty((len(names), *shape))
+    stack = np.empty((len(names), *shape), dtype=np.uint16)
     stack[0] = first
     for plane, name in zip(stack[1:], names[1:]):
         plane[...] = samples(name)

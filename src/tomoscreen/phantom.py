@@ -12,6 +12,12 @@ Everything is driven by counter-based RNG streams keyed on (seed,
 purpose, index), so generation is bit-reproducible and order
 independent: cases can be built in parallel in any order.
 
+A volume is rendered one slice at a time into one reused float64 canvas,
+once the common texture field exists, and each slice is quantized
+(`imaging.quantize`) into the case's uint16 sample stack, so no float
+array of volume size exists. The clipped-voxel count comes back with the
+case, never through shared state, since cases render on worker threads.
+
 Texture is white noise smoothed by `imaging.gaussian_filter`, scipy's
 `nearest`-mode Gaussian applied as cached folded operators, one per
 (axis length, sigma). The field agrees with scipy's filter to rounding
@@ -34,6 +40,7 @@ from .imaging import (
     Volume,
     gaussian_filter,
     normalize_range,
+    quantize,
     read_json,
 )
 from .seeds import mix_seed, rng_stream
@@ -56,11 +63,10 @@ EDGE_NOISE_FACTOR = 8.0
 
 # generate_volume's terms sum to at most (COMMON_TEXTURE_RATIO + SLICE_TEXTURE_RATIO
 # + EDGE_NOISE_FACTOR) * noise_sigma = 10.75 noise_sigma per unit sample. At this cap
-# a volume and twice it (hi - lo of a float volume normalized directly) stay finite for
-# samples below 8e6: normal draws stay below 13, and unit-sd texture fields were
-# measured below 60. On every CLI path normalize's hi - lo sees only volumes quantized
-# to [0, 65535]; a large sigma clips there, and the CLI counts the clipped voxels
-# instead of bounding noise_sigma further.
+# a canvas stays finite for samples below 8e6: normal draws stay below 13, and unit-sd
+# texture fields were measured below 60. Each slice is quantized to [0, 65535], so a
+# large sigma clips there, and the clipped voxels are counted instead of bounding
+# noise_sigma further.
 NOISE_SIGMA_MAX = 1e300
 
 # Cancer lesions: radius range (px) and slice persistence.
@@ -249,7 +255,7 @@ def _check_lesion_bounds(cfg: PhantomConfig, les: LesionSpec) -> None:
 
 def generate_volume(
     cfg: PhantomConfig, lesions: list[LesionSpec], case_id: str = "case"
-) -> tuple[np.ndarray, PhantomTruth]:
+) -> tuple[np.ndarray, PhantomTruth, int]:
     """Render a phantom volume and its ground truth.
 
     Args:
@@ -258,9 +264,11 @@ def generate_volume(
         case_id: identifier recorded in the returned PhantomTruth.
 
     Returns:
-        (stack, truth): the stack is a new writable float64 array of
-        shape (n_slices, height, width) that the caller owns, to work on
-        in place or to wrap in a Volume.
+        (samples, truth, clipped): samples is a new writable uint16 array
+        of shape (n_slices, height, width) that the caller owns, each
+        slice rendered into one reused float64 canvas and quantized into
+        it with `imaging.quantize`; clipped counts the voxels whose rounded
+        value fell outside [0, 65535].
         Deterministic given (cfg, lesions): identical inputs give
         bit-identical volumes.
 
@@ -269,11 +277,12 @@ def generate_volume(
     """
     for les in lesions:
         _check_lesion_bounds(cfg, les)
-    data = np.full((cfg.n_slices, cfg.height, cfg.width), BACKGROUND_LEVEL)
+    samples = np.empty((cfg.n_slices, cfg.height, cfg.width), dtype=np.uint16)
+    canvas = np.empty((cfg.height, cfg.width))
 
     common_amp = COMMON_TEXTURE_RATIO * cfg.noise_sigma
     slice_amp = SLICE_TEXTURE_RATIO * cfg.noise_sigma
-    common = _texture_field(cfg, "texture-common") if common_amp > 0 else None
+    common = common_amp * _texture_field(cfg, "texture-common") if common_amp > 0 else None
     blobs = _plan_clutter(cfg)
     n_edge = edge_slice_count(cfg.n_slices)
 
@@ -284,9 +293,11 @@ def generate_volume(
             weight = _slice_weight(s - les.center_slice, les.slice_extent)
             lesion_cover.setdefault(s, []).append((les, weight))
 
-    for i, canvas in enumerate(data):
+    clipped = 0
+    for i in range(cfg.n_slices):
+        canvas.fill(BACKGROUND_LEVEL)
         if common is not None:
-            canvas += common_amp * common
+            canvas += common
         if slice_amp > 0:
             canvas += slice_amp * _texture_field(cfg, "texture-slice", i)
         for cx, cy, radius, amp, covered in blobs:
@@ -303,20 +314,21 @@ def generate_volume(
             canvas += sigma * rng_stream(cfg.seed, "noise", i).standard_normal(
                 (cfg.height, cfg.width)
             )
+        clipped += quantize(canvas, out=samples[i])[1]
 
     truth = PhantomTruth(
         case_id=case_id,
         lesions=tuple(lesions),
         label=any(les.malignant for les in lesions),
     )
-    return data, truth
+    return samples, truth, clipped
 
 
 def project_dm(vol: Volume) -> ImageGrid:
-    """Mean projection across slices, normalized. Stands in for a single
-    projection view of the same anatomy: slice-local contrast is diluted
-    by roughly slice_extent / n_slices."""
-    return normalize_range(ImageGrid(vol.data.mean(axis=0)))
+    """Mean projection of the samples across slices, normalized. Stands in
+    for a single projection view of the same anatomy: slice-local contrast
+    is diluted by roughly slice_extent / n_slices."""
+    return normalize_range(ImageGrid(vol.samples.mean(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +397,13 @@ def generate_case(
     case_id: str,
     cancer: bool,
     contrast_range: tuple[float, float] = (60.0, 220.0),
-) -> tuple[np.ndarray, PhantomTruth]:
+) -> tuple[np.ndarray, PhantomTruth, int]:
     """Generate one cohort case with a per-case derived seed.
 
     Cancer cases get a single malignant lesion with contrast drawn from
     contrast_range; negatives get none. The base seed is mixed with the
     case_id, so cohorts are order- and parallelism-independent. Returns
-    (stack, truth) as generate_volume does.
+    (samples, truth, clipped) as generate_volume does.
     """
     cfg = replace(base_cfg, seed=case_seed(base_cfg.seed, case_id))
     lesions: list[LesionSpec] = []

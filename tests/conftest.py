@@ -22,13 +22,19 @@ settings.load_profile("default")
 
 
 def make_volume(arrays) -> Volume:
-    """Volume from a list of equally shaped 2D float arrays (or a 3D array)."""
-    return Volume(np.asarray(arrays, dtype=np.float64))
+    """Volume from a list of equally shaped 2D arrays (or a 3D array) of
+    16-bit sample values."""
+    values = np.asarray(arrays, dtype=np.float64)
+    samples = values.astype(np.uint16)
+    assert np.array_equal(samples, values), "make_volume takes integers in [0, 65535]"
+    return Volume(samples)
 
 
-def normalized(vol: Volume) -> Volume:
-    """normalize_volume of a copy of `vol`'s data; `vol` is left as it is."""
-    return imaging.normalize_volume(vol.data.copy())
+def normalized_stack(vol: Volume) -> np.ndarray:
+    """The whole volume normalized at once, the oracle for its slices and
+    patches: `_affine` of every sample cast to float64."""
+    data = vol.samples.astype(np.float64)
+    return imaging._affine(data, data.min(), data.max())
 
 
 def constant_slice_volume(n_slices: int, height: int = 40, width: int = 40) -> Volume:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import normalized
+from conftest import normalized_stack
 from test_boxes import random_boxes, reference_nms
 
 from tomoscreen.boxes import ScoredBox, nms
@@ -25,7 +25,7 @@ from tomoscreen.condense import (
     detect_slices,
     trimmed_slices,
 )
-from tomoscreen.imaging import ImageGrid, Volume
+from tomoscreen.imaging import ImageGrid, normalize_volume
 from tomoscreen.miltrain import (
     ToyScorer,
     candidate_features,
@@ -335,15 +335,15 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
     for i in range(2 * n_per_class):
         cancer = i < n_per_class
         case_id = f"{'c' if cancer else 'n'}-{i % n_per_class:03d}"
-        vol = Volume(generate_case(base, case_id, cancer=cancer, contrast_range=(60.0, 220.0))[0])
-        norm = normalized(vol)
+        samples = generate_case(base, case_id, cancer=cancer, contrast_range=(60.0, 220.0))[0]
+        vol = normalize_volume(samples)
         # one detection pass over every slice feeds both box pathways
-        boxes = detect_slices(norm, detector, range(vol.n_slices))
+        boxes = detect_slices(vol, detector, range(vol.n_slices))
         trimmed = trimmed_slices(vol.n_slices)
         kept = aggregate_boxes([b for b in boxes if b.slice_index in trimmed], 0.0, 0.2)
         labels.append(cancer)
-        scores["optimized"].append(ensemble_score(build_optimized_image(norm, kept).image))
-        scores["center"].append(ensemble_score(norm.slice(vol.n_slices // 2)))
+        scores["optimized"].append(ensemble_score(build_optimized_image(vol, kept).image))
+        scores["center"].append(ensemble_score(vol.slice(vol.n_slices // 2)))
         scores["projection"].append(ensemble_score(project_dm(vol)))
         scores["slice_max"].append(mil_image_score(boxes))
     y = np.array(labels)
@@ -397,15 +397,15 @@ def test_criterion_07_provenance_and_pixel_origin():
             contrast=float(rng.uniform(60.0, 220.0)),
             malignant=True,
         )
-        vol = Volume(generate_volume(replace(base, seed=k), [spec], case_id=f"p{k:03d}")[0])
-        boxes = detect_slices(normalized(vol), detector, trimmed_slices(vol.n_slices))
+        vol = normalize_volume(generate_volume(replace(base, seed=k), [spec], case_id=f"p{k:03d}")[0])
+        boxes = detect_slices(vol, detector, trimmed_slices(vol.n_slices))
         opt = build_optimized_image(vol, aggregate_boxes(boxes, 0.0, 0.2))
 
         cols, rows = np.meshgrid(np.arange(base.width), np.arange(base.height))
         footprint = (cols + 0.5 - center_x) ** 2 + (rows + 0.5 - center_y) ** 2 < radius**2
         hits += bool(np.all(opt.provenance[footprint] == center_slice))
 
-        picked = np.take_along_axis(vol.data, opt.provenance[None], axis=0)[0]
+        picked = np.take_along_axis(normalized_stack(vol), opt.provenance[None], axis=0)[0]
         assert np.array_equal(picked, opt.image.data)
     verdict(7, hits == 100, f"{hits}/100 footprints traced to the lesion slice")
 

@@ -415,7 +415,7 @@ class TestMalformedVolume:
     @staticmethod
     def volume(tmp_path) -> Path:
         directory = tmp_path / "vol"
-        write_volume(Volume(np.full((3, 40, 40), 1000.0)), directory)
+        write_volume(np.full((3, 40, 40), 1000, np.uint16), directory)
         return directory
 
     @staticmethod
@@ -697,7 +697,7 @@ def json_input_run(reader: str, root: Path) -> tuple[list[str], Path]:
         return run + ["--target", str(path)], path
     assert reader == "truth"
     case = root / "cases" / "cancer-0000"
-    write_volume(Volume(np.full((3, 40, 40), 1000.0)), case)
+    write_volume(np.full((3, 40, 40), 1000, np.uint16), case)
     lesion = LesionSpec(20.0, 20.0, 6.0, 1, 2, 100.0, True)
     path = case / "truth.json"
     write_truth(PhantomTruth("cancer-0000", (lesion,), True), path)
@@ -811,7 +811,7 @@ def bundle_run(stage: str, root: Path) -> tuple[list[str], list[Path]]:
     written, and the bundle's files: every input the run reads."""
     cfg = Path(write_config(root))
     run = ["--config", str(cfg), "--out", str(root / "o")]
-    volume = Volume(np.full((3, 40, 40), 1000.0))
+    volume = np.full((3, 40, 40), 1000, np.uint16)
     if stage == "condense --cases":
         lesion = LesionSpec(20.0, 20.0, 6.0, 1, 2, 100.0, True)
         for case_id in ("cancer-0000", "cancer-0001"):
@@ -1076,32 +1076,40 @@ def default_grid_cohort(tmp_path_factory):
 
 
 class TestOneStackPerCase:
-    """A case lives in one float64 stack from render or read to score:
-    generate_case or read_volume returns it, and it is quantized and
-    normalized in place. numpy reports its buffers to tracemalloc, so a stage's traced
-    peak, after a warm run has built its operators and imported what it
-    imports lazily, is one volume plus per-slice work."""
+    """A case lives in one uint16 sample stack from render or read to
+    score: generate_case or read_volume returns it, and normalize_volume
+    wraps it read-only, normalizing a slice or a patch at a time. numpy
+    reports its buffers to tracemalloc, so a stage's traced peak, after a
+    warm run has built its operators and imported what it imports lazily,
+    is the 16-bit stack (a quarter of a float64 volume) plus per-slice
+    work, and no float64 array of volume size."""
 
-    @pytest.mark.parametrize("stage", ["report", "phantom gen", "condense run --volume"])
-    def test_traced_peak_stays_below_one_and_a_half_volumes(
-        self, stage, default_grid_cohort, tmp_path
-    ):
+    @pytest.fixture(scope="class", params=["report", "phantom gen", "condense run --volume"])
+    def traced_peak(self, request, default_grid_cohort, tmp_path_factory):
+        """A stage's traced peak on the default grid, in float64 volumes."""
         cfg, cases = default_grid_cohort
         args = {
             "report": ["report", "--config", cfg],
             "phantom gen": ["phantom", "gen", "--config", cfg],
             "condense run --volume": ["condense", "run", "--volume", str(cases / "cancer-0000")],
-        }[stage]
+        }[request.param]
+        out = tmp_path_factory.mktemp("traced-peak")
         run = RunConfig()
-        volume_bytes = 8 * run.n_slices * run.height * run.width
-        assert main(args + ["--out", str(tmp_path / "warm")]) == EXIT_OK
+        float_volume_bytes = 8 * run.n_slices * run.height * run.width
+        assert main(args + ["--out", str(out / "warm")]) == EXIT_OK
         tracemalloc.start()
         try:
-            assert main(args + ["--out", str(tmp_path / "traced")]) == EXIT_OK
+            assert main(args + ["--out", str(out / "traced")]) == EXIT_OK
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * volume_bytes
+        return peak / float_volume_bytes
+
+    def test_traced_peak_stays_below_one_and_a_half_volumes(self, traced_peak):
+        assert traced_peak < 1.5
+
+    def test_traced_peak_stays_below_0_75_float_volumes(self, traced_peak):
+        assert traced_peak < 0.75
 
     def test_optimized_pgm_is_the_raw_volume_at_the_provenance(self, tmp_path):
         # noise this strong clips at both ends, so the volume spans [0, 65535]
@@ -1121,9 +1129,9 @@ class TestOneStackPerCase:
 
     def test_returned_volumes_never_change(self, cohort, tmp_path, monkeypatch):
         """generate_case, generate_volume and read_volume hand a stage a
-        writable stack of its own and no Volume, and every Volume that
+        writable uint16 stack of its own and no Volume, and every Volume that
         normalize_volume returns, wherever a stage calls it, holds the same
-        bytes when the stage has finished."""
+        samples when the stage has finished."""
         stacks, volumes = [], []
 
         def recording(fn):
@@ -1131,7 +1139,7 @@ class TestOneStackPerCase:
                 result = fn(*args, **kwargs)
                 out = result[0] if isinstance(result, tuple) else result
                 if isinstance(out, Volume):
-                    volumes.append((fn.__name__, out, out.data.tobytes()))
+                    volumes.append((fn.__name__, out, out.samples.tobytes()))
                 else:
                     stacks.append((fn.__name__, out.dtype, out.flags.writeable))
                 return result
@@ -1163,10 +1171,10 @@ class TestOneStackPerCase:
             assert main(args + ["--out", str(tmp_path / str(i)), "--threads", "2"]) == EXIT_OK
         names = {name for name, _, _ in stacks}
         assert names == {"generate_case", "generate_volume", "read_volume"}
-        assert all(dtype == np.float64 and writeable for _, dtype, writeable in stacks)
+        assert all(dtype == np.uint16 and writeable for _, dtype, writeable in stacks)
         assert {name for name, _, _ in volumes} == {"normalize_volume"}
-        for _, vol, data in volumes:
-            assert vol.data.tobytes() == data
+        for _, vol, samples in volumes:
+            assert vol.samples.tobytes() == samples
 
 
 class TestScoreStudy:
@@ -1297,8 +1305,8 @@ class TestSingleDetectionPass:
         center = read_cases_csv(out / "cases_center.csv")
         assert len(center) == n_cases
         for record in center:
-            stack, _, _ = cli_module._case(run, record.case_id, record.label)
-            img = normalize_volume(stack).slice(len(stack) // 2)
+            samples, _, _ = cli_module._case(run, record.case_id, record.label)
+            img = normalize_volume(samples).slice(len(samples) // 2)
             assert record.score == ensemble_image_score([s.detect(img) for s in default_ensemble()])
 
     def test_train_mil(self, tmp_path, monkeypatch):
@@ -1311,6 +1319,22 @@ class TestSingleDetectionPass:
 
 
 class TestReportSummary:
+    def test_clipped_voxels_do_not_depend_on_threads(self, tmp_path):
+        # each case counts its own clipped voxels, so worker threads share no count
+        cfg = write_config(tmp_path, noise_sigma=1e4, n_cancer=6, n_negative=6)
+        counts = {}
+        for threads in ("1", "2"):
+            gen, report = tmp_path / f"gen{threads}", tmp_path / f"report{threads}"
+            for args in (["phantom", "gen", "--out", str(gen)], ["report", "--out", str(report)]):
+                assert main(args + ["--config", cfg, "--threads", threads]) == EXIT_OK
+            truths = sorted(gen.rglob("truth.json"))
+            per_case = [(p.parent.name, read_json(p)["clipped_voxels"]) for p in truths]
+            counts[threads] = per_case, read_json(report / "summary.json")["clipped_voxels"]
+        per_case, total = counts["1"]
+        assert len(per_case) == 12 and min(n for _, n in per_case) > 0
+        assert total == sum(n for _, n in per_case)
+        assert counts["2"] == counts["1"]
+
     def test_clipped_voxels_sum_the_cases(self, tmp_path):
         cfg = write_config(tmp_path, noise_sigma=400.0, n_cancer=6, n_negative=6)
         out, gen = tmp_path / "report", tmp_path / "gen"

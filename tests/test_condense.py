@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import LookupScorer, constant_slice_volume, make_volume, normalized
+from conftest import LookupScorer, constant_slice_volume, make_volume, normalized_stack
 from hypothesis import given
 from hypothesis import strategies as st
 from test_boxes import reference_nms
@@ -19,7 +19,7 @@ from tomoscreen.condense import (
     study_max_box_score,
     trimmed_slices,
 )
-from tomoscreen.imaging import ImageGrid, Volume
+from tomoscreen.imaging import PGM_MAXVAL, ImageGrid, normalize_volume
 from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
 from tomoscreen.scorer import (
     default_condense_scorer,
@@ -36,8 +36,7 @@ def box(x0, y0, x1, y1, score, s=None):
 def condensed_boxes(vol, scorer, score_threshold, iou_threshold):
     """The boxes condensation keeps: detection on the trimmed slices of
     the normalized volume, thresholded and suppressed."""
-    norm = normalized(vol)
-    boxes = detect_slices(norm, scorer, trimmed_slices(vol.n_slices))
+    boxes = detect_slices(vol, scorer, trimmed_slices(vol.n_slices))
     return aggregate_boxes(boxes, score_threshold, iou_threshold)
 
 
@@ -51,7 +50,7 @@ def phantom_volumes():
         noise_sigma=18.0,
         seed=4,
     )
-    return [Volume(generate_case(cfg, f"case-{k}", cancer=k == 0)[0]) for k in range(2)]
+    return [normalize_volume(generate_case(cfg, f"case-{k}", cancer=k == 0)[0]) for k in range(2)]
 
 
 class TestSliceRange:
@@ -73,13 +72,13 @@ class TestDetectSlices:
     def test_matches_per_slice_detect_on_phantoms(self):
         scorer = default_condense_scorer()
         for vol in phantom_volumes():
-            norm = normalized(vol)
+            norm = normalized_stack(vol)
             for slices in (range(vol.n_slices), trimmed_slices(vol.n_slices), [7, 2]):
                 expected = [
-                    b.with_slice(i) for i in slices for b in scorer.detect(norm.slice(i))
+                    b.with_slice(i) for i in slices for b in scorer.detect(ImageGrid(norm[i]))
                 ]
                 assert expected
-                assert detect_slices(norm, scorer, slices) == expected
+                assert detect_slices(vol, scorer, slices) == expected
 
 
 class TestChooseScoreThreshold:
@@ -194,16 +193,17 @@ class TestBuildOptimizedImage:
     def test_no_boxes_keeps_center_slice(self):
         vol = constant_slice_volume(10)
         opt = build_optimized_image(vol, [])
-        assert np.array_equal(opt.image.data, vol.data[5])
+        assert opt.image == vol.slice(5)
         assert np.all(opt.provenance == 5)
         assert opt.kept_boxes == [] and opt.clip_warnings == ()
 
     def test_single_box_paints_its_slice(self):
         vol = constant_slice_volume(10)
         opt = build_optimized_image(vol, [box(10, 8, 20, 16, 0.5, s=2)])
-        assert np.all(opt.image.data[8:16, 10:20] == 2.0)
+        norm = normalized_stack(vol)
+        assert np.all(opt.image.data[8:16, 10:20] == norm[2, 0, 0])
         assert np.all(opt.provenance[8:16, 10:20] == 2)
-        assert opt.image.data[0, 0] == 5.0 and opt.provenance[0, 0] == 5
+        assert opt.image.data[0, 0] == norm[5, 0, 0] and opt.provenance[0, 0] == 5
 
     def test_fractional_box_covers_touched_pixels(self):
         vol = constant_slice_volume(10)
@@ -247,8 +247,7 @@ class TestBuildOptimizedImage:
             build_optimized_image(vol, [box(10, 10, 20, 20, 0.5, s=12)])
 
     def test_every_pixel_comes_from_its_provenance_slice(self, rng):
-        arrays = rng.normal(size=(8, 32, 48))
-        vol = make_volume(arrays)
+        vol = make_volume(rng.integers(0, PGM_MAXVAL + 1, size=(8, 32, 48)))
         boxes = []
         for _ in range(25):
             x0 = float(rng.uniform(-5, 45))
@@ -257,8 +256,8 @@ class TestBuildOptimizedImage:
             s = int(rng.integers(0, 8))
             boxes.append(box(x0, y0, x0 + float(w), y0 + float(h), float(rng.random()), s=s))
         opt = build_optimized_image(vol, boxes)
-        expected = np.take_along_axis(vol.data, opt.provenance[None, :, :], axis=0)[0]
-        assert np.array_equal(opt.image.data, expected)
+        expected = np.take_along_axis(normalized_stack(vol), opt.provenance[None, :, :], axis=0)[0]
+        assert opt.image.data.tobytes() == expected.tobytes()
 
     def test_raw_pick_by_provenance_equals_raw_painting(self):
         vol = constant_slice_volume(10)
@@ -269,11 +268,13 @@ class TestBuildOptimizedImage:
         }
         kept = condensed_boxes(vol, LookupScorer(10, b), 0.0, 0.5)
         assert len(kept) == 4  # overlapping boxes survive a loose NMS
-        painted = build_optimized_image(normalized(vol), kept)
-        raw = build_optimized_image(vol, kept)
-        picked = np.take_along_axis(vol.data, painted.provenance[None], axis=0)[0]
-        assert np.array_equal(painted.provenance, raw.provenance)
-        assert picked.tobytes() == raw.image.data.tobytes()
+        painted = build_optimized_image(vol, kept)
+        raw = vol.samples[5].copy()  # the same painting, of the samples
+        for k in sorted(kept, key=lambda k: k.score):
+            x0, y0, x1, y1 = (int(v) for v in (k.x_min, k.y_min, k.x_max, k.y_max))
+            raw[y0:y1, x0:x1] = vol.samples[k.slice_index, y0:y1, x0:x1]
+        picked = np.take_along_axis(vol.samples, painted.provenance[None], axis=0)[0]
+        assert picked.tobytes() == raw.tobytes()
 
     def test_provenance_shape_guard(self):
         img = ImageGrid(np.zeros((4, 4)))
@@ -283,8 +284,8 @@ class TestBuildOptimizedImage:
 
 class TestCondenseVolume:
     def test_composition(self):
-        """Painting the normalized volume gives, byte for byte, the raw
-        composite put through the volume's affine; a constant volume
+        """The painted composite is, byte for byte, the samples picked by its
+        provenance put through the volume's affine; a constant volume
         paints zeros."""
         cases = [
             (vol, condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2))
@@ -293,9 +294,10 @@ class TestCondenseVolume:
         assert all(kept for _, kept in cases)
         cases.append((make_volume(np.full((10, 40, 40), 7.0)), [box(10, 10, 20, 20, 0.5, s=3)]))
         for vol, kept in cases:
-            painted = build_optimized_image(normalized(vol), kept)
-            raw = build_optimized_image(vol, kept).image.data
-            lo, hi = vol.data.min(), vol.data.max()
+            painted = build_optimized_image(vol, kept)
+            picked = np.take_along_axis(vol.samples, painted.provenance[None], axis=0)[0]
+            raw = picked.astype(np.float64)
+            lo, hi = float(vol.samples.min()), float(vol.samples.max())
             expected = (raw - lo) / (hi - lo) * 255 - 127.5 if hi > lo else np.zeros_like(raw)
             assert painted.image.data.tobytes() == expected.tobytes()
 
@@ -318,9 +320,8 @@ class TestCondenseVolume:
             contrast=150.0,
             malignant=True,
         )
-        vol = Volume(generate_volume(cfg, [les])[0])
-        norm = normalized(vol)
-        kept = condensed_boxes(vol, default_condense_scorer(), 0.0, 0.2)
+        norm = normalize_volume(generate_volume(cfg, [les])[0])
+        kept = condensed_boxes(norm, default_condense_scorer(), 0.0, 0.2)
         ensemble = default_ensemble()
         opt = build_optimized_image(norm, kept).image
         opt_score = ensemble_image_score([s.detect(opt) for s in ensemble])
@@ -331,7 +332,7 @@ class TestCondenseVolume:
 class TestStudyMaxBoxScore:
     def test_empty_volume_scores_zero(self):
         vol = constant_slice_volume(10)
-        assert study_max_box_score(normalized(vol), LookupScorer(10, {})) == 0.0
+        assert study_max_box_score(vol, LookupScorer(10, {})) == 0.0
 
     def test_max_over_trimmed_slices_only(self):
         vol = constant_slice_volume(10)
@@ -341,7 +342,7 @@ class TestStudyMaxBoxScore:
             9: [box(10, 10, 20, 20, 0.95)],
         }
         scorer = LookupScorer(10, b)
-        assert study_max_box_score(normalized(vol), scorer) == 0.7
+        assert study_max_box_score(vol, scorer) == 0.7
 
     def test_agrees_with_direct_scan(self, rng):
         n = 12
@@ -351,9 +352,8 @@ class TestStudyMaxBoxScore:
             for s in range(n)
         }
         scorer = LookupScorer(n, by_slice)
-        norm = normalized(vol)
-        direct = max(mil_image_score(scorer.detect(norm.slice(i))) for i in range(1, n - 1))
-        assert study_max_box_score(norm, scorer) == direct
+        direct = max(mil_image_score(scorer.detect(vol.slice(i))) for i in range(1, n - 1))
+        assert study_max_box_score(vol, scorer) == direct
 
 
 class TestSliceMaxScore:
@@ -364,10 +364,9 @@ class TestSliceMaxScore:
         vol = constant_slice_volume(10)
         b = {0: [box(10, 10, 20, 20, 0.99)], 5: [box(10, 10, 20, 20, 0.3)]}
         scorer = LookupScorer(10, b)
-        norm = normalized(vol)
-        assert mil_image_score(detect_slices(norm, scorer, range(10))) == 0.99
-        assert study_max_box_score(norm, scorer) == 0.3
+        assert mil_image_score(detect_slices(vol, scorer, range(10))) == 0.99
+        assert study_max_box_score(vol, scorer) == 0.3
 
     def test_empty_detections_score_zero(self):
-        norm = normalized(constant_slice_volume(4))
-        assert mil_image_score(detect_slices(norm, LookupScorer(4, {}), range(4))) == 0.0
+        vol = constant_slice_volume(4)
+        assert mil_image_score(detect_slices(vol, LookupScorer(4, {}), range(4))) == 0.0

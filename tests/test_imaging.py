@@ -18,9 +18,10 @@ from tomoscreen.imaging import (
     PGM_MAXVAL,
     ImageGrid,
     Volume,
+    NORM_HI,
+    NORM_LO,
     _affine,
     apply_folded,
-    denormalize,
     fold_operator,
     gaussian_filter,
     gaussian_kernel,
@@ -73,16 +74,16 @@ class TestImageGrid:
 
 
 @pytest.mark.parametrize(
-    "build, shape, field",
+    "build, shape, dtype, field",
     [
-        (ImageGrid, (2, 2), "data"),
-        (Volume, (2, 2, 2), "data"),
-        (lambda a: TrainingCase("x", a, True), (2, N_FEATURES), "features"),
+        (ImageGrid, (2, 2), np.float64, "data"),
+        (Volume, (2, 2, 2), np.uint16, "samples"),
+        (lambda a: TrainingCase("x", a, True), (2, N_FEATURES), np.float64, "features"),
     ],
     ids=["ImageGrid", "Volume", "TrainingCase"],
 )
-def test_freezing_leaves_the_callers_array_writable(build, shape, field):
-    caller = np.zeros(shape)
+def test_freezing_leaves_the_callers_array_writable(build, shape, dtype, field):
+    caller = np.zeros(shape, dtype)
     held = getattr(build(caller), field)
     caller[(0,) * caller.ndim] = 1.0
     assert caller.flags.writeable and not held.flags.writeable
@@ -91,39 +92,46 @@ def test_freezing_leaves_the_callers_array_writable(build, shape, field):
         held[(0,) * held.ndim] = 2.0
 
 
+def u16(data) -> np.ndarray:
+    return np.asarray(data, dtype=np.uint16)
+
+
 class TestVolume:
     def test_requires_matching_shapes(self):
         with pytest.raises(ValueError):
-            Volume([np.zeros((2, 2)), np.zeros((3, 2))])
+            Volume([u16(np.zeros((2, 2))), u16(np.zeros((3, 2)))])
         with pytest.raises(ValueError):
-            Volume(np.zeros((2, 2)))
+            Volume(u16(np.zeros((2, 2))))
 
     def test_requires_at_least_one_slice(self):
         with pytest.raises(ValueError):
-            Volume(np.zeros((0, 2, 2)))
+            Volume(u16(np.zeros((0, 2, 2))))
 
     def test_stack_shape(self):
-        vol = Volume(np.stack([np.full((4, 5), i) for i in range(3)]))
-        assert vol.data.shape == (3, 4, 5) and vol.data.dtype == np.float64
+        vol = Volume(u16(np.stack([np.full((4, 5), i) for i in range(3)])))
+        assert vol.samples.shape == (3, 4, 5) and vol.samples.dtype == np.uint16
         assert vol.n_slices == 3 and (vol.height, vol.width) == (4, 5)
+        assert (vol.lo, vol.hi) == (0.0, 2.0)
 
     def test_data_and_slices_are_read_only(self):
-        vol = Volume(np.zeros((3, 4, 5)))
+        vol = Volume(u16(np.zeros((3, 4, 5))))
         with pytest.raises(ValueError):
-            vol.data[0, 0, 0] = 1.0
+            vol.samples[0, 0, 0] = 1
         with pytest.raises(ValueError):
             vol.slice(1).data[0, 0] = 1.0
 
     def test_slice_is_the_plane(self):
-        data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        data = u16(np.arange(24).reshape(2, 3, 4))
         vol = Volume(data)
-        assert vol.slice(1) == ImageGrid(data[1])
+        assert vol.slice(1) == ImageGrid(_affine(data[1].astype(np.float64), 0.0, 23.0))
 
     def test_rejects_non_finite(self):
+        # samples are 16-bit, so float data, finite or not, is refused
         bad = np.zeros((2, 2, 2))
         bad[1, 0, 1] = np.nan
-        with pytest.raises(ValueError):
-            Volume(bad)
+        for data in (bad, np.zeros((2, 2, 2)), np.zeros((2, 2, 2), np.int32)):
+            with pytest.raises(ValueError, match="uint16"):
+                Volume(data)
 
 
 class TestNormalize:
@@ -145,10 +153,10 @@ class TestNormalize:
         assert np.all(np.diff(flat_out[order]) >= -1e-9)
 
     def test_volume_range_spans_all_slices(self):
-        stack = np.array(
-            [np.full((2, 2), 3.0), np.array([[0.0, 9.0], [4.0, 4.0]]), np.full((2, 2), 5.0)]
+        vol = normalize_volume(
+            u16([np.full((2, 2), 3), np.array([[0, 9], [4, 4]]), np.full((2, 2), 5)])
         )
-        norm = normalize_volume(stack).data
+        norm = np.stack([vol.slice(i).data for i in range(3)])
         assert norm.min() == norm[1, 0, 0] == -127.5
         assert norm.max() == norm[1, 0, 1] == 127.5
         # a constant slice keeps its place in the volume's range
@@ -156,55 +164,96 @@ class TestNormalize:
 
     def test_normalize_volume_matches_inline_affine(self):
         rng = np.random.default_rng(3)
-        data = rng.random((3, 4, 4)) * 50
-        lo, hi = data.min(), data.max()
-        expected = (data - lo) / (hi - lo) * 255 - 127.5
-        assert normalize_volume(data).data.tobytes() == expected.tobytes()
+        data = u16(rng.integers(0, 51, size=(3, 4, 4)))
+        lo, hi = float(data.min()), float(data.max())
+        expected = (data.astype(np.float64) - lo) / (hi - lo) * 255 - 127.5
+        vol = normalize_volume(data)
+        got = np.stack([vol.slice(i).data for i in range(vol.n_slices)])
+        assert got.tobytes() == expected.tobytes()
 
     def test_degenerate_range_maps_to_zero(self):
         # a single voxel or pixel has a degenerate range by size alone
-        assert np.all(normalize_volume(np.full((1, 1, 1), 5.0)).data == 0.0)
+        assert np.all(normalize_volume(u16(np.full((1, 1, 1), 5))).slice(0).data == 0.0)
         assert np.all(normalize_range(ImageGrid(np.array([[5.0]]))).data == 0.0)
 
     def test_normalize_volume_shares_one_affine(self):
-        a = np.array([[0.0, 1.0]])
-        b = np.array([[3.0, 4.0]])
-        norm = normalize_volume(np.array([a, b]))
+        norm = normalize_volume(u16([[[0, 1]], [[3, 4]]]))
         # 0 -> -127.5 and 4 -> 127.5; interior values keep their ratios
-        assert norm.data[0, 0, 0] == -127.5
-        assert norm.data[1, 0, 1] == 127.5
-        assert norm.data[0, 0, 1] == pytest.approx(-127.5 + 255.0 / 4)
+        assert norm.slice(0).data[0, 0] == -127.5
+        assert norm.slice(1).data[0, 1] == 127.5
+        assert norm.slice(0).data[0, 1] == pytest.approx(-127.5 + 255.0 / 4)
 
     def test_constant_volume_maps_to_zero(self):
-        assert np.all(normalize_volume(np.full((2, 2, 2), 9.0)).data == 0.0)
+        vol = normalize_volume(u16(np.full((2, 2, 2), 9)))
+        assert all(np.all(vol.slice(i).data == 0.0) for i in range(2))
 
-    def test_normalizes_in_place_and_freezes_the_stack(self):
+    def test_holds_a_frozen_view_of_the_samples(self):
         rng = np.random.default_rng(4)
-        for data in (rng.random((3, 4, 5)) * 900, np.full((2, 3, 3), 7.0)):
-            want = _affine(data, data.min(), data.max()).tobytes()
-            stack = data.copy()
-            norm = normalize_volume(stack)
-            assert norm.data.tobytes() == stack.tobytes() == want
-            assert np.shares_memory(norm.data, stack)
-            assert not stack.flags.writeable
-            with pytest.raises(ValueError):
-                stack[0, 0, 0] = 1.0
+        for data in (u16(rng.integers(0, 900, size=(3, 4, 5))), u16(np.full((2, 3, 3), 7))):
+            want = data.tobytes()
+            vol = normalize_volume(data)
+            assert np.shares_memory(vol.samples, data)  # no copy was made
+            assert vol.samples.tobytes() == data.tobytes() == want
+            assert (vol.lo, vol.hi) == (data.min(), data.max())
+            assert data.flags.writeable and not vol.samples.flags.writeable
 
-    def test_in_place_needs_a_writable_float64_stack(self):
-        frozen = np.zeros((2, 2, 2))
-        frozen.flags.writeable = False
-        strided = np.zeros((2, 2, 4))[..., ::2]
-        for stack in (np.zeros((2, 2, 2), dtype=np.float32), frozen, strided):
-            with pytest.raises(ValueError, match="in place"):
+    def test_needs_a_uint16_stack(self):
+        for stack in (np.zeros((2, 2, 2)), np.zeros((2, 2, 2), np.int32), u16(np.zeros((2, 2)))):
+            with pytest.raises(ValueError):
                 normalize_volume(stack)
 
 
-SAMPLES_16BIT = np.arange(PGM_MAXVAL + 1, dtype=np.float64)
+# volumes to normalize: random, constant (hi == lo), and spanning [0, 65535]
+_RNG = np.random.default_rng(23)
+SAMPLE_VOLUMES = {
+    "random": u16(_RNG.integers(0, PGM_MAXVAL + 1, size=(5, 17, 12))),
+    "narrow": u16(_RNG.integers(1480, 1530, size=(4, 9, 16))),
+    "constant": u16(np.full((3, 6, 7), 1500)),
+    "full-range": u16(_RNG.integers(0, PGM_MAXVAL + 1, size=(4, 8, 11))),
+}
+SAMPLE_VOLUMES["full-range"][0, 0, 0] = 0
+SAMPLE_VOLUMES["full-range"][-1, -1, -1] = PGM_MAXVAL
+
+
+class TestNormalizedOnDemand:
+    """Every slice and patch a Volume hands out is `_affine` of the whole
+    stack cast to float64, bit for bit: normalizing a slice at a time
+    changes no value."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_VOLUMES))
+    def test_slices_and_patches_are_the_whole_stack_normalized(self, name):
+        samples = SAMPLE_VOLUMES[name]
+        whole = _affine(samples.astype(np.float64), float(samples.min()), float(samples.max()))
+        vol = normalize_volume(samples)
+        rng = np.random.default_rng(len(name))
+        for i in range(vol.n_slices):
+            got = vol.slice(i).data
+            assert got.dtype == np.float64 and got.tobytes() == whole[i].tobytes()
+            for _ in range(5):
+                y0, y1 = sorted(rng.integers(0, vol.height + 1, size=2))
+                x0, x1 = sorted(rng.integers(0, vol.width + 1, size=2))
+                ys, xs = slice(y0, y1), slice(x0, x1)
+                patch = vol.patch(i, ys, xs)
+                assert patch.flags.writeable and patch.tobytes() == whole[i, ys, xs].tobytes()
+        if name == "constant":
+            assert not whole.any()
+        if name == "full-range":
+            assert (whole.min(), whole.max()) == (NORM_LO, NORM_HI)
+
+
+SAMPLES_16BIT = np.arange(PGM_MAXVAL + 1, dtype=np.uint16)
+
+
+def denormalized(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The oracle inverse of normalize's affine for the range [lo, hi],
+    rounded to integers."""
+    return np.rint((values - NORM_LO) / (NORM_HI - NORM_LO) * (hi - lo) + lo)
 
 
 class TestDenormalize:
-    """The inverse affine gives back a 16-bit volume's samples exactly, so
-    condense run can recover raw pixels from the normalized composite."""
+    """Normalizing loses no 16-bit sample: the affine's inverse, rounded,
+    gives every sample back exactly, so the normalized slices the
+    detectors read carry all of the volume's samples."""
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -214,17 +263,19 @@ class TestDenormalize:
     def test_every_sample_comes_back(self, lo, hi):
         # samples outside [lo, hi] too; a sample 0 below lo can come back as -0.0
         lo, hi = float(lo), float(hi)
-        assert np.array_equal(denormalize(_affine(SAMPLES_16BIT, lo, hi), lo, hi), SAMPLES_16BIT)
+        norm = _affine(SAMPLES_16BIT.astype(np.float64), lo, hi)
+        assert np.array_equal(denormalized(norm, lo, hi), SAMPLES_16BIT)
 
     def test_a_volumes_own_range_through_normalize_volume(self):
-        data = np.random.default_rng(5).integers(300, 4001, size=(4, 6, 7)).astype(np.float64)
-        norm = normalize_volume(data.copy()).data
-        assert denormalize(norm, data.min(), data.max()).tobytes() == data.tobytes()
+        data = u16(np.random.default_rng(5).integers(300, 4001, size=(4, 6, 7)))
+        vol = normalize_volume(data)
+        back = np.stack([denormalized(vol.slice(i).data, vol.lo, vol.hi) for i in range(4)])
+        assert np.array_equal(back, data)
 
     @pytest.mark.parametrize("level", [0.0, 7.0, 65535.0])
     def test_a_constant_volume_maps_back_to_lo(self, level):
-        norm = normalize_volume(np.full((2, 3, 3), level)).data
-        assert np.all(denormalize(norm, level, level) == level)
+        vol = normalize_volume(u16(np.full((2, 3, 3), level)))
+        assert np.all(denormalized(vol.slice(1).data, level, level) == level)
 
 
 # sigmas with radius 0 (below 0.125), 1, a few taps, and longer than any axis
@@ -442,7 +493,7 @@ class TestPgm:
             write_pgm(ImageGrid(data), path)
             back = read_pgm(path).data
         quant, clipped = quantize(data)
-        assert quant.dtype == np.float64 and quant.tobytes() == back.tobytes()
+        assert quant.dtype == np.uint16 and quant.astype(np.float64).tobytes() == back.tobytes()
         rounded = np.rint(data)
         assert clipped == np.count_nonzero((rounded < 0) | (rounded > 65535))
 
@@ -481,18 +532,23 @@ class TestPgm:
 
     def test_volume_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        vol = Volume(rng.integers(0, 65536, size=(4, 5, 6)).astype(np.float64))
-        write_volume(vol, tmp_path / "vol")
+        samples = u16(rng.integers(0, 65536, size=(4, 5, 6)))
+        write_volume(samples, tmp_path / "vol")
         back = read_volume(tmp_path / "vol")
-        assert back.dtype == np.float64 and back.flags.writeable and back.flags.c_contiguous
-        assert back.tobytes() == vol.data.tobytes()
+        assert back.dtype == np.uint16 and back.flags.writeable and back.flags.c_contiguous
+        assert back.tobytes() == samples.tobytes()
+
+    def test_write_volume_takes_uint16_samples_only(self, tmp_path):
+        for data in (np.ones((2, 3, 4)), np.ones((2, 3, 4), np.int32), u16(np.ones((3, 4)))):
+            with pytest.raises(ValueError):
+                write_volume(data, tmp_path / "vol")
 
     def test_volume_slices_are_the_pgms_write_pgm_stores(self, tmp_path):
         # non-integer, negative, out-of-range and -0.0 samples
         rng = np.random.default_rng(6)
         data = rng.normal(0.0, 5e4, size=(3, 4, 5))
         data[0, 0, :3] = [-0.0, -0.4, 65535.5]
-        write_volume(Volume(data), tmp_path / "vol")
+        write_volume(quantize(data)[0], tmp_path / "vol")
         for i, plane in enumerate(data):
             write_pgm(ImageGrid(plane), tmp_path / "one.pgm")
             assert (tmp_path / "vol" / f"slice_{i:04d}.pgm").read_bytes() == (
@@ -503,12 +559,13 @@ class TestPgm:
     def test_quantize_in_place(self):
         data = np.array([[-3.2, -0.4, 2.5, 65535.5, 1e9]])
         want, clipped = quantize(data)
-        got, n = quantize(data, out=data)
-        assert got is data and n == clipped == 3
-        assert data.tobytes() == want.tobytes()
+        out = np.empty(data.shape, np.uint16)
+        got, n = quantize(data, out=out)
+        assert got is out and n == clipped == 3
+        assert out.tobytes() == want.tobytes() == u16([[0, 0, 2, 65535, 65535]]).tobytes()
 
     def test_volume_shape_reads_the_manifest_alone(self, tmp_path):
-        write_volume(Volume(np.ones((3, 5, 4))), tmp_path)
+        write_volume(u16(np.ones((3, 5, 4))), tmp_path)
         (tmp_path / "slice_0000.pgm").unlink()
         assert volume_shape(tmp_path) == (3, 5, 4)
         (tmp_path / "manifest.json").write_text("[1, 2]")
@@ -516,8 +573,7 @@ class TestPgm:
             volume_shape(tmp_path)
 
     def test_volume_manifest_mismatch_detected(self, tmp_path):
-        vol = Volume(np.zeros((1, 2, 2)))
-        write_volume(vol, tmp_path / "vol")
+        write_volume(u16(np.zeros((1, 2, 2))), tmp_path / "vol")
         manifest = (tmp_path / "vol" / "manifest.json").read_text()
         (tmp_path / "vol" / "manifest.json").write_text(
             manifest.replace('"slice_count": 1', '"slice_count": 2')
@@ -527,7 +583,7 @@ class TestPgm:
 
 
     def test_manifest_that_is_not_an_object_or_not_json(self, tmp_path):
-        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        write_volume(u16(np.ones((2, 3, 4))), tmp_path)
         for text in ("[1, 2]", "{not json"):
             (tmp_path / "manifest.json").write_text(text)
             with pytest.raises(ValueError) as exc:
@@ -536,7 +592,7 @@ class TestPgm:
 
     def test_manifest_claiming_a_larger_grid_fails_at_the_first_slice(self, tmp_path):
         # a stack of the claimed grid (16 TB) is never allocated
-        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        write_volume(u16(np.ones((2, 3, 4))), tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest.update(width=10**6, height=10**6)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -545,7 +601,7 @@ class TestPgm:
         assert str(tmp_path / "slice_0000.pgm") in str(exc.value)
 
     def test_slice_with_wrong_dimensions_names_the_slice(self, tmp_path):
-        write_volume(Volume(np.ones((2, 3, 4))), tmp_path)
+        write_volume(u16(np.ones((2, 3, 4))), tmp_path)
         write_pgm(ImageGrid(np.ones((3, 5))), tmp_path / "slice_0001.pgm")
         with pytest.raises(ValueError) as exc:
             read_volume(tmp_path)

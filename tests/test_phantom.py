@@ -84,39 +84,39 @@ class TestLesionSpec:
 class TestGenerateVolume:
     def test_noiseless_center_pixel_exceeds_background_by_exact_contrast(self):
         contrast = 137.0
-        vol, _ = generate_volume(quiet_cfg(), [centered_lesion(contrast)])
+        vol, _, _ = generate_volume(quiet_cfg(), [centered_lesion(contrast)])
         # lesion center sits on the center of pixel (32, 32)
         value = vol[5, 32, 32]
         assert value - BACKGROUND_LEVEL == contrast
 
     def test_flat_background_off_lesion(self):
-        vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0)])
+        vol, _, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0)])
         assert vol[5, 2, 2] == BACKGROUND_LEVEL
         assert np.all(vol[0] == BACKGROUND_LEVEL)
 
     def test_bit_identical_across_runs(self):
         cfg = quiet_cfg(seed=99, clutter_density=1.5, noise_sigma=12.0)
         lesions = [centered_lesion(80.0)]
-        a, _ = generate_volume(cfg, lesions)
-        b, _ = generate_volume(cfg, lesions)
+        a, _, _ = generate_volume(cfg, lesions)
+        b, _, _ = generate_volume(cfg, lesions)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a, _ = generate_volume(quiet_cfg(seed=1, noise_sigma=10.0), [])
-        b, _ = generate_volume(quiet_cfg(seed=2, noise_sigma=10.0), [])
+        a, _, _ = generate_volume(quiet_cfg(seed=1, noise_sigma=10.0), [])
+        b, _, _ = generate_volume(quiet_cfg(seed=2, noise_sigma=10.0), [])
         assert not np.array_equal(a, b)
 
     def test_no_lesions_means_negative_label(self):
-        _, truth = generate_volume(quiet_cfg(), [])
+        _, truth, _ = generate_volume(quiet_cfg(), [])
         assert truth.label is False
         assert truth.lesions == ()
 
     def test_malignant_lesion_sets_label(self):
-        _, truth = generate_volume(quiet_cfg(), [centered_lesion(90.0)])
+        _, truth, _ = generate_volume(quiet_cfg(), [centered_lesion(90.0)])
         assert truth.label is True
 
     def test_benign_lesion_keeps_label_false(self):
-        _, truth = generate_volume(
+        _, truth, _ = generate_volume(
             quiet_cfg(), [centered_lesion(90.0, malignant=False)]
         )
         assert truth.label is False
@@ -129,7 +129,7 @@ class TestGenerateVolume:
             generate_volume(quiet_cfg(), [centered_lesion(90.0, center_slice=9)])
 
     def test_lesion_fades_away_from_center_slice(self):
-        vol, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0, slice_extent=3)])
+        vol, _, _ = generate_volume(quiet_cfg(), [centered_lesion(100.0, slice_extent=3)])
         peak = vol[5, 32, 32]
         adjacent = vol[6, 32, 32]
         assert BACKGROUND_LEVEL < adjacent < peak
@@ -137,7 +137,7 @@ class TestGenerateVolume:
 
     def test_edge_slices_are_noisier(self):
         cfg = quiet_cfg(seed=4, noise_sigma=10.0, n_slices=20)
-        vol, _ = generate_volume(cfg, [])
+        vol, _, _ = generate_volume(cfg, [])
         edge_sd = vol[0].std()
         interior_sd = vol[10].std()
         assert edge_sd > 3 * interior_sd
@@ -150,7 +150,7 @@ class TestGenerateVolume:
 
 class TestProjectDm:
     def test_single_slice_volume_is_normalized_slice(self):
-        vol, _ = generate_volume(
+        vol, _, _ = generate_volume(
             quiet_cfg(n_slices=1),
             [centered_lesion(50.0, center_slice=0, slice_extent=1)],
         )
@@ -159,14 +159,14 @@ class TestProjectDm:
         assert proj.data.min() == -127.5
 
     def test_constant_volume_projects_to_zero(self):
-        vol, _ = generate_volume(quiet_cfg(), [])
+        vol, _, _ = generate_volume(quiet_cfg(), [])
         assert np.all(project_dm(Volume(vol)).data == 0.0)
 
     def test_contrast_diluted_by_slice_count(self):
         # 10-slice noiseless volume, lesion on exactly 1 slice, contrast c:
         # the mean stack carries contrast c/10.
         c = 120.0
-        vol, _ = generate_volume(
+        vol, _, _ = generate_volume(
             quiet_cfg(n_slices=10), [centered_lesion(c, slice_extent=1)]
         )
         mean_stack = vol.mean(axis=0)
@@ -185,20 +185,20 @@ class TestCases:
 
     def test_generate_case_deterministic_per_id(self):
         cfg = quiet_cfg(noise_sigma=8.0, clutter_density=1.0)
-        a, ta = generate_case(cfg, "cancer-0001", True)
-        b, tb = generate_case(cfg, "cancer-0001", True)
+        a, ta, _ = generate_case(cfg, "cancer-0001", True)
+        b, tb, _ = generate_case(cfg, "cancer-0001", True)
         assert np.array_equal(a, b)
         assert ta == tb
 
     def test_cancer_case_has_one_malignant_lesion(self):
-        _, truth = generate_case(quiet_cfg(), "cancer-0002", True)
+        _, truth, _ = generate_case(quiet_cfg(), "cancer-0002", True)
         assert truth.label is True
         assert len(truth.lesions) == 1
         assert truth.lesions[0].malignant
         assert truth.tumor_size_mm == pytest.approx(truth.lesions[0].size_mm)
 
     def test_negative_case_has_no_lesions(self):
-        _, truth = generate_case(quiet_cfg(), "negative-0002", False)
+        _, truth, _ = generate_case(quiet_cfg(), "negative-0002", False)
         assert truth.label is False and truth.lesions == ()
 
     def test_sampled_lesion_respects_bounds(self):
@@ -279,8 +279,8 @@ class TestTexture:
         imaging.gaussian_operator.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
-        for case_id, (vol, _) in zip(case_ids, threaded):
-            serial, _ = generate_case(default_cfg(), case_id, False)
+        for case_id, (vol, _, _) in zip(case_ids, threaded):
+            serial, _, _ = generate_case(default_cfg(), case_id, False)
             assert vol.tobytes() == serial.tobytes()
 
 
@@ -349,8 +349,8 @@ class TestConfigValidation:
             quiet_cfg(clutter_density=-0.5)
 
     def test_volume_matches_config_shape(self):
-        stack, _ = generate_volume(quiet_cfg(width=40, height=50, n_slices=7), [])
-        assert stack.shape == (7, 50, 40) and stack.dtype == np.float64
+        stack, _, _ = generate_volume(quiet_cfg(width=40, height=50, n_slices=7), [])
+        assert stack.shape == (7, 50, 40) and stack.dtype == np.uint16
         assert stack.flags.writeable and stack.flags.c_contiguous
 
     def test_replace_keeps_frozen_semantics(self):

@@ -48,7 +48,7 @@ def lesion_slice(contrast=150.0, width=96, height=96, cx=48.5, cy=48.5, radius=8
         contrast=contrast,
         malignant=True,
     )
-    vol, _ = generate_volume(cfg, [les])
+    vol, _, _ = generate_volume(cfg, [les])
     return normalize_range(ImageGrid(vol[0])), les
 
 
@@ -107,7 +107,7 @@ def phantom_slices() -> list[ImageGrid]:
     )
     slices = []
     for k in range(2):
-        vol, _ = generate_case(cfg, f"mirror-{k}", cancer=k % 2 == 0)
+        vol, _, _ = generate_case(cfg, f"mirror-{k}", cancer=k % 2 == 0)
         norm = normalize_volume(vol)
         slices += [norm.slice(i) for i in range(norm.n_slices)]
     return slices
