@@ -8,12 +8,12 @@ survive, and score ties are broken by input order.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .imaging import write_csv
 
 CSV_FIELDS = ("x_min", "y_min", "x_max", "y_max", "score", "slice_index")
 _NMS_BLOCK = 256
@@ -100,23 +100,9 @@ def nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
 # ---------------------------------------------------------------------------
 
 
-def boxes_to_csv(boxes: list[ScoredBox]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for b in boxes:
-        writer.writerow(
-            [
-                repr(b.x_min),
-                repr(b.y_min),
-                repr(b.x_max),
-                repr(b.y_max),
-                repr(b.score),
-                "" if b.slice_index is None else b.slice_index,
-            ]
-        )
-    return buf.getvalue()
-
-
 def write_boxes_csv(boxes: list[ScoredBox], path: str | Path) -> None:
-    Path(path).write_text(boxes_to_csv(boxes))
+    rows = (
+        [*map(repr, (b.x_min, b.y_min, b.x_max, b.y_max, b.score)), b.slice_index]
+        for b in boxes
+    )
+    write_csv(path, CSV_FIELDS, rows)

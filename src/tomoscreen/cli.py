@@ -52,7 +52,7 @@ from .condense import (
 )
 from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
-    ImageGrid,
+    PGM_MAXVAL,
     gaussian_operator,
     normalize_range,
     normalize_volume,
@@ -60,6 +60,8 @@ from .imaging import (
     read_pgm,
     read_volume,
     volume_shape,
+    write_csv,
+    write_json,
     write_pgm,
     write_volume,
 )
@@ -98,7 +100,6 @@ from .stats import (
     enumerate_panels,
     paired_delta_pvalue,
     read_cases_csv,
-    reader_operating_point,
     roc_and_auc,
     sensitivity_at_specificity,
     size_matched_auc,
@@ -257,10 +258,6 @@ def config_payload(cfg: RunConfig) -> dict:
     payload["contrast_range"] = list(cfg.contrast_range)
     payload["size_bin_edges"] = list(cfg.size_bin_edges)
     return payload
-
-
-def write_json(data, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
@@ -449,8 +446,8 @@ def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig
     """The panel points, the {readers, n_panels, paired_delta} block,
     (reader, sensitivity, specificity) plot markers and the paired
     model-vs-readers delta."""
-    panels = enumerate_panels(cases, reader_ids)
-    points = {r: reader_operating_point(cases, r) for r in reader_ids}
+    panels = enumerate_panels(cases, reader_ids)  # the single readers come first
+    points = {p.readers[0]: (p.sensitivity, p.specificity) for p in panels if len(p.readers) == 1}
     delta = paired_delta_pvalue(cases, reader_ids, n_resamples=cfg.n_resamples, seed=cfg.seed)
     block = {
         "readers": {r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()},
@@ -507,12 +504,16 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
 def _condense_one_volume(samples: np.ndarray, threshold: float, iou: float, case_dir: Path):
     """Condense a volume read by read_volume and write its composite artifacts; returns the
     ensemble score of the composite. optimized.pgm holds the samples picked by the composite's
-    provenance: the scored composite on the raw intensity scale."""
+    provenance: the scored composite on the raw intensity scale. provenance.pgm holds each
+    pixel's source slice; an index above 65535 does not fit it and raises ValueError."""
     opt, _, _, score = _condense_and_score(normalize_volume(samples), threshold, iou)
     raw = np.take_along_axis(samples, opt.provenance[None], axis=0)[0]
+    if opt.provenance.max() > PGM_MAXVAL:  # the uint16 cast below would wrap it
+        path = one_line(case_dir / "provenance.pgm")
+        raise ValueError(f"{path}: slice index {opt.provenance.max()} does not fit a 16-bit PGM")
     case_dir.mkdir(parents=True, exist_ok=True)
-    write_pgm(ImageGrid(raw), case_dir / "optimized.pgm")
-    write_pgm(ImageGrid(opt.provenance.astype(np.float64)), case_dir / "provenance.pgm")
+    write_pgm(raw, case_dir / "optimized.pgm")
+    write_pgm(opt.provenance.astype(np.uint16), case_dir / "provenance.pgm")
     write_boxes_csv(opt.kept_boxes, case_dir / "boxes.csv")
     write_json(
         {"score": score, "n_boxes": len(opt.kept_boxes), "clip_warnings": list(opt.clip_warnings)},
@@ -576,20 +577,18 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
     breast_scores = {side: breast_score(vs) for side, vs in sorted(by_breast.items())}
     final = study_score(list(breast_scores.values()))
 
-    lines = ["level,name,score"]
-    for v in view_scores:
-        lines.append(f"view,{v.breast}-{v.view_label},{v.score!r}")
-    for side, s in breast_scores.items():
-        lines.append(f"breast,{side},{s!r}")
-    lines.append(f"study,{case_id},{final!r}")
-    (out / "scores.csv").write_text("\n".join(lines) + "\n")
+    rows = [("view", f"{v.breast}-{v.view_label}", repr(v.score)) for v in view_scores]
+    rows += [("breast", side, repr(s)) for side, s in breast_scores.items()]
+    rows.append(("study", case_id, repr(final)))
+    write_csv(out / "scores.csv", ["level", "name", "score"], rows)
     return f"study {case_id}: score {final:.4f}; wrote {out / 'scores.csv'}"
 
 
 def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
-    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *_detector_sigmas()])
+    condense_sigmas = default_condense_scorer().sigmas  # the only detector train mil runs
+    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *condense_sigmas])
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item

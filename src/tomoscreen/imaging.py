@@ -1,5 +1,5 @@
 """Intensity grids, volumes, intensity normalization, the Gaussian and
-maximum filters, folded one-axis operators, and portable file IO.
+maximum filters, folded one-axis operators, and every file writer.
 
 Images are immutable 2D float64 grids. A volume is a case's 16-bit
 samples: one immutable uint16 (slices, height, width) stack plus the one
@@ -7,13 +7,18 @@ affine, from the stack's range, that maps every slice onto [-127.5, 127.5].
 Normalized float64 data exists one slice or one patch at a time
 (`Volume.slice`, `Volume.patch`): the affine is elementwise, so each
 equals the matching part of the whole stack normalized at once, bit for
-bit. The on-disk format is binary PGM (P5) with maxval 65535, big-endian
-samples; volumes are a directory of one PGM per slice plus a
-manifest.json. `quantize` is the one 16-bit mapping: round half to even,
-then clip to [0, 65535]. phantom renders each slice through it into the
-sample stack, `write_pgm` stores its result, and `write_volume` and
-`read_volume` move the samples as they are, so each stage scores exactly
-the samples `phantom gen` writes.
+bit. `quantize` is the one 16-bit mapping: round half to even, then clip
+to [0, 65535]. Its one caller is phantom's render, which quantizes each
+slice into the sample stack, so each stage scores exactly the samples
+`phantom gen` writes.
+
+Each file format a stage writes has one writer here: `write_json` (two-space
+indent, sorted keys, a final newline), `write_csv` (the csv module's
+default dialect, LF line ends) and `write_pgm` (binary 16-bit PGM, P5 with
+maxval 65535 and big-endian samples, of uint16 samples as they are: no
+float pass). `write_volume` writes a directory of one PGM per
+slice plus a manifest.json through them. `read_pgm` returns a PGM's raw
+samples; `read_volume` and `read_json` read back the rest.
 
 `gaussian_filter(data, sigma)` is the one Gaussian smoothing: scipy's
 `nearest`-mode kernel applied along both axes of a 2D array as two folded
@@ -34,6 +39,7 @@ operators holding 96 MiB) and lost on 64 x 4096 (59 against 37 ms).
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 from dataclasses import dataclass, field
@@ -150,13 +156,14 @@ class Volume:
         return ImageGrid(self.patch(i))
 
 
-def normalize_range(img: ImageGrid) -> ImageGrid:
-    """Affinely map intensities onto [-127.5, 127.5].
+def normalize_range(data: np.ndarray) -> ImageGrid:
+    """The 2D grid of a 2D array's intensities affinely mapped onto
+    [-127.5, 127.5]: integer samples are cast to float64 as they are read.
 
     The minimum maps to -127.5 and the maximum to +127.5 exactly; a
-    constant image maps to all zeros.
+    constant array maps to all zeros.
     """
-    return ImageGrid(_affine(img.data, img.data.min(), img.data.max()))
+    return ImageGrid(_affine(data, float(data.min()), float(data.max())))
 
 
 def normalize_volume(samples: np.ndarray) -> Volume:
@@ -363,37 +370,46 @@ def gaussian_filter(data: np.ndarray, sigma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# File IO: binary PGM (P5), maxval 65535, big-endian samples.
+# File IO: one writer per format. PGMs are binary (P5), maxval 65535,
+# big-endian samples.
 # ---------------------------------------------------------------------------
 
 
-def quantize(data: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Round half to even, then clip to [0, 65535]: the samples a 16-bit PGM
-    stores for float `data`. Returns them, in `out` (a uint16 array of
-    data's shape) or a new uint16 array, and the count of values whose
-    rounded value fell outside [0, 65535]. Works through one float64
-    temporary the size of `data`, so a caller quantizing a volume does it
-    slice by slice."""
+def quantize(data: np.ndarray, out: np.ndarray) -> int:
+    """Round float `data` half to even, then clip to [0, 65535], into `out`, a
+    uint16 array of data's shape: the samples a 16-bit PGM stores. Returns the
+    count of values whose rounded value fell outside [0, 65535]. Works through
+    one float64 temporary the size of `data`, so a volume is quantized slice by
+    slice."""
     rounded = np.rint(data)
     clipped = int(np.count_nonzero(rounded < 0)) + int(np.count_nonzero(rounded > PGM_MAXVAL))
     np.clip(rounded, 0, PGM_MAXVAL, out=rounded)
-    if out is None:
-        return rounded.astype(np.uint16), clipped
     np.copyto(out, rounded, casting="unsafe")  # exact: integers in [0, 65535]
-    return out, clipped
+    return clipped
 
 
-def _pgm_bytes(samples: np.ndarray) -> bytes:
-    """A 16-bit PGM of a 2D uint16 array: the header, then the samples as
-    big-endian 16-bit words."""
+def write_json(data, path: str | Path) -> None:
+    """Write `data` as JSON with a two-space indent, sorted keys and a final
+    newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: str | Path, header: list[str] | tuple[str, ...], rows) -> None:
+    """Write `header`, then each row of `rows`, as CSV with LF line ends,
+    quoting only the fields that need it; None writes as an empty field."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_pgm(samples: np.ndarray, path: str | Path) -> None:
+    """Write a 2D uint16 array as a binary 16-bit PGM: the header, then the
+    samples as big-endian words. Any other array raises ValueError."""
+    samples = _as_readonly(samples, 2, np.uint16)
     height, width = samples.shape
     header = f"P5\n{width} {height}\n{PGM_MAXVAL}\n".encode("ascii")
-    return header + samples.astype(">u2").tobytes()
-
-
-def write_pgm(img: ImageGrid, path: str | Path) -> None:
-    """Write a binary 16-bit PGM of `quantize(img.data)`."""
-    Path(path).write_bytes(_pgm_bytes(quantize(img.data)[0]))
+    Path(path).write_bytes(header + samples.astype(">u2").tobytes())
 
 
 def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
@@ -418,7 +434,7 @@ def _read_pgm_tokens(raw: bytes, count: int) -> tuple[list[int], int]:
     return tokens, i
 
 
-def _read_pgm_raster(path: str | Path) -> np.ndarray:
+def read_pgm(path: str | Path) -> np.ndarray:
     """The samples of a binary PGM (P5) with maxval up to 65535, as a
     read-only (height, width) view of its bytes (unsigned 8- or big-endian
     16-bit). A missing, unreadable or malformed file raises ValueError
@@ -441,12 +457,6 @@ def _read_pgm_raster(path: str | Path) -> np.ndarray:
     return np.frombuffer(raw, dtype=dtype, count=n, offset=pos).reshape(height, width)
 
 
-def read_pgm(path: str | Path) -> ImageGrid:
-    """Read a binary PGM (P5) with maxval up to 65535. A missing,
-    unreadable or malformed file raises ValueError naming it."""
-    return ImageGrid(_read_pgm_raster(path).astype(np.float64))
-
-
 def write_volume(samples: np.ndarray, directory: str | Path) -> None:
     """Write a uint16 sample stack of shape (n_slices, height, width) as a
     directory of PGM slices plus manifest.json."""
@@ -456,11 +466,9 @@ def write_volume(samples: np.ndarray, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     names = [f"slice_{i:04d}.pgm" for i in range(n_slices)]
     for plane, name in zip(samples, names):
-        (directory / name).write_bytes(_pgm_bytes(plane))
+        write_pgm(plane, directory / name)
     manifest = {"width": width, "height": height, "slice_count": n_slices, "slices": names}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(manifest, directory / "manifest.json")
 
 
 def _is_count(value) -> bool:
@@ -513,7 +521,7 @@ def read_volume(directory: str | Path) -> np.ndarray:
     disagrees with the manifest, raises ValueError naming the offending
     file. The first slice is checked before the stack is allocated, so a
     manifest that claims a larger grid than its slices fails there. An
-    8-bit slice reads as its values, as read_pgm reads it.
+    8-bit slice reads as its values.
     """
     directory = Path(directory)
     manifest = _read_manifest(directory)
@@ -521,7 +529,7 @@ def read_volume(directory: str | Path) -> np.ndarray:
     shape = (manifest["height"], manifest["width"])
 
     def samples(name: str) -> np.ndarray:
-        raster = _read_pgm_raster(directory / name)
+        raster = read_pgm(directory / name)
         with reading(directory / name):
             if raster.shape != shape:
                 raise ValueError(

@@ -12,7 +12,6 @@ candidate box rather than once per SGD step.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .boxes import ScoredBox
 from .errors import NumericError
-from .imaging import ImageGrid, _as_readonly
+from .imaging import ImageGrid, _as_readonly, write_json
 from .seeds import rng_stream
 
 N_FEATURES = 4
@@ -225,4 +224,4 @@ def save_scorer(result: TrainResult, path: str | Path) -> None:
         "bias": result.scorer.bias,
         "loss_trajectory": list(result.loss_trajectory),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(payload, path)

@@ -14,9 +14,12 @@ independent: cases can be built in parallel in any order.
 
 A volume is rendered one slice at a time into one reused float64 canvas,
 once the common texture field exists, and each slice is quantized
-(`imaging.quantize`) into the case's uint16 sample stack, so no float
-array of volume size exists. The clipped-voxel count comes back with the
-case, never through shared state, since cases render on worker threads.
+(`imaging.quantize`, whose one caller this render is) into the case's
+uint16 sample stack, so no float array of volume size exists. The
+clipped-voxel count comes back with the case, never through shared state,
+since cases render on worker threads. `write_truth` writes truth.json
+through `imaging.write_json`; `phantom gen` writes the samples with
+`imaging.write_volume`.
 
 Texture is white noise smoothed by `imaging.gaussian_filter`, scipy's
 `nearest`-mode Gaussian applied as cached folded operators, one per
@@ -27,7 +30,6 @@ Texture is white noise smoothed by `imaging.gaussian_filter`, scipy's
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -42,6 +44,7 @@ from .imaging import (
     normalize_range,
     quantize,
     read_json,
+    write_json,
 )
 from .seeds import mix_seed, rng_stream
 
@@ -314,7 +317,7 @@ def generate_volume(
             canvas += sigma * rng_stream(cfg.seed, "noise", i).standard_normal(
                 (cfg.height, cfg.width)
             )
-        clipped += quantize(canvas, out=samples[i])[1]
+        clipped += quantize(canvas, samples[i])
 
     truth = PhantomTruth(
         case_id=case_id,
@@ -328,7 +331,7 @@ def project_dm(vol: Volume) -> ImageGrid:
     """Mean projection of the samples across slices, normalized. Stands in
     for a single projection view of the same anatomy: slice-local contrast
     is diluted by roughly slice_extent / n_slices."""
-    return normalize_range(ImageGrid(vol.samples.mean(axis=0)))
+    return normalize_range(vol.samples.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +475,7 @@ def truth_from_dict(data) -> PhantomTruth:
 def write_truth(truth: PhantomTruth, path: str | Path, **extra) -> None:
     """Write truth.json; `extra` keys (phantom gen's clipped_voxels) sit beside
     the truth's, and truth_from_dict ignores them."""
-    data = {**truth_to_dict(truth), **extra}
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_json({**truth_to_dict(truth), **extra}, path)
 
 
 def read_truth(path: str | Path) -> PhantomTruth:

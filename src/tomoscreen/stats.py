@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError, reading
+from .imaging import write_csv
 from .seeds import rng_stream
 
 RECALL_BIRADS = 3  # BIRADS >= 3 means recall
@@ -769,24 +770,21 @@ def size_matched_auc(
 # ---------------------------------------------------------------------------
 
 
-def cases_to_csv(cases: list[CaseRecord]) -> str:
+def write_cases_csv(cases: list[CaseRecord], path: str | Path) -> None:
     reader_ids = sorted({r for c in cases for r in (c.reader_birads or {})})
     has_sizes = any(c.tumor_size_mm is not None for c in cases)
     header = ["case_id", "label", "score"]
     if has_sizes:
         header.append("tumor_size_mm")
     header += [f"birads_{r}" for r in reader_ids]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    rows = []
     for c in cases:
         row = [c.case_id, int(c.label), repr(c.score)]
         if has_sizes:
             row.append("" if c.tumor_size_mm is None else repr(c.tumor_size_mm))
         birads = c.reader_birads or {}
-        row += ["" if r not in birads else birads[r] for r in reader_ids]
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row + [birads.get(r) for r in reader_ids])  # None writes as ""
+    write_csv(path, header, rows)
 
 
 _LABELS = {"1": True, "true": True, "0": False, "false": False}
@@ -850,33 +848,25 @@ def cases_from_csv(text: str) -> list[CaseRecord]:
     return out
 
 
-def write_cases_csv(cases: list[CaseRecord], path: str | Path) -> None:
-    Path(path).write_text(cases_to_csv(cases))
-
-
 def read_cases_csv(path: str | Path) -> list[CaseRecord]:
     with reading(path):
         return cases_from_csv(Path(path).read_text())
 
 
 def write_roc_csv(roc: RocAnalysis, path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["threshold", "sensitivity", "specificity"])
-    for t, se, sp in zip(roc.thresholds, roc.sensitivity, roc.specificity):
-        writer.writerow([repr(t) if math.isfinite(t) else "inf", repr(se), repr(sp)])
-    Path(path).write_text(buf.getvalue())
+    rows = (
+        [repr(t) if math.isfinite(t) else "inf", repr(se), repr(sp)]
+        for t, se, sp in zip(roc.thresholds, roc.sensitivity, roc.specificity)
+    )
+    write_csv(path, ["threshold", "sensitivity", "specificity"], rows)
 
 
 def write_panels_csv(points: list[PanelPoint], path: str | Path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["panel", "size", "sensitivity", "specificity"])
-    for pt in points:
-        writer.writerow(
-            ["+".join(pt.readers), len(pt.readers), repr(pt.sensitivity), repr(pt.specificity)]
-        )
-    Path(path).write_text(buf.getvalue())
+    rows = (
+        ["+".join(pt.readers), len(pt.readers), repr(pt.sensitivity), repr(pt.specificity)]
+        for pt in points
+    )
+    write_csv(path, ["panel", "size", "sensitivity", "specificity"], rows)
 
 
 _SVG_COLORS = ("#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df")

@@ -30,6 +30,13 @@ def make_volume(arrays) -> Volume:
     return Volume(samples)
 
 
+def quantized(data) -> np.ndarray:
+    """Float `data` as new uint16 samples, through `imaging.quantize`."""
+    out = np.empty(np.shape(data), np.uint16)
+    imaging.quantize(np.asarray(data, dtype=np.float64), out)
+    return out
+
+
 def normalized_stack(vol: Volume) -> np.ndarray:
     """The whole volume normalized at once, the oracle for its slices and
     patches: `_affine` of every sample cast to float64."""

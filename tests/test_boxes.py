@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tomoscreen.boxes import ScoredBox, boxes_to_csv, iou, nms, write_boxes_csv
+from tomoscreen.boxes import ScoredBox, iou, nms, write_boxes_csv
 
 
 def reference_iou(a: ScoredBox, b: ScoredBox) -> float:
@@ -165,23 +165,29 @@ def parse_boxes_csv(text: str) -> list[ScoredBox]:
 
 
 class TestCsv:
-    def test_round_trip_exact(self):
+    @staticmethod
+    def round_trip(boxes: list[ScoredBox], path) -> list[ScoredBox]:
+        write_boxes_csv(boxes, path)
+        return parse_boxes_csv(path.read_text())
+
+    def test_round_trip_exact(self, tmp_path):
         boxes = [
             ScoredBox(0.1, 0.2, 10.3, 20.7, 1 / 3, slice_index=4),
             ScoredBox(5.0, 6.0, 7.0, 8.0, 0.125),
         ]
-        back = parse_boxes_csv(boxes_to_csv(boxes))
-        assert back == boxes
+        assert self.round_trip(boxes, tmp_path / "b.csv") == boxes
 
     def test_file_round_trip(self, tmp_path):
         boxes = [ScoredBox(1.25, 2.5, 3.75, 5.0, 0.9, slice_index=0)]
         write_boxes_csv(boxes, tmp_path / "b.csv")
-        assert parse_boxes_csv((tmp_path / "b.csv").read_text()) == boxes
+        assert (tmp_path / "b.csv").read_bytes() == (
+            b"x_min,y_min,x_max,y_max,score,slice_index\n1.25,2.5,3.75,5.0,0.9,0\n"
+        )
 
-    def test_empty_list_round_trip(self):
-        assert parse_boxes_csv(boxes_to_csv([])) == []
+    def test_empty_list_round_trip(self, tmp_path):
+        assert self.round_trip([], tmp_path / "b.csv") == []
 
-    def test_float_precision_survives(self):
+    def test_float_precision_survives(self, tmp_path):
         box = ScoredBox(math.pi, math.e, 10.0, 11.0, 1 / 7)
-        (back,) = parse_boxes_csv(boxes_to_csv([box]))
+        (back,) = self.round_trip([box], tmp_path / "b.csv")
         assert back.x_min == box.x_min and back.score == box.score

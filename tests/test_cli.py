@@ -2,6 +2,7 @@
 rerun byte-stability."""
 
 import contextlib
+import csv
 import filecmp
 import io
 import json
@@ -18,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quantized
+
 import tomoscreen.cli as cli_module
 import tomoscreen.imaging as imaging_module
 import tomoscreen.miltrain as miltrain_module
 import tomoscreen.phantom as phantom_module
 import tomoscreen.scorer as scorer_module
+import tomoscreen.stats as stats_module
 from tomoscreen.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -35,9 +39,10 @@ from tomoscreen.cli import (
     reader_profiles,
     synthetic_birads,
 )
-from tomoscreen.condense import trimmed_slices
+from tomoscreen.condense import OptimizedImage, trimmed_slices
 from tomoscreen.errors import ConfigError
 from tomoscreen.imaging import (
+    PGM_MAXVAL,
     ImageGrid,
     Volume,
     normalize_volume,
@@ -54,7 +59,7 @@ from tomoscreen.phantom import (
     read_truth,
     write_truth,
 )
-from tomoscreen.scorer import default_ensemble, ensemble_image_score
+from tomoscreen.scorer import default_condense_scorer, default_ensemble, ensemble_image_score
 from tomoscreen.stats import read_cases_csv, write_cases_csv, CaseRecord
 
 QUICK = {
@@ -602,7 +607,7 @@ def write_study(directory: Path, views: list) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(3)
     for name in ("a.pgm", "b.pgm"):
-        write_pgm(ImageGrid(rng.normal(500.0, 20.0, size=(48, 40))), directory / name)
+        write_pgm(quantized(rng.normal(500.0, 20.0, size=(48, 40))), directory / name)
     path = directory / "study.json"
     path.write_text(json.dumps({"case_id": "study-1", "views": views}))
     return path
@@ -949,21 +954,30 @@ def cohort(tmp_path_factory):
 class TestOperatorsBuiltBeforeThePool:
     """Threaded stages build every cached operator on the main thread
     before their pool starts; built on a worker, an operator lands in that
-    worker's malloc arena and raises peak RSS."""
+    worker's malloc arena and raises peak RSS. A stage builds only the
+    operators it applies: the texture's, and those of the detectors it runs."""
 
     @pytest.mark.parametrize("stage", ["phantom-gen", "condense-run", "train-mil", "report"])
     def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, operator_builds):
         cfg, cases = cohort
         small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
         report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
-        args = {
-            "phantom-gen": ["phantom", "gen", "--config", cfg],
-            "condense-run": ["condense", "run", "--config", cfg, "--cases", str(cases)],
-            "train-mil": ["train", "mil", "--config", small],
-            "report": ["report", "--config", report],
+        texture = RunConfig().background_texture_scale
+        ensemble = [sigma for s in default_ensemble() for sigma in s.sigmas]
+        condense = list(default_condense_scorer().sigmas)
+        args, sides, sigmas = {
+            "phantom-gen": (["phantom", "gen", "--config", cfg], (64, 48), [texture]),
+            "condense-run": (
+                ["condense", "run", "--config", cfg, "--cases", str(cases)], (64, 48), ensemble
+            ),
+            "train-mil": (["train", "mil", "--config", small], (80, 64), [texture, *condense]),
+            "report": (["report", "--config", report], (64, 48), [texture, *ensemble]),
         }[stage]
         assert main(args + ["--out", str(tmp_path / "out"), "--threads", "2"]) == EXIT_OK
         assert operator_builds and all(on_main for _, _, on_main in operator_builds)
+        built = [(n, sigma) for n, sigma, _ in operator_builds]
+        assert len(built) == len(set(built))
+        assert set(built) == {(n, sigma) for n in sides for sigma in sigmas}
 
 
 class TestSmoothingHooks:
@@ -1022,6 +1036,21 @@ class TestCondenseRun:
         score = json.loads((out / "score.json").read_text())
         assert 0.0 <= score["score"] <= 1.0
         assert score["n_boxes"] >= 0
+
+    def test_a_slice_index_above_65535_is_not_written(self, tmp_path, monkeypatch, capsys):
+        # the composite of a 65537-slice volume picks its last slice
+        samples = np.zeros((PGM_MAXVAL + 2, 1, 1), np.uint16)
+        picked = np.full((1, 1), PGM_MAXVAL + 1, np.int32)
+        opt = OptimizedImage(ImageGrid(np.zeros((1, 1))), picked, [])
+        scored = cli_module.ScoredCase(opt, [], [], 0.0)
+        monkeypatch.setattr(cli_module, "_condense_and_score", lambda *args: scored)
+        monkeypatch.setattr(cli_module, "read_volume", lambda path: samples)
+        out = tmp_path / "one"
+        code = main(["condense", "run", "--volume", str(tmp_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        reason = "slice index 65536 does not fit a 16-bit PGM"
+        assert capsys.readouterr().err == f"error: {out / 'provenance.pgm'}: {reason}\n"
+        assert not (out / "provenance.pgm").exists()
 
     def test_cohort_mode(self, cohort, tmp_path):
         cfg, cases = cohort
@@ -1122,9 +1151,9 @@ class TestOneStackPerCase:
         assert main(["condense", "run", "--volume", str(case), "--out", str(out)]) == EXIT_OK
         raw = read_volume(case)
         assert raw.min() == 0.0 and raw.max() == 65535.0
-        provenance = read_pgm(out / "provenance.pgm").data.astype(np.intp)
+        provenance = read_pgm(out / "provenance.pgm").astype(np.intp)
         picked = np.take_along_axis(raw, provenance[None], axis=0)[0]
-        write_pgm(ImageGrid(picked), tmp_path / "picked.pgm")
+        write_pgm(picked, tmp_path / "picked.pgm")
         assert (out / "optimized.pgm").read_bytes() == (tmp_path / "picked.pgm").read_bytes()
 
     def test_returned_volumes_never_change(self, cohort, tmp_path, monkeypatch):
@@ -1184,7 +1213,7 @@ class TestScoreStudy:
         if bright:
             yy, xx = np.mgrid[0:48, 0:40]
             data += 400.0 * np.exp(-(((yy - 24) ** 2 + (xx - 20) ** 2) / 60.0))
-        write_pgm(ImageGrid(data), path)
+        write_pgm(quantized(data), path)
 
     def test_study_rollup(self, tmp_path):
         views = [
@@ -1216,6 +1245,25 @@ class TestScoreStudy:
         assert study_rows[0] == max(breast_rows.values())
         # the bright blob sits in the left breast
         assert breast_rows["left"] > breast_rows["right"]
+
+    def test_names_that_need_quoting_stay_one_field(self, tmp_path):
+        write_study(tmp_path, [])
+        views = [
+            {"breast": "left", "view": 'c,"c"', "path": "a.pgm"},
+            {"breast": "right", "view": "mlo", "path": "b.pgm"},
+        ]
+        manifest = tmp_path / "study.json"
+        manifest.write_text(json.dumps({"case_id": 'p,"1"', "views": views}))
+        out = tmp_path / "scored"
+        assert main(["score", "study", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        with open(out / "scores.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["level", "name", "score"] and all(len(r) == 3 for r in rows)
+        names = [(level, name) for level, name, _ in rows[1:]]
+        assert names == [
+            ("view", 'left-c,"c"'), ("view", "right-mlo"), ("breast", "left"),
+            ("breast", "right"), ("study", 'p,"1"'),
+        ]
 
     def test_missing_view_key_rejected(self, tmp_path):
         manifest = tmp_path / "study.json"
@@ -1414,6 +1462,20 @@ class TestEvalReaders:
         assert len(lines) == 4  # header + r1 + r2 + r1+r2
         assert (out / "readers.svg").is_file()
 
+    def test_reader_points_come_from_the_panels(self, tmp_path, monkeypatch):
+        # one BIRADS matrix for the panels, one for the paired delta
+        calls = []
+        build = stats_module._birads_matrix
+        monkeypatch.setattr(stats_module, "_birads_matrix", lambda *a: calls.append(1) or build(*a))
+        csv_path = scored_csv(tmp_path, readers=("r1", "r2", "r3"))
+        out = tmp_path / "readers"
+        assert main(["eval", "readers", "--cases", csv_path, "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 2
+        cases = read_cases_csv(csv_path)
+        for reader, point in json.loads((out / "readers.json").read_text())["readers"].items():
+            sens, spec = stats_module.reader_operating_point(cases, reader)
+            assert point == {"sensitivity": sens, "specificity": spec}
+
     def test_requires_reader_columns(self, tmp_path):
         csv_path = scored_csv(tmp_path)
         code = main(["eval", "readers", "--cases", csv_path, "--out", str(tmp_path / "o")])
@@ -1557,6 +1619,57 @@ class TestPipelineChain:
 
         assert len(scores(rep / "cases.csv")) == 20
         assert scores(rep / "cases.csv") == scores(cond / "cases.csv")
+
+
+class TestBundleFormats:
+    """Every JSON and CSV file a stage writes is in the one style of
+    `imaging.write_json` and `imaging.write_csv`."""
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("formats")
+        cfg = write_config(root, n_cancer=6, n_negative=6)
+        small = write_config(root, "small.json", width=64, height=80, n_slices=10)
+        gen = root / "gen"
+        runs = [
+            ["report", "--config", cfg, "--out", str(root / "report")],
+            ["phantom", "gen", "--config", cfg, "--out", str(gen)],
+            ["condense", "run", "--config", cfg, "--cases", str(gen / "cases"),
+             "--out", str(root / "cond")],
+            ["train", "mil", "--config", small, "--out", str(root / "mil")],
+            ["eval", "roc", "--config", cfg, "--cases", str(root / "cond" / "cases.csv"),
+             "--out", str(root / "roc")],
+        ]
+        for args in runs:
+            assert main(args) == EXIT_OK
+        return root
+
+    def files(self, root: Path, suffix: str) -> list[Path]:
+        paths = sorted(root.rglob(f"*{suffix}"))
+        assert paths
+        return [p for p in paths if p.parent != root]  # not the configs
+
+    def test_json_is_indented_sorted_and_newline_terminated(self, bundles):
+        paths = self.files(bundles, ".json")
+        assert {p.name for p in paths} >= {
+            "summary.json", "run_manifest.json", "truth.json", "manifest.json",
+            "score.json", "toy_scorer.json",
+        }
+        for path in paths:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+    def test_csv_rows_match_the_header_and_end_in_newline(self, bundles):
+        paths = self.files(bundles, ".csv")
+        assert {p.name for p in paths} == {
+            "cases.csv", "cases_center.csv", "roc.csv", "panels.csv", "boxes.csv",
+        }
+        for path in paths:
+            raw = path.read_bytes()
+            assert b"\r" not in raw and raw.endswith(b"\n"), path
+            with open(path, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), path
 
 
 class TestSubprocessEntry:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
+from conftest import quantized
 from tomoscreen import imaging, phantom, scorer
 from tomoscreen.miltrain import N_FEATURES, TrainingCase
 from tomoscreen.imaging import (
@@ -136,18 +137,17 @@ class TestVolume:
 
 class TestNormalize:
     def test_endpoints_exact(self):
-        img = ImageGrid(np.array([[0.0, 10.0], [5.0, 2.5]]))
-        out = normalize_range(img)
+        out = normalize_range(np.array([[0.0, 10.0], [5.0, 2.5]]))
         assert out.data.min() == -127.5
         assert out.data.max() == 127.5
 
     def test_constant_maps_to_zero(self):
-        out = normalize_range(ImageGrid(np.full((3, 3), 42.0)))
+        out = normalize_range(np.full((3, 3), 42.0))
         assert np.all(out.data == 0.0)
 
     @given(finite_images)
     def test_order_preserved(self, data):
-        out = normalize_range(ImageGrid(data)).data
+        out = normalize_range(data).data
         flat_in, flat_out = data.ravel(), out.ravel()
         order = np.argsort(flat_in, kind="stable")
         assert np.all(np.diff(flat_out[order]) >= -1e-9)
@@ -174,7 +174,7 @@ class TestNormalize:
     def test_degenerate_range_maps_to_zero(self):
         # a single voxel or pixel has a degenerate range by size alone
         assert np.all(normalize_volume(u16(np.full((1, 1, 1), 5))).slice(0).data == 0.0)
-        assert np.all(normalize_range(ImageGrid(np.array([[5.0]]))).data == 0.0)
+        assert np.all(normalize_range(np.array([[5.0]])).data == 0.0)
 
     def test_normalize_volume_shares_one_affine(self):
         norm = normalize_volume(u16([[[0, 1]], [[3, 4]]]))
@@ -458,19 +458,26 @@ class TestFoldedOperator:
 class TestPgm:
     def test_round_trip_integer_grid(self, tmp_path):
         rng = np.random.default_rng(1)
-        data = rng.integers(0, 65536, size=(9, 7)).astype(np.float64)
+        data = u16(rng.integers(0, 65536, size=(9, 7)))
         path = tmp_path / "img.pgm"
-        write_pgm(ImageGrid(data), path)
+        write_pgm(data, path)
         back = read_pgm(path)
-        assert np.array_equal(back.data, data)
+        assert np.array_equal(back, data) and not back.flags.writeable
 
     def test_write_quantizes_and_clips(self, tmp_path):
         path = tmp_path / "img.pgm"
         data = np.array([[-5.0, 1.4, 70000.0, -0.5, 65535.5, 65535.4]])
-        write_pgm(ImageGrid(data), path)
-        assert np.array_equal(read_pgm(path).data, [[0.0, 1.0, 65535.0, 0.0, 65535.0, 65535.0]])
+        out = np.empty(data.shape, np.uint16)
         # -5 rounds below 0, 70000 and 65535.5 (half to even: 65536) above 65535
-        assert quantize(data)[1] == 3
+        assert quantize(data, out) == 3
+        write_pgm(out, path)
+        assert np.array_equal(read_pgm(path), [[0, 1, 65535, 0, 65535, 65535]])
+
+    def test_write_pgm_takes_2d_uint16_samples_only(self, tmp_path):
+        for data in (np.ones((2, 3)), np.ones((2, 3), np.int32), u16(np.ones((1, 2, 3)))):
+            with pytest.raises(ValueError):
+                write_pgm(data, tmp_path / "img.pgm")
+        assert not (tmp_path / "img.pgm").exists()
 
     # ties at +-0.5 round half to even; -0.4 rounds to -0.0, which a PGM reads back as +0.0
     TIES = [-2.5, -1.5, -0.5, -0.4, 0.5, 1.5, 2.5, 65534.5, 65535.5, 65536.5]
@@ -490,18 +497,19 @@ class TestPgm:
     def test_quantize_is_what_a_pgm_stores(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "img.pgm"
-            write_pgm(ImageGrid(data), path)
-            back = read_pgm(path).data
-        quant, clipped = quantize(data)
-        assert quant.dtype == np.uint16 and quant.astype(np.float64).tobytes() == back.tobytes()
+            quant = np.empty(data.shape, np.uint16)
+            clipped = quantize(data, quant)
+            write_pgm(quant, path)
+            back = read_pgm(path)
+        assert back.astype(np.uint16).tobytes() == quant.tobytes()
+        assert np.array_equal(quant, np.clip(np.rint(data), 0, 65535))
         rounded = np.rint(data)
         assert clipped == np.count_nonzero((rounded < 0) | (rounded > 65535))
 
     def test_reads_8bit_and_comments(self, tmp_path):
         path = tmp_path / "tiny.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([7, 200]))
-        img = read_pgm(path)
-        assert np.array_equal(img.data, [[7.0, 200.0]])
+        assert np.array_equal(read_pgm(path), [[7, 200]])
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -548,21 +556,22 @@ class TestPgm:
         rng = np.random.default_rng(6)
         data = rng.normal(0.0, 5e4, size=(3, 4, 5))
         data[0, 0, :3] = [-0.0, -0.4, 65535.5]
-        write_volume(quantize(data)[0], tmp_path / "vol")
-        for i, plane in enumerate(data):
-            write_pgm(ImageGrid(plane), tmp_path / "one.pgm")
+        samples = quantized(data)
+        write_volume(samples, tmp_path / "vol")
+        for i, plane in enumerate(samples):
+            write_pgm(plane, tmp_path / "one.pgm")
             assert (tmp_path / "vol" / f"slice_{i:04d}.pgm").read_bytes() == (
                 tmp_path / "one.pgm"
             ).read_bytes()
-        assert read_volume(tmp_path / "vol").tobytes() == quantize(data)[0].tobytes()
+        assert read_volume(tmp_path / "vol").tobytes() == samples.tobytes()
 
     def test_quantize_in_place(self):
         data = np.array([[-3.2, -0.4, 2.5, 65535.5, 1e9]])
-        want, clipped = quantize(data)
-        out = np.empty(data.shape, np.uint16)
-        got, n = quantize(data, out=out)
-        assert got is out and n == clipped == 3
-        assert out.tobytes() == want.tobytes() == u16([[0, 0, 2, 65535, 65535]]).tobytes()
+        out = np.empty((2, *data.shape), np.uint16)
+        out[1] = 7
+        assert quantize(data, out[0]) == 3
+        assert out[0].tobytes() == u16([[0, 0, 2, 65535, 65535]]).tobytes()
+        assert np.all(out[1] == 7)
 
     def test_volume_shape_reads_the_manifest_alone(self, tmp_path):
         write_volume(u16(np.ones((3, 5, 4))), tmp_path)
@@ -602,7 +611,7 @@ class TestPgm:
 
     def test_slice_with_wrong_dimensions_names_the_slice(self, tmp_path):
         write_volume(u16(np.ones((2, 3, 4))), tmp_path)
-        write_pgm(ImageGrid(np.ones((3, 5))), tmp_path / "slice_0001.pgm")
+        write_pgm(u16(np.ones((3, 5))), tmp_path / "slice_0001.pgm")
         with pytest.raises(ValueError) as exc:
             read_volume(tmp_path)
         assert str(tmp_path / "slice_0001.pgm") in str(exc.value)

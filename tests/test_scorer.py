@@ -49,7 +49,7 @@ def lesion_slice(contrast=150.0, width=96, height=96, cx=48.5, cy=48.5, radius=8
         malignant=True,
     )
     vol, _, _ = generate_volume(cfg, [les])
-    return normalize_range(ImageGrid(vol[0])), les
+    return normalize_range(vol[0]), les
 
 
 class StubScorer:

@@ -5,6 +5,7 @@ loops, the midrank AUC, the ROC curve by bisection of each class's
 sorted scores, an explicit-loop DeLong, hand-tallied operating points.
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,6 @@ from tomoscreen.stats import (
     auc_mann_whitney,
     bootstrap_ci,
     cases_from_csv,
-    cases_to_csv,
     delong_test,
     enumerate_panels,
     paired_delta_pvalue,
@@ -1237,9 +1237,14 @@ class TestCasesCsv:
             ),
         ]
 
-    def test_round_trip_exact(self):
-        cases = self.full_cases()
-        assert cases_from_csv(cases_to_csv(cases)) == cases
+    def test_round_trip_exact(self, tmp_path):
+        # ids that need quoting come back as they went in
+        cases = [
+            dataclasses.replace(c, case_id=name)
+            for c, name in zip(self.full_cases(), ['a,"1"', "b\nc"])
+        ]
+        write_cases_csv(cases, tmp_path / "cases.csv")
+        assert cases_from_csv((tmp_path / "cases.csv").read_text()) == cases
 
     def test_file_round_trip(self, tmp_path):
         cases = self.full_cases()
