@@ -92,9 +92,10 @@ from .scorer import (
 )
 from .seeds import rng_stream
 from .stats import (
+    RECALL_BIRADS,
     CaseRecord,
     SizeHistogram,
-    auc_mann_whitney,
+    auc_block,
     bootstrap_ci,
     delong_test,
     enumerate_panels,
@@ -404,9 +405,9 @@ def synthetic_birads(
         rng = rng_stream(seed, "reader", reader_id, case_id)
         recall = rng.random() < (sens if label else 1.0 - spec)
         if recall:
-            grades[reader_id] = 3 + int(rng.integers(0, 3))
+            grades[reader_id] = int(rng.integers(RECALL_BIRADS, 6))
         else:
-            grades[reader_id] = 1 + int(rng.integers(0, 2))
+            grades[reader_id] = int(rng.integers(1, RECALL_BIRADS))
     return grades
 
 
@@ -419,7 +420,7 @@ def _roc(cases: list[CaseRecord], cfg: RunConfig):
     """The curve, the AUC bootstrap, the {auc, auc_ci, n_resamples, n_redraws} block and
     the `operating` block, which reads each rate off the curve at the other's target."""
     roc = roc_and_auc(cases)
-    boot = bootstrap_ci(auc_mann_whitney, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
+    boot = bootstrap_ci(auc_block, cases, n_resamples=cfg.n_resamples, seed=cfg.seed)
     block = {"auc": roc.auc, "auc_ci": [boot.lo, boot.hi], "n_resamples": boot.n_resamples}
     block["n_redraws"] = boot.n_redraws
     operating = {

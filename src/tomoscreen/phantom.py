@@ -36,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .condense import trimmed_slices
 from .errors import reading
 from .imaging import (
     ImageGrid,
@@ -59,7 +60,7 @@ MM_PER_PIXEL = 0.1
 COMMON_TEXTURE_RATIO = 2.0
 SLICE_TEXTURE_RATIO = 0.75
 
-# Stack-edge slices (first/last floor(0.1 * n_slices)) get this noise
+# Stack-edge slices (those outside condense.trimmed_slices) get this noise
 # boost, imitating how reconstruction quality collapses at the stack
 # faces. Naive whole-stack scoring pays for it; edge-trimming does not.
 EDGE_NOISE_FACTOR = 8.0
@@ -234,10 +235,6 @@ def _plan_clutter(cfg: PhantomConfig):
     return blobs
 
 
-def edge_slice_count(n_slices: int) -> int:
-    return int(math.floor(0.1 * n_slices))
-
-
 def _check_lesion_bounds(cfg: PhantomConfig, les: LesionSpec) -> None:
     if not (
         les.center_x - les.radius >= 0
@@ -287,7 +284,7 @@ def generate_volume(
     slice_amp = SLICE_TEXTURE_RATIO * cfg.noise_sigma
     common = common_amp * _texture_field(cfg, "texture-common") if common_amp > 0 else None
     blobs = _plan_clutter(cfg)
-    n_edge = edge_slice_count(cfg.n_slices)
+    kept = trimmed_slices(cfg.n_slices)
 
     lesion_cover: dict[int, list[tuple[LesionSpec, float]]] = {}
     for les in lesions:
@@ -312,7 +309,7 @@ def generate_volume(
             _add_disc(canvas, les.center_x, les.center_y, les.radius, les.contrast * weight)
         sigma = cfg.noise_sigma
         if sigma > 0:
-            if i < n_edge or i >= cfg.n_slices - n_edge:
+            if i not in kept:
                 sigma *= EDGE_NOISE_FACTOR
             canvas += sigma * rng_stream(cfg.seed, "noise", i).standard_normal(
                 (cfg.height, cfg.width)

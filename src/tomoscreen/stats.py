@@ -4,22 +4,27 @@ Covers the empirical ROC curve and Mann-Whitney AUC, percentile
 bootstrap confidence intervals, paired model-vs-reader deltas at matched
 operating points, the DeLong test for correlated AUCs, BIRADS reader and
 panel operating points, and tumor-size-matched resampling. Everything is
-seeded and deterministic. Resample indices are drawn from one stream
-in row blocks, which equal one up-front draw of the whole index matrix,
-so neither the thread count nor the block size can change a result.
-Bootstrap, paired-delta and size-matched resamples are evaluated a block
-at a time on per-resample count matrices over tie groups, with no
-Python loop per resample. Paired-delta blocks count reader recalls per
-distinct recall pattern and find each reader's curve bracket by integer
-search; size-matched blocks map their doubles through a bucketed,
-bracketed inverse CDF, and the negatives' generator is advanced past the
-positives' doubles without drawing them.
+seeded and deterministic.
+
+A resampled statistic has one form, a block: block(idx) -> (values,
+defined) evaluates it on each (rows, n) row of case indices, with no
+Python loop per row, and says where it is defined. Its point estimate
+is the block on the identity row np.arange(n). bootstrap_ci takes any
+metric(scores, labels) that returns a block (auc_block is the AUC's).
+Resample indices are drawn from one stream in row blocks, which equal
+one up-front draw of the whole index matrix, so neither the thread count
+nor the block size can change a result. Paired-delta blocks count reader
+recalls per distinct recall pattern and find each reader's curve bracket
+by integer search; size-matched blocks map their doubles through a
+bucketed, bracketed inverse CDF, and the negatives' generator is
+advanced past the positives' doubles without drawing them.
 
 Scores are grouped into ties and counted per class in one place,
-_class_counts; every ROC point, AUC and DeLong component is read off
-those counts. Every AUC is the Mann-Whitney count 2U / (2 n_pos n_neg),
-correctly rounded; it equals the trapezoidal ROC area and the mean of
-DeLong's pairwise kernel, and no statistic builds an n_pos x n_neg array.
+_class_counts, once per score vector and statistic; every ROC point, AUC
+and DeLong component is read off those counts. Every AUC is the
+Mann-Whitney count 2U / (2 n_pos n_neg) with 2U from _twice_u, correctly
+rounded; it equals the trapezoidal ROC area and the mean of DeLong's
+pairwise kernel, and no statistic builds an n_pos x n_neg array.
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
     groups' class counts taken from the highest score down."""
     scores, labels = _split_arrays(cases)
     values, _, counts = _class_counts(scores, labels)
-    neg, pos, n_pos, n_neg = (a[0] for a in counts(np.arange(scores.size)[None, :]))
+    neg, pos, n_pos, n_neg = (a[0] for a in counts(_identity_row(scores.size)))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative")
     tp = np.cumsum(pos[::-1])
@@ -119,20 +124,14 @@ def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
         thresholds=(math.inf,) + tuple(values[::-1].tolist()),
         sensitivity=(0.0,) + tuple((tp / n_pos).tolist()),
         specificity=(1.0,) + tuple(((n_neg - fp) / n_neg).tolist()),
-        auc=auc_mann_whitney(scores, labels),
+        auc=float(_twice_u(neg, pos) / (2 * n_pos * n_neg)),
     )
 
 
 def auc_mann_whitney(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC: P(pos > neg) + 0.5 P(tie), the correctly rounded
-    value of 2U / (2 n_pos n_neg)."""
-    labels = np.asarray(labels, dtype=bool)
-    auc, defined = _auc_block(np.asarray(scores, dtype=np.float64), labels)(
-        np.arange(labels.size)[None, :]
-    )
-    if not defined[0]:
-        raise ValueError("AUC needs both classes")
-    return float(auc[0])
+    value of 2U / (2 n_pos n_neg); auc_block on the identity row."""
+    return _point(auc_block(scores, labels), len(labels), "AUC needs both classes")
 
 
 def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target):
@@ -209,21 +208,18 @@ def _resample(fn, n: int, n_resamples: int, seed: int, stream: str) -> tuple[np.
     return values, n_redraws
 
 
-def _per_row(fn):
-    """Block form of fn(rows) -> value for a metric without a count form;
-    a row on which fn raises ValueError is not defined."""
+def _identity_row(n: int) -> np.ndarray:
+    # the one row that draws every case once: a block on it is the point estimate
+    return np.arange(n)[None, :]
 
-    def block(idx: np.ndarray):
-        values = np.empty(idx.shape[0], dtype=np.float64)
-        defined = np.ones(idx.shape[0], dtype=bool)
-        for r, rows in enumerate(idx):
-            try:
-                values[r] = fn(rows)
-            except ValueError:
-                defined[r] = False
-        return values, defined
 
-    return block
+def _point(block, n: int, undefined: str) -> float:
+    """block on the identity row of n cases; ValueError(undefined) where
+    the statistic is not defined on the cases themselves."""
+    values, defined = block(_identity_row(n))
+    if not defined[0]:
+        raise ValueError(undefined)
+    return float(values[0])
 
 
 def _row_offsets(rows: int, width: int) -> np.ndarray:
@@ -255,19 +251,26 @@ def _class_counts(scores: np.ndarray, labels: np.ndarray):
     return values, group, counts
 
 
-def _auc_block(scores: np.ndarray, labels: np.ndarray):
-    """Block form of auc_mann_whitney on resample rows of (scores, labels):
-    2U = sum over tie groups of pos * (2 * negatives below + neg), an
-    exact integer, divided once by 2 n_pos n_neg, so each value equals
-    auc_mann_whitney on that row bit for bit."""
-    _, _, counts = _class_counts(scores, labels)
+def _twice_u(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """2U along the last axis of tie-group counts in ascending score
+    order: the sum over groups of pos * (2 * negatives below + neg), an
+    exact integer; the AUC is 2U divided once by 2 n_pos n_neg."""
+    neg_below = np.cumsum(neg, axis=-1) - neg
+    return (pos * (2 * neg_below + neg)).sum(axis=-1)
+
+
+def auc_block(scores: np.ndarray, labels: np.ndarray):
+    """The Mann-Whitney AUC as a block over resample rows of (scores,
+    labels); a row is defined where it drew both classes. Each value
+    equals auc_mann_whitney on that row bit for bit."""
+    _, _, counts = _class_counts(
+        np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool)
+    )
 
     def block(idx: np.ndarray):
         neg, pos, n_pos, n_neg = counts(idx)
-        neg_below = np.cumsum(neg, axis=1) - neg
-        twice_u = (pos * (2 * neg_below + neg)).sum(axis=1)
         defined = (n_pos > 0) & (n_neg > 0)
-        return twice_u / np.where(defined, 2 * n_pos * n_neg, 1), defined
+        return _twice_u(neg, pos) / np.where(defined, 2 * n_pos * n_neg, 1), defined
 
     return block
 
@@ -289,22 +292,20 @@ def bootstrap_ci(
 ) -> BootstrapResult:
     """Percentile bootstrap (2.5/97.5) of a case-level metric.
 
-    metric(scores, labels) takes the cases' score and label arrays; it
-    gives the point estimate on all cases and one value per resample.
-    Resamples whole cases with replacement, same size as the input. A
-    resample on which the metric raises ValueError (e.g. it drew a
-    single class) is redrawn and counted; more than 1% of n_resamples
-    needing redraws aborts with NumericError. auc_mann_whitney is
-    evaluated on count matrices, any other metric once per resample.
+    metric(scores, labels) takes the cases' score and label arrays and
+    returns a block(idx) -> (values, defined) over resample rows, as
+    auc_block does. The point estimate is the block on the identity row;
+    a metric undefined there raises ValueError. Resamples whole cases
+    with replacement, same size as the input. A resample on which the
+    metric is not defined (e.g. it drew a single class) is redrawn and
+    counted; more than 1% of n_resamples needing redraws aborts with
+    NumericError.
     """
     scores, labels = _split_arrays(cases)
     if scores.size == 0:
         raise ValueError("bootstrap needs at least one case")
-    point = float(metric(scores, labels))
-    if metric is auc_mann_whitney:
-        block = _auc_block(scores, labels)
-    else:
-        block = _per_row(lambda rows: metric(scores[rows], labels[rows]))
+    block = metric(scores, labels)
+    point = _point(block, scores.size, "bootstrap metric undefined on the cases")
     values, n_redraws = _resample(block, scores.size, n_resamples, seed, "bootstrap")
     lo, hi = np.percentile(values, [2.5, 97.5])
     return BootstrapResult(
@@ -426,14 +427,10 @@ def paired_delta_pvalue(
     scores, labels = _split_arrays(cases)
     recalls = _birads_matrix(cases, reader_ids) >= RECALL_BIRADS
     delta = _matched_delta_block(scores, labels, recalls)
-    point, defined = delta(np.arange(len(cases))[None, :])
-    if not defined[0]:
-        raise ValueError("ROC needs at least one positive and one negative")
+    point = _point(delta, len(cases), "ROC needs at least one positive and one negative")
     deltas, n_redraws = _resample(delta, len(cases), n_resamples, seed, "paired-delta")
     below = int(np.count_nonzero(deltas < 0))
-    return PairedDeltaResult(
-        p_value=below / n_resamples, point_delta=float(point[0]), n_redraws=n_redraws
-    )
+    return PairedDeltaResult(p_value=below / n_resamples, point_delta=point, n_redraws=n_redraws)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +454,13 @@ def _structural_components(scores: np.ndarray, labels: np.ndarray):
     positives tied) / (2 n_pos): exact integers divided once, so V10 and
     V01 equal the pairwise kernel's row and column means bit for bit."""
     _, group, counts = _class_counts(scores, labels)
-    neg, pos, n_pos, n_neg = (a[0] for a in counts(np.arange(scores.size)[None, :]))
+    neg, pos, n_pos, n_neg = (a[0] for a in counts(_identity_row(scores.size)))
     neg_below = np.cumsum(neg) - neg
     pos_above = n_pos - np.cumsum(pos)
     v10 = (2 * neg_below + neg) / (2 * n_neg)
     v01 = (2 * pos_above + pos) / (2 * n_pos)
-    return v10[group[labels]], v01[group[~labels]], auc_mann_whitney(scores, labels)
+    auc = _twice_u(neg, pos) / (2 * n_pos * n_neg)
+    return v10[group[labels]], v01[group[~labels]], auc
 
 
 def delong_test(scores_a, scores_b, labels) -> DelongResult:
@@ -522,33 +520,6 @@ def _birads_matrix(cases: list[CaseRecord], reader_ids: list[str]) -> np.ndarray
     return grades
 
 
-def _panel_point(grades: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    # mean BIRADS >= 3 over k reads, in its exact integer form: sum >= 3k
-    recall = grades.sum(axis=1) >= RECALL_BIRADS * grades.shape[1]
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("panel evaluation needs both classes")
-    tp = int(np.count_nonzero(recall[labels]))
-    tn = n_neg - int(np.count_nonzero(recall[~labels]))
-    return tp / n_pos, tn / n_neg
-
-
-def reader_operating_point(cases: list[CaseRecord], reader_id: str) -> tuple[float, float]:
-    """(sensitivity, specificity) of one reader under the recall-at-3 rule."""
-    return reader_panel_combine(cases, [reader_id])
-
-
-def reader_panel_combine(
-    cases: list[CaseRecord], reader_subset: list[str]
-) -> tuple[float, float]:
-    """Panel operating point: recall iff the mean BIRADS is >= 3 (inclusive)."""
-    if not reader_subset:
-        raise ValueError("panel needs at least one reader")
-    _, labels = _split_arrays(cases)
-    return _panel_point(_birads_matrix(cases, reader_subset), labels)
-
-
 @dataclass(frozen=True)
 class PanelPoint:
     readers: tuple[str, ...]
@@ -557,17 +528,31 @@ class PanelPoint:
 
 
 def enumerate_panels(cases: list[CaseRecord], reader_ids: list[str]) -> list[PanelPoint]:
-    """All single readers plus every panel of size 2..k, in deterministic order."""
+    """Operating points of all single readers plus every panel of size
+    2..k, in deterministic order. A panel recalls a case iff its
+    readers' mean BIRADS is >= 3 (inclusive); a single reader is a panel
+    of one."""
+    if not reader_ids:
+        raise ValueError("panels need at least one reader")
     readers = sorted(reader_ids)
     grades = _birads_matrix(cases, readers)
     _, labels = _split_arrays(cases)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("panel evaluation needs both classes")
     points = []
     for size in range(1, len(readers) + 1):
         for combo in itertools.combinations(range(len(readers)), size):
-            sens, spec = _panel_point(grades[:, combo], labels)
+            # mean BIRADS >= 3 over k reads, in its exact integer form: sum >= 3k
+            recall = grades[:, combo].sum(axis=1) >= RECALL_BIRADS * size
+            tp = int(np.count_nonzero(recall[labels]))
+            tn = n_neg - int(np.count_nonzero(recall[~labels]))
             points.append(
                 PanelPoint(
-                    readers=tuple(readers[j] for j in combo), sensitivity=sens, specificity=spec
+                    readers=tuple(readers[j] for j in combo),
+                    sensitivity=tp / n_pos,
+                    specificity=tn / n_neg,
                 )
             )
     return points
@@ -741,7 +726,7 @@ def size_matched_auc(
     neg_rng.bit_generator.random_raw(skip % 4)
 
     labels = np.concatenate([np.ones(n_pos, dtype=bool), np.zeros(n_neg, dtype=bool)])
-    auc = _auc_block(np.concatenate([pos_scores, neg_scores]), labels)
+    auc = auc_block(np.concatenate([pos_scores, neg_scores]), labels)
     aucs = np.empty(n_populations, dtype=np.float64)
     tvs = np.empty(n_populations, dtype=np.float64)
     step = _block_rows(n_pos + n_neg)

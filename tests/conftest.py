@@ -50,6 +50,19 @@ def constant_slice_volume(n_slices: int, height: int = 40, width: int = 40) -> V
     return make_volume([np.full((height, width), float(i)) for i in range(n_slices)])
 
 
+def recall_tally(cases, readers) -> tuple[float, float]:
+    """(sensitivity, specificity) of a reader panel tallied case by case
+    from the BIRADS columns: a case is recalled iff its readers' mean
+    grade is at least 3."""
+    recalled = {True: 0, False: 0}
+    totals = {True: 0, False: 0}
+    for case in cases:
+        grades = [case.reader_birads[r] for r in readers]
+        totals[case.label] += 1
+        recalled[case.label] += sum(grades) / len(grades) >= 3
+    return recalled[True] / totals[True], (totals[False] - recalled[False]) / totals[False]
+
+
 class LookupScorer:
     """detect() keyed by the slice's constant value.
 

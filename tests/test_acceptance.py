@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import normalized_stack
+from conftest import normalized_stack, recall_tally
 from test_boxes import random_boxes, reference_nms
 
 from tomoscreen.boxes import ScoredBox, nms
@@ -53,7 +53,6 @@ from tomoscreen.stats import (
     bootstrap_ci,
     delong_test,
     enumerate_panels,
-    reader_operating_point,
     roc_and_auc,
     size_matched_auc,
     source_histogram,
@@ -218,7 +217,8 @@ def test_criterion_04_bootstrap_coverage():
     t0 = time.perf_counter()
 
     def vec(scores, labels):
-        return float(scores.mean())
+        # the Bernoulli mean of each resample row, defined on every row
+        return lambda idx: (scores[idx].mean(axis=1), np.ones(idx.shape[0], dtype=bool))
 
     covered = 0
     for t in range(500):
@@ -442,13 +442,13 @@ def test_criterion_08_reader_panel_enumeration(tmp_path):
     count_ok = len(points) == 31 and sizes == Counter({1: 5, 2: 10, 3: 10, 4: 5, 5: 1})
 
     singles_ok = all(
-        (p.sensitivity, p.specificity) == reader_operating_point(cases, p.readers[0])
+        (p.sensitivity, p.specificity) == recall_tally(cases, p.readers)
         for p in points
         if len(p.readers) == 1
     )
 
     clones = _birads_table(rng, readers, identical=True)
-    solo = reader_operating_point(clones, "r1")
+    solo = recall_tally(clones, ["r1"])
     clone_ok = all(
         (p.sensitivity, p.specificity) == solo for p in enumerate_panels(clones, readers)
     )

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quantized
+from conftest import quantized, recall_tally
 
 import tomoscreen.cli as cli_module
 import tomoscreen.imaging as imaging_module
@@ -1472,8 +1472,10 @@ class TestEvalReaders:
         assert main(["eval", "readers", "--cases", csv_path, "--out", str(out)]) == EXIT_OK
         assert len(calls) == 2
         cases = read_cases_csv(csv_path)
-        for reader, point in json.loads((out / "readers.json").read_text())["readers"].items():
-            sens, spec = stats_module.reader_operating_point(cases, reader)
+        points = json.loads((out / "readers.json").read_text())["readers"]
+        assert sorted(points) == ["r1", "r2", "r3"]
+        for reader, point in points.items():
+            sens, spec = recall_tally(cases, [reader])
             assert point == {"sensitivity": sens, "specificity": spec}
 
     def test_requires_reader_columns(self, tmp_path):

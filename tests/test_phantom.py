@@ -10,6 +10,7 @@ import pytest
 from scipy import ndimage
 
 from tomoscreen import imaging
+from tomoscreen.condense import trimmed_slices
 from tomoscreen.imaging import Volume, fold_operator
 from tomoscreen.phantom import (
     BACKGROUND_LEVEL,
@@ -18,7 +19,6 @@ from tomoscreen.phantom import (
     PhantomConfig,
     PhantomTruth,
     case_seed,
-    edge_slice_count,
     generate_case,
     generate_volume,
     project_dm,
@@ -143,9 +143,14 @@ class TestGenerateVolume:
         assert edge_sd > 3 * interior_sd
 
     def test_edge_slice_count_is_floor_ten_percent(self):
-        assert edge_slice_count(100) == 10
-        assert edge_slice_count(10) == 1
-        assert edge_slice_count(9) == 0
+        # the boosted slices are exactly those the condense trim drops
+        for n_slices, n_edge in ((20, 2), (10, 1), (9, 0)):
+            vol, _, _ = generate_volume(quiet_cfg(seed=4, noise_sigma=10.0, n_slices=n_slices), [])
+            sd = vol.reshape(n_slices, -1).std(axis=1)
+            noisy = np.flatnonzero(sd > 3 * np.median(sd)).tolist()
+            edges = list(range(n_edge)) + list(range(n_slices - n_edge, n_slices))
+            assert noisy == edges
+            assert trimmed_slices(n_slices) == range(n_edge, n_slices - n_edge)
 
 
 class TestProjectDm:

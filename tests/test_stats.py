@@ -16,6 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import recall_tally
+
 from tomoscreen import stats
 from tomoscreen.errors import NumericError
 from tomoscreen.seeds import rng_stream
@@ -26,6 +28,7 @@ from tomoscreen.stats import (
     RocAnalysis,
     SizeHistogram,
     SizeMatchedResult,
+    auc_block,
     auc_mann_whitney,
     bootstrap_ci,
     cases_from_csv,
@@ -33,8 +36,6 @@ from tomoscreen.stats import (
     enumerate_panels,
     paired_delta_pvalue,
     read_cases_csv,
-    reader_operating_point,
-    reader_panel_combine,
     roc_and_auc,
     sensitivity_at_specificity,
     size_matched_auc,
@@ -292,22 +293,29 @@ class TestOperatingPointLookup:
         assert sensitivity_at_specificity(roc, 1.0) == 1.0
 
 
+def constant_block(value):
+    """A metric(scores, labels) whose block is `value` on every row."""
+    return lambda scores, labels: lambda idx: (
+        np.full(idx.shape[0], value), np.ones(idx.shape[0], dtype=bool)
+    )
+
+
 class TestBootstrapCi:
     def test_constant_metric_collapses(self):
         cases = records([0.7, 0.8], [0.2, 0.3])
-        result = bootstrap_ci(lambda scores, labels: 0.7, cases, n_resamples=200, seed=1)
+        result = bootstrap_ci(constant_block(0.7), cases, n_resamples=200, seed=1)
         assert (result.point, result.lo, result.hi) == (0.7, 0.7, 0.7)
         assert result.n_redraws == 0
 
     def test_zero_resamples_rejected(self):
         cases = records([0.7, 0.8], [0.2, 0.3])
         with pytest.raises(ValueError, match="^n_resamples must be >= 1$"):
-            bootstrap_ci(auc_mann_whitney, cases, n_resamples=0, seed=0)
+            bootstrap_ci(auc_block, cases, n_resamples=0, seed=0)
 
     def test_same_seed_is_deterministic(self):
         cases = records([0.7, 0.8, 0.6, 0.9], [0.2, 0.3, 0.4, 0.5])
-        a = bootstrap_ci(auc_mann_whitney, cases, n_resamples=500, seed=5)
-        b = bootstrap_ci(auc_mann_whitney, cases, n_resamples=500, seed=5)
+        a = bootstrap_ci(auc_block, cases, n_resamples=500, seed=5)
+        b = bootstrap_ci(auc_block, cases, n_resamples=500, seed=5)
         assert a == b
 
     def test_point_estimate_is_plain_metric(self):
@@ -315,31 +323,36 @@ class TestBootstrapCi:
             [0.7, 0.8, 0.6, 0.9, 0.75, 0.65, 0.85, 0.7],
             [0.2, 0.3, 0.4, 0.1, 0.25, 0.35, 0.15, 0.45],
         )
-        result = bootstrap_ci(auc_mann_whitney, cases, n_resamples=200, seed=0)
+        result = bootstrap_ci(auc_block, cases, n_resamples=200, seed=0)
         assert result.point == roc_and_auc(cases).auc
 
     def test_single_class_resamples_are_redrawn(self):
         # 5+5 cases: a one-class resample has probability 2 * 0.5^10, so
         # about 20 of 10000 trip the redraw path without nearing the cap
         cases = records([0.9, 0.8, 0.7, 0.85, 0.95], [0.1, 0.2, 0.3, 0.15, 0.05])
-        result = bootstrap_ci(auc_mann_whitney, cases, n_resamples=10000, seed=7)
+        result = bootstrap_ci(auc_block, cases, n_resamples=10000, seed=7)
         assert result.n_redraws > 0
         assert result.lo <= result.point <= result.hi
 
     def test_hopeless_imbalance_aborts(self):
         cases = records([0.9], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         with pytest.raises(NumericError):
-            bootstrap_ci(auc_mann_whitney, cases, n_resamples=2000, seed=0)
+            bootstrap_ci(auc_block, cases, n_resamples=2000, seed=0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_ci(lambda scores, labels: 0.5, [], n_resamples=10, seed=0)
+            bootstrap_ci(constant_block(0.5), [], n_resamples=10, seed=0)
+
+    def test_metric_undefined_on_the_cases_rejected(self):
+        cases = records([0.9, 0.8, 0.7], [])
+        with pytest.raises(ValueError, match="^bootstrap metric undefined on the cases$"):
+            bootstrap_ci(auc_block, cases, n_resamples=10, seed=0)
 
     def test_interval_tightens_with_sample_size(self, rng):
         def width(n):
             pos = np.clip(rng.normal(0.65, 0.1, size=n), 0, 1).tolist()
             neg = np.clip(rng.normal(0.35, 0.1, size=n), 0, 1).tolist()
-            r = bootstrap_ci(auc_mann_whitney, records(pos, neg), n_resamples=2000, seed=2)
+            r = bootstrap_ci(auc_block, records(pos, neg), n_resamples=2000, seed=2)
             return r.hi - r.lo
 
         assert width(400) < width(25)
@@ -583,7 +596,7 @@ class TestCountMatrixResampling:
         n = len(rows)
         with mock.patch.object(stats, "_BLOCK_INDICES", block):
             auc = resample_bytes(
-                stats._resample, stats._auc_block(scores, labels), n, n_resamples, seed,
+                stats._resample, stats.auc_block(scores, labels), n, n_resamples, seed,
                 "bootstrap",
             )
             delta = resample_bytes(
@@ -644,7 +657,7 @@ class TestCountMatrixResampling:
             )
 
         with mock.patch.object(stats, "_BLOCK_INDICES", block):
-            boot = outcome(bootstrap_ci, auc_mann_whitney, cases, n_resamples, seed)
+            boot = outcome(bootstrap_ci, auc_block, cases, n_resamples, seed)
             delta = outcome(paired_delta_pvalue, cases, readers, n_resamples, seed)
         assert boot == outcome(boot_oracle)
         assert delta == outcome(delta_oracle)
@@ -707,7 +720,7 @@ class TestCountMatrixResampling:
         # so do two of their redraws
         scores = np.array([0.5, 0.25, 0.75, 0.5, 0.5, 0.0, 0.25, 0.5])
         labels = np.arange(8) < 4
-        got = stats._resample(stats._auc_block(scores, labels), 8, 10000, 6, "bootstrap")
+        got = stats._resample(stats.auc_block(scores, labels), 8, 10000, 6, "bootstrap")
         want = resample_oracle(
             lambda r: midrank_auc(scores[r], labels[r]), 8, 10000, 6, "bootstrap"
         )
@@ -729,24 +742,24 @@ class TestCountMatrixResampling:
         up_front = rng_stream(11, "bootstrap").integers(0, n, size=(100, n))
         assert np.array_equal(np.concatenate(seen), up_front)
 
-    def test_other_metrics_run_per_row_and_keep_nan(self):
-        # no positives gives a NaN mean (kept as a value); no negatives
-        # raises ValueError (redrawn), as in the per-resample loop
-        scores = np.array([0.9, 0.8, 0.1, 0.2, 0.3])
-        labels = np.array([True, True, False, False, False])
-
-        def metric(s, y):
-            if y.all():
-                raise ValueError("no negatives")
-            return s[y].mean()
-
-        with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="empty slice"):
-            got = stats._resample(
-                stats._per_row(lambda r: metric(scores[r], labels[r])), 5, 3000, 2, "bootstrap"
-            )
-            want = resample_oracle(lambda r: metric(scores[r], labels[r]), 5, 3000, 2, "bootstrap")
-        assert np.isnan(got[0]).any() and got[1] > 0
-        assert (got[0].tobytes(), got[1]) == (want[0].tobytes(), want[1])
+    def test_each_score_vector_is_counted_once_per_statistic(self, monkeypatch):
+        # the AUC is read off the tie counts each statistic already built
+        calls = []
+        build = stats._class_counts
+        monkeypatch.setattr(stats, "_class_counts", lambda *a: calls.append(1) or build(*a))
+        cases = records([0.9, 0.5, 0.7, 0.5, 0.8, 0.6], [0.1, 0.5, 0.3, 0.2, 0.4, 0.6])
+        scores = np.array([c.score for c in cases])
+        labels = np.array([c.label for c in cases])
+        counted = []
+        for run in (
+            lambda: roc_and_auc(cases),
+            lambda: delong_test(scores, scores[::-1].copy(), labels),
+            lambda: bootstrap_ci(auc_block, cases, n_resamples=200, seed=0),
+        ):
+            calls.clear()
+            run()
+            counted.append(len(calls))
+        assert counted == [1, 2, 1]
 
     def test_bootstrap_memory_stays_below_the_index_matrix(self, rng):
         # n=2000 and 10k resamples: the whole index matrix alone is 160 MB
@@ -756,7 +769,7 @@ class TestCountMatrixResampling:
         )
         tracemalloc.start()
         try:
-            bootstrap_ci(auc_mann_whitney, cases, n_resamples=10000, seed=0)
+            bootstrap_ci(auc_block, cases, n_resamples=10000, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -796,7 +809,7 @@ class TestResamplingMemory:
 
     CASES = reader_stats_table(1000, seed=3)
     STATISTICS = {
-        "bootstrap": lambda cases, k: bootstrap_ci(auc_mann_whitney, cases, k, seed=1),
+        "bootstrap": lambda cases, k: bootstrap_ci(auc_block, cases, k, seed=1),
         "paired delta": lambda cases, k: paired_delta_pvalue(
             cases, ["r1", "r2", "r3", "r4", "r5"], k, seed=1
         ),
@@ -958,14 +971,21 @@ def birads_cases(spec_rows):
     ]
 
 
+def panel_point(cases, readers):
+    """(sensitivity, specificity) of the panel of exactly `readers`; one
+    reader is a panel of one."""
+    (point,) = [p for p in enumerate_panels(cases, readers) if len(p.readers) == len(readers)]
+    return point.sensitivity, point.specificity
+
+
 class TestReaderOperatingPoints:
     def test_recall_everything(self):
         cases = birads_cases([(True, {"r1": 5}), (False, {"r1": 4}), (False, {"r1": 3})])
-        assert reader_operating_point(cases, "r1") == (1.0, 0.0)
+        assert panel_point(cases, ["r1"]) == (1.0, 0.0)
 
     def test_recall_nothing(self):
         cases = birads_cases([(True, {"r1": 1}), (False, {"r1": 2})])
-        assert reader_operating_point(cases, "r1") == (0.0, 1.0)
+        assert panel_point(cases, ["r1"]) == (0.0, 1.0)
 
     def test_hand_tally(self):
         cases = birads_cases(
@@ -978,19 +998,19 @@ class TestReaderOperatingPoints:
                 (False, {"r1": 2}),
             ]
         )
-        sens, spec = reader_operating_point(cases, "r1")
+        sens, spec = panel_point(cases, ["r1"])
         assert sens == pytest.approx(2 / 3)
         assert spec == pytest.approx(2 / 3)
 
     def test_missing_read_rejected(self):
         cases = birads_cases([(True, {"r1": 5}), (False, {"r2": 1})])
-        with pytest.raises(ValueError):
-            reader_operating_point(cases, "r1")
+        with pytest.raises(ValueError, match="missing read from r1"):
+            enumerate_panels(cases, ["r1"])
 
     def test_needs_both_classes(self):
         cases = birads_cases([(True, {"r1": 5}), (True, {"r1": 1})])
-        with pytest.raises(ValueError):
-            reader_operating_point(cases, "r1")
+        with pytest.raises(ValueError, match="needs both classes"):
+            enumerate_panels(cases, ["r1"])
 
 
 class TestPanels:
@@ -1008,11 +1028,15 @@ class TestPanels:
 
     def test_single_reader_panel_equals_operating_point(self):
         cases = self.panel_fixture()
-        assert reader_panel_combine(cases, ["r2"]) == reader_operating_point(cases, "r2")
+        points = enumerate_panels(cases, ["r1", "r2", "r3"])
+        assert [p.readers for p in points[:3]] == [("r1",), ("r2",), ("r3",)]
+        assert all(
+            (p.sensitivity, p.specificity) == recall_tally(cases, p.readers) for p in points
+        )
 
     def test_mean_of_two_and_four_recalls(self):
         cases = birads_cases([(True, {"r1": 2, "r2": 4}), (False, {"r1": 1, "r2": 2})])
-        sens, spec = reader_panel_combine(cases, ["r1", "r2"])
+        sens, spec = panel_point(cases, ["r1", "r2"])
         # mean BIRADS 3.0 recalls (inclusive threshold)
         assert sens == 1.0
         assert spec == 1.0
@@ -1028,13 +1052,11 @@ class TestPanels:
             (label, {**reads, "r2": reads["r1"]}) for label, reads in rows
         ]
         cases = birads_cases(doubled)
-        assert reader_panel_combine(cases, ["r1", "r2"]) == reader_panel_combine(
-            cases, ["r1"]
-        )
+        assert panel_point(cases, ["r1", "r2"]) == panel_point(cases, ["r1"])
 
     def test_empty_panel_rejected(self):
-        with pytest.raises(ValueError):
-            reader_panel_combine(self.panel_fixture(), [])
+        with pytest.raises(ValueError, match="at least one reader"):
+            enumerate_panels(self.panel_fixture(), [])
 
     def test_enumerate_all_subsets_of_five(self, rng):
         readers = [f"r{i}" for i in range(1, 6)]
