@@ -1,5 +1,5 @@
-"""Intensity grids, volumes, intensity normalization, the Gaussian and
-maximum filters, folded one-axis operators, and every file writer.
+"""Intensity grids, volumes, intensity normalization, the Gaussian filter
+on folded one-axis operators, and every file writer.
 
 Images are immutable 2D float64 grids. A volume is a case's 16-bit
 samples: one immutable uint16 (slices, height, width) stack plus the one
@@ -24,9 +24,8 @@ samples; `read_volume` and `read_json` read back the rest.
 `nearest`-mode kernel applied along both axes of a 2D array as two folded
 operators from `gaussian_operator`, the one builder and the one cache.
 Each operator equals scipy's filter of the identity bit for bit, and the
-smoothed image matches scipy's filter to rounding. `maximum_filter` is
-numpy code equal to scipy's `-inf`-padded filter bit for bit. No stage
-imports scipy.
+smoothed image matches scipy's filter to rounding. It is the only filter
+here: the detector's peak test lives in `scorer`. No stage imports scipy.
 
 An operator is built from its kernel band with O(n r) multiply-adds but
 stored dense: applying it costs in proportion to the axis length n, not
@@ -179,8 +178,8 @@ def normalize_volume(samples: np.ndarray) -> Volume:
 
 
 # ---------------------------------------------------------------------------
-# The Gaussian kernel and the maximum filter, in numpy; the tests keep
-# scipy.ndimage as their oracle.
+# The Gaussian kernel, in numpy; the tests keep scipy.ndimage as its
+# oracle.
 # ---------------------------------------------------------------------------
 
 
@@ -197,50 +196,6 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     x = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * x**2)
     return phi / phi.sum()
-
-
-def _correlate_nearest(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Symmetric `weights` along axis 0 of float64 `data`, edges replicated,
-    summed in scipy's `correlate1d` order: x[i] w[r], then for k = r ... 1
-    the term (x[i - k] + x[i + k]) w[r - k]."""
-    r = len(weights) // 2
-    n = data.shape[0]
-    padded = np.pad(data, [(r, r)] + [(0, 0)] * (data.ndim - 1), mode="edge")
-    out = data * weights[r]
-    term = np.empty_like(out)
-    for k in range(r, 0, -1):
-        np.add(padded[r - k : r - k + n], padded[r + k : r + k + n], out=term)
-        term *= weights[r - k]
-        out += term
-    return out
-
-
-def _window_max(data: np.ndarray, size: int) -> np.ndarray:
-    """Maximum of each run of `size` consecutive samples along axis 0, by
-    doubling: after each pass an entry is the maximum of twice as many
-    samples, and two overlapping runs of the longest such span cover a
-    window."""
-    span = 1
-    while 2 * span <= size:
-        data = np.maximum(data[:-span], data[span:])
-        span *= 2
-    return np.maximum(data[: len(data) - (size - span)], data[size - span :])
-
-
-def maximum_filter(data: np.ndarray, size: int) -> np.ndarray:
-    """`scipy.ndimage.maximum_filter(data, size=size, mode="constant",
-    cval=-inf)` of a float64 array, bit for bit, since a maximum is exact:
-    each axis in turn takes the maximum of every window of an odd `size`
-    over a -inf-padded copy. An even size raises ValueError."""
-    if size % 2 == 0:
-        raise ValueError("maximum_filter needs an odd size")
-    out = np.array(data, dtype=np.float64)
-    h = size // 2
-    for axis in range(out.ndim):
-        moved = np.moveaxis(out, axis, 0)
-        padded = np.pad(moved, [(h, h)] + [(0, 0)] * (out.ndim - 1), constant_values=-np.inf)
-        out = np.moveaxis(_window_max(padded, size), 0, axis)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +271,10 @@ def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
     Clamping only ever moves a sample to an end of the axis, so every
     column but 0 and n - 1 holds at most one kernel tap per entry, tap
     r + j - i in row i. The top ceil(n / 2) rows, a strided view of the
-    zero-padded kernel, fold straight into the even and odd halves; the
-    end columns, the impulses at 0 and n - 1 correlated in scipy's order,
+    zero-padded kernel, fold straight into the even and odd halves. The
+    end columns are summed tap by tap in scipy's `correlate1d` order: the
+    centre tap, then for j = r ... 1 tap j times the count of its clamped
+    sources, max(i - j, 0) and min(i + j, n - 1), that are the end. They
     fold into column 0 alone and replace it. Bit for bit `fold_operator`
     of the filtered identity, with O(n r) multiply-adds instead of the
     identity's O(n**2 r), and no array beyond the two k x k halves it
@@ -333,9 +290,14 @@ def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
     windows = np.lib.stride_tricks.sliding_window_view(band, n)
     start = len(pad) + r
     _fold_into(windows[start - k + 1 : start + 1][::-1], even, odd)  # row i starts at tap r - i
-    impulses = np.zeros((n, min(n, 2)))  # one column when the ends coincide
-    impulses[0, 0] = impulses[-1, -1] = 1.0
-    _fold_into(_correlate_nearest(impulses, taps)[:k], even[:, :1], odd[:, :1])
+    ends = np.unique([0, n - 1])  # one column when the ends coincide
+    rows = np.arange(k)[:, None]
+    columns = (rows == ends) * taps[r]
+    for j in range(r, 0, -1):  # 0, 1 or 2 clamped sources of tap j hit an end
+        hits = (np.maximum(rows - j, 0) == ends).astype(np.intp)
+        hits += np.minimum(rows + j, n - 1) == ends
+        columns += hits * taps[r - j]
+    _fold_into(columns, even[:, :1], odd[:, :1])
     return _frozen(even, odd, n)
 
 

@@ -2,9 +2,11 @@
 
 The reference scorer is deliberately classical: a difference of two
 Gaussian smoothings as the blob response, local maxima above a floor,
-one fixed box size per scorer. Image-level suspicion is the maximum box
-score; an ensemble averages several scorers; breast scores average
-views and a study takes the worse (higher) breast.
+one fixed box size per scorer. Only the pixels that clear the floor are
+tested as peaks, each against its own window's maximum. Image-level
+suspicion is the maximum box score; an ensemble averages several
+scorers; breast scores average views and a study takes the worse
+(higher) breast.
 
 Each smoothing is `imaging.gaussian_filter`: scipy's `nearest`-mode
 Gaussian applied as two cached folded operators, one per (axis length,
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import ScoredBox
-from .imaging import ImageGrid, gaussian_filter, maximum_filter
+from .imaging import ImageGrid, gaussian_filter
 
 BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 
@@ -29,6 +31,36 @@ BOX_SIZE_FACTOR = 2.5  # box side = factor * radius prior, single scale
 def _sigmoid(z: np.ndarray | float):
     # exp(-logaddexp(0, -z)) never overflows
     return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _peaks(resp: np.ndarray, win: int, floor: float, margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, in row-major order, of the pixels of `resp` above
+    `floor` and at least `margin` from every edge (any pixel when
+    2 margin >= the shorter side) that equal the maximum of their odd
+    win x win window, clipped to the image: the peaks that scipy.ndimage's
+    -inf-padded maximum filter keeps, bit for bit, since a maximum is
+    exact.
+
+    Only the candidates' windows are read: each row of a -inf-padded copy
+    takes its running maximum over win columns, by doubling, and each
+    candidate gathers the win row maxima of its column.
+    """
+    h, w = resp.shape
+    m = margin if 2 * margin < min(h, w) else 0
+    rows, cols = np.nonzero(resp[m : h - m, m : w - m] > floor)
+    rows += m
+    cols += m
+    r = win // 2
+    ext = np.full((h + 2 * r, w + 2 * r), -np.inf)
+    ext[r : r + h, r : r + w] = resp
+    span = 1
+    while 2 * span <= win:  # after each pass an entry covers twice as many columns
+        ext = np.maximum(ext[:, :-span], ext[:, span:])
+        span *= 2
+    ext = np.maximum(ext[:, : ext.shape[1] - (win - span)], ext[:, win - span :])
+    window_max = ext[rows[:, None] + np.arange(win), cols[:, None]].max(axis=1)
+    keep = resp[rows, cols] == window_max
+    return rows[keep], cols[keep]
 
 
 @dataclass(frozen=True)
@@ -75,23 +107,16 @@ class BlobScorer:
     def detect(self, img: ImageGrid) -> list[ScoredBox]:
         resp = self.response(img)
         win = max(3, 2 * int(round(self.radius_prior / 2.0)) + 1)
-        local_max = maximum_filter(resp, win)
-        keep = (resp == local_max) & (resp > self.response_floor)
-        m = self.border_margin
-        if 2 * m < min(keep.shape):
-            apron = np.zeros_like(keep)
-            apron[m:-m, m:-m] = True
-            keep &= apron
-        rows, cols = np.nonzero(keep)
+        rows, cols = _peaks(resp, win, self.response_floor, self.border_margin)
         half = 0.5 * BOX_SIZE_FACTOR * self.radius_prior
         h, w = img.data.shape
         out = []
         for r, c in zip(rows.tolist(), cols.tolist()):
+            # inside the image and half > 0: only a half below an ulp of cx makes
+            # an empty box, which ScoredBox rejects
             cx, cy = c + 0.5, r + 0.5
             x0, x1 = max(0.0, cx - half), min(float(w), cx + half)
             y0, y1 = max(0.0, cy - half), min(float(h), cy + half)
-            if x0 >= x1 or y0 >= y1:
-                continue
             score = float(_sigmoid(resp[r, c] / self.response_scale))
             out.append(ScoredBox(x0, y0, x1, y1, score))
         return out

@@ -481,9 +481,9 @@ def delong_test(scores_a, scores_b, labels) -> DelongResult:
         raise ValueError("DeLong test needs both classes")
 
     v10_a, v01_a, auc_a = _structural_components(a, y)
-    v10_b, v01_b, auc_b = _structural_components(b, y)
     if np.array_equal(a, b):
-        return DelongResult(auc_a=float(auc_a), auc_b=float(auc_b), z=0.0, p=1.0)
+        return DelongResult(auc_a=float(auc_a), auc_b=float(auc_a), z=0.0, p=1.0)
+    v10_b, v01_b, auc_b = _structural_components(b, y)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         s10 = np.cov(np.stack([v10_a, v10_b]), ddof=1) if n_pos > 1 else np.full((2, 2), np.nan)

@@ -106,7 +106,9 @@ def scored_csv(tmp_path, name="cases.csv", n_pos=12, n_neg=12, readers=(), sizes
             birads = {}
             for k, r in enumerate(readers):
                 p = 0.85 - 0.05 * k if label else 0.2
-                birads[r] = 4 if rng.random() < p else 1
+                # grades 3 or 4 recall and 1 or 2 do not, so a rule that
+                # recalls only above 3 reads these tables differently
+                birads[r] = (4 - (i + k) % 2) if rng.random() < p else (1 + (i + k) % 2)
         cases.append(
             CaseRecord(
                 case_id=f"case-{i:03d}",

@@ -27,7 +27,6 @@ from tomoscreen.imaging import (
     gaussian_filter,
     gaussian_kernel,
     gaussian_operator,
-    maximum_filter,
     normalize_range,
     normalize_volume,
     quantize,
@@ -291,21 +290,18 @@ gaussian_inputs = hnp.arrays(
     ),
 )
 
-# few distinct values, so windows tie, with both infinities and zeros
-max_inputs = hnp.arrays(
+# responses on a half-unit lattice, so windows tie and plateaus form
+peak_inputs = hnp.arrays(
     dtype=np.float64,
-    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=14),
-    elements=st.one_of(
-        st.sampled_from([-np.inf, np.inf, -1.0, -0.0, 0.0, 1.0, 5e-324]),
-        st.floats(allow_nan=False),
-    ),
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    elements=st.integers(-6, 6).map(lambda v: v / 2),
 )
 
 
 class TestFilters:
     """imaging's Gaussian against scipy.ndimage's `nearest`-mode filter, to
-    rounding, and its maximum filter against scipy's, bit for bit; scipy's
-    stay the oracles."""
+    rounding, and the detector's peaks against scipy's maximum filter, bit
+    for bit; scipy's filters stay the oracles."""
 
     def image(self):
         return np.random.default_rng(3).standard_normal((40, 56))
@@ -316,12 +312,6 @@ class TestFilters:
         want = ndimage.gaussian_filter(x, sigma=sigma, mode="nearest")
         assert np.abs(gaussian_filter(x, sigma) - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("win", [3, 5, 7])
-    def test_maximum_filter_is_scipys(self, win):
-        x = self.image()
-        want = ndimage.maximum_filter(x, size=win, mode="constant", cval=-np.inf)
-        assert maximum_filter(x, win).tobytes() == want.tobytes()
-
     @given(gaussian_inputs, SIGMAS)
     def test_gaussian_filter_equals_scipys(self, x, sigma):
         # each output is a convex combination of inputs, so rounding scales
@@ -330,10 +320,35 @@ class TestFilters:
         tol = 1e-12 * max(1.0, np.abs(x).max())
         assert np.abs(gaussian_filter(x, sigma) - want).max() <= tol
 
-    @given(max_inputs, st.sampled_from([1, 3, 5, 7, 9, 11]))
-    def test_maximum_filter_equals_scipys(self, x, size):
-        want = ndimage.maximum_filter(x, size=size, mode="constant", cval=-np.inf)
-        assert maximum_filter(x, size).tobytes() == want.tobytes()
+    @pytest.mark.parametrize("win", [3, 5, 7])
+    def test_maximum_filter_is_scipys(self, win):
+        # with no floor and no apron, the peaks are every pixel that equals
+        # scipy's -inf-padded window maximum
+        x = self.image()
+        want = ndimage.maximum_filter(x, size=win, mode="constant", cval=-np.inf)
+        want_rows, want_cols = np.nonzero(x == want)
+        rows, cols = scorer._peaks(x, win, -np.inf, 0)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    @given(
+        peak_inputs,
+        st.integers(1, 20).map(lambda h: 2 * h + 1),
+        st.sampled_from([-1.0, 0.0, 1.0]),
+        st.integers(0, 8),
+    )
+    def test_maximum_filter_equals_scipys(self, resp, win, floor, margin):
+        local_max = ndimage.maximum_filter(resp, size=win, mode="constant", cval=-np.inf)
+        keep = (resp == local_max) & (resp > floor)
+        h, w = resp.shape
+        if 2 * margin < min(h, w):
+            apron = np.zeros_like(keep)
+            apron[margin : h - margin, margin : w - margin] = True
+            keep &= apron
+        want_rows, want_cols = np.nonzero(keep)
+        rows, cols = scorer._peaks(resp, win, floor, margin)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
 
     def test_other_call_forms_raise(self):
         x = self.image()
@@ -341,8 +356,6 @@ class TestFilters:
             gaussian_filter(x[0], 2.0)
         with pytest.raises(ValueError):
             gaussian_filter(x[None], 2.0)
-        with pytest.raises(ValueError):
-            maximum_filter(x, 4)
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-200, 1e-160, 1e-15, 0.1])
     def test_a_radius_zero_kernel_is_one_tap(self, sigma):
@@ -358,10 +371,9 @@ class TestFilters:
         assert np.abs(got - want).max() <= 1e-12
 
     def test_phantom_and_scorer_bind_them_at_module_level(self):
-        # perfbench finds the filters as these module attributes
+        # perfbench finds the filter as these module attributes
         assert phantom.gaussian_filter is imaging.gaussian_filter
         assert scorer.gaussian_filter is imaging.gaussian_filter
-        assert scorer.maximum_filter is imaging.maximum_filter
 
 
 def nearest_gaussian(n: int, sigma: float) -> np.ndarray:

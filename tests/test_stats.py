@@ -754,12 +754,13 @@ class TestCountMatrixResampling:
         for run in (
             lambda: roc_and_auc(cases),
             lambda: delong_test(scores, scores[::-1].copy(), labels),
+            lambda: delong_test(scores, scores.copy(), labels),  # identical: one count
             lambda: bootstrap_ci(auc_block, cases, n_resamples=200, seed=0),
         ):
             calls.clear()
             run()
             counted.append(len(calls))
-        assert counted == [1, 2, 1]
+        assert counted == [1, 2, 1, 1]
 
     def test_bootstrap_memory_stays_below_the_index_matrix(self, rng):
         # n=2000 and 10k resamples: the whole index matrix alone is 160 MB
