@@ -53,13 +53,11 @@ from .condense import (
 from .errors import ConfigError, NumericError, one_line, reading
 from .imaging import (
     PGM_MAXVAL,
-    gaussian_operator,
     normalize_range,
     normalize_volume,
     read_json,
     read_pgm,
     read_volume,
-    volume_shape,
     write_csv,
     write_json,
     write_pgm,
@@ -290,11 +288,19 @@ def _out_dir(args) -> Path:
 
 def _parallel_map(fn, items, threads: int):
     """Ordered map, optionally across a thread pool. Determinism relies on
-    every worker drawing from its own key-derived stream, never on timing."""
-    if threads <= 1:
+    every worker drawing from its own key-derived stream, never on timing.
+
+    The first item runs on the calling thread before the pool starts, so
+    the caches it fills (each stage's Gaussian operators) are built there,
+    once: two workers never race to build the same entry, and none lands
+    in a worker's malloc arena, where it would keep the heap from
+    shrinking and raise peak RSS."""
+    items = list(items)
+    if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    first = fn(items[0])
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return [first, *pool.map(fn, items[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +333,6 @@ def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, 
     return ids
 
 
-def _detector_sigmas() -> list[float]:
-    """The fine and coarse smoothing scale of each ensemble scorer."""
-    return [sigma for scorer in default_ensemble() for sigma in scorer.sigmas]
-
-
-def _build_operators(height: int, width: int, sigmas) -> None:
-    """Build the Gaussian operators of one grid at each sigma on the main
-    thread, before a case loop. Built inside the loop, they land between
-    its transient arrays or in a worker thread's malloc arena, which kept
-    the heap from shrinking and raised peak RSS by 10-13 %."""
-    for sigma in sigmas:
-        for n in (height, width):
-            gaussian_operator(n, sigma)
-
-
 ScoredCase = namedtuple("ScoredCase", "opt slice_boxes composite_boxes score")
 
 
@@ -371,9 +362,7 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
         return study_max_box_score(normalize_volume(samples), default_condense_scorer())
 
     scores = _parallel_map(one, range(cfg.n_validation), threads)
-    return choose_score_threshold(
-        [(s, True) for s in scores], cfg.target_sensitivity
-    )
+    return choose_score_threshold(scores, cfg.target_sensitivity)
 
 
 _READER_SENS_BASE = 0.92
@@ -454,7 +443,7 @@ def _reader_study(cases: list[CaseRecord], reader_ids: list[str], cfg: RunConfig
         "readers": {r: {"sensitivity": se, "specificity": sp} for r, (se, sp) in points.items()},
         "n_panels": len(panels),
         "paired_delta": {
-            "metric": delta.metric,
+            "metric": "sensitivity",
             "point_delta": delta.point_delta,
             "p_value": delta.p_value,
         },
@@ -497,7 +486,6 @@ def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
         write_truth(truth, case_dir / "truth.json", clipped_voxels=clipped)
         return case_id
 
-    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale])
     done = _parallel_map(one, ids, args.threads)
     return f"wrote {len(done)} cases under {cases_dir}"
 
@@ -538,7 +526,6 @@ def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
         case_dirs = sorted(p for p in Path(args.cases).iterdir() if p.is_dir())
         if not case_dirs:
             raise ValueError("no case directories")
-    _build_operators(*volume_shape(case_dirs[0])[1:], _detector_sigmas())
 
     def one(case_dir: Path) -> CaseRecord:
         samples = read_volume(case_dir)
@@ -588,8 +575,6 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
 def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
         raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
-    condense_sigmas = default_condense_scorer().sigmas  # the only detector train mil runs
-    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *condense_sigmas])
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
@@ -707,7 +692,6 @@ def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_cancer < 1 or cfg.n_negative < 1:
         raise ConfigError("report needs n_cancer >= 1 and n_negative >= 1")
 
-    _build_operators(cfg.height, cfg.width, [cfg.background_texture_scale, *_detector_sigmas()])
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
 

@@ -16,7 +16,6 @@ on the raw intensity scale.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -27,8 +26,6 @@ from .boxes import ScoredBox, nms
 from .imaging import ImageGrid, Volume
 from .scorer import BlobScorer, mil_image_score
 
-log = logging.getLogger(__name__)
-
 
 def trimmed_slices(n_slices: int) -> range:
     """Slice indices left after trimming floor(0.1 * n_slices) at each end;
@@ -37,19 +34,17 @@ def trimmed_slices(n_slices: int) -> range:
     return range(skip, n_slices - skip)
 
 
-def choose_score_threshold(
-    validation: list[tuple[float, bool]], target_sensitivity: float
-) -> float:
+def choose_score_threshold(scores: Iterable[float], target_sensitivity: float) -> float:
     """Largest threshold keeping at least target_sensitivity of positives.
 
-    validation holds (study max-box score, cancer label) pairs. With k =
-    max(1, ceil(target * n_pos)), the answer is the k-th largest positive
-    score: any higher threshold loses too many positives, any lower one
-    is not maximal.
+    scores are the study max-box scores of a cancer-only validation
+    cohort. With k = max(1, ceil(target * n)), the answer is the k-th
+    largest score: any higher threshold loses too many positives, any
+    lower one is not maximal.
     """
     if not 0.0 <= target_sensitivity <= 1.0:
         raise ValueError(f"target_sensitivity {target_sensitivity} outside [0, 1]")
-    positives = sorted((s for s, label in validation if label), reverse=True)
+    positives = sorted(scores, reverse=True)
     if not positives:
         raise ValueError("threshold selection needs at least one positive case")
     k = max(1, math.ceil(target_sensitivity * len(positives)))
@@ -124,12 +119,10 @@ def build_optimized_image(vol: Volume, boxes: list[ScoredBox]) -> OptimizedImage
             )
         x0, y0, x1, y1, clipped = _pixel_rect(box, w, h)
         if clipped:
-            msg = (
+            warnings.append(
                 f"box ({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
                 f"clipped to {w}x{h} grid"
             )
-            warnings.append(msg)
-            log.warning(msg)
         if x0 >= x1 or y0 >= y1:
             continue
         canvas[y0:y1, x0:x1] = vol.patch(box.slice_index, slice(y0, y1), slice(x0, x1))
@@ -148,8 +141,8 @@ def study_max_box_score(norm: Volume, scorer: BlobScorer) -> float:
 
     Detection runs over the trimmed slice range, exactly as condensation
     does, but with no threshold and no suppression (neither changes the
-    maximum). Feeds threshold selection: pairs of (this score, cancer
-    label) over a validation cohort go into choose_score_threshold.
+    maximum). Feeds threshold selection: this score over a cancer-only
+    validation cohort goes into choose_score_threshold.
     Returns 0.0 when nothing fires.
     """
     return mil_image_score(detect_slices(norm, scorer, trimmed_slices(norm.n_slices)))

@@ -447,7 +447,19 @@ def read_json(path: str | Path):
             raise ValueError(f"invalid JSON: {exc}") from exc
 
 
-def _read_manifest(directory: Path) -> dict:
+def read_volume(directory: str | Path) -> np.ndarray:
+    """Read a volume written by write_volume into a new writable uint16
+    stack of shape (n_slices, height, width), each raster's samples going
+    straight into it; the caller owns the stack, to hand to
+    normalize_volume.
+
+    A missing, unreadable or malformed manifest or slice, or a slice that
+    disagrees with the manifest, raises ValueError naming the offending
+    file. The first slice is checked before the stack is allocated, so a
+    manifest that claims a larger grid than its slices fails there. An
+    8-bit slice reads as its values.
+    """
+    directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_json(path)
     with reading(path):
@@ -463,30 +475,6 @@ def _read_manifest(directory: Path) -> dict:
             )
         if len(manifest["slices"]) != manifest["slice_count"]:
             raise ValueError("manifest slice_count mismatch")
-    return manifest
-
-
-def volume_shape(directory: str | Path) -> tuple[int, int, int]:
-    """(n_slices, height, width) of a volume written by write_volume, from
-    its manifest alone; a malformed manifest raises as in read_volume."""
-    manifest = _read_manifest(Path(directory))
-    return manifest["slice_count"], manifest["height"], manifest["width"]
-
-
-def read_volume(directory: str | Path) -> np.ndarray:
-    """Read a volume written by write_volume into a new writable uint16
-    stack of shape (n_slices, height, width), each raster's samples going
-    straight into it; the caller owns the stack, to hand to
-    normalize_volume.
-
-    A missing, unreadable or malformed manifest or slice, or a slice that
-    disagrees with the manifest, raises ValueError naming the offending
-    file. The first slice is checked before the stack is allocated, so a
-    manifest that claims a larger grid than its slices fails there. An
-    8-bit slice reads as its values.
-    """
-    directory = Path(directory)
-    manifest = _read_manifest(directory)
     names = manifest["slices"]
     shape = (manifest["height"], manifest["width"])
 

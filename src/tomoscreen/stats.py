@@ -43,7 +43,6 @@ from .imaging import write_csv
 from .seeds import rng_stream
 
 RECALL_BIRADS = 3  # BIRADS >= 3 means recall
-DEFAULT_SIZE_BIN_EDGES = (10.0, 20.0, 50.0)  # mm; four clinical bins
 
 
 @dataclass(frozen=True, eq=True)
@@ -323,7 +322,6 @@ class PairedDeltaResult:
     p_value: float
     point_delta: float
     n_redraws: int
-    metric: str = "sensitivity"
 
 
 def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.ndarray):
@@ -571,8 +569,8 @@ class SizeHistogram:
     [edge[b-1], edge[b]) with open ends.
     """
 
-    bin_edges: tuple[float, ...] = DEFAULT_SIZE_BIN_EDGES
-    shares: tuple[float, ...] = ()
+    bin_edges: tuple[float, ...]
+    shares: tuple[float, ...]
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=np.float64)
@@ -598,7 +596,7 @@ class SizeHistogram:
         return np.digitize(sizes, self.bin_edges)
 
 
-def source_histogram(sizes: np.ndarray, bin_edges=DEFAULT_SIZE_BIN_EDGES) -> SizeHistogram:
+def source_histogram(sizes: np.ndarray, bin_edges) -> SizeHistogram:
     """Empirical SizeHistogram of the given sizes."""
     bins = np.digitize(sizes, bin_edges)
     counts = np.bincount(bins, minlength=len(bin_edges) + 1)

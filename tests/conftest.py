@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tomoscreen import cli, imaging
+from tomoscreen import imaging
 from tomoscreen.boxes import ScoredBox
 from tomoscreen.imaging import ImageGrid, Volume
 
@@ -103,5 +103,4 @@ def operator_builds(monkeypatch):
 
     cached = functools.lru_cache(maxsize=32)(recording)
     monkeypatch.setattr(imaging, "gaussian_operator", cached)
-    monkeypatch.setattr(cli, "gaussian_operator", cached)
     return builds

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -951,6 +952,35 @@ def cohort(tmp_path_factory):
     out = root / "gen"
     assert main(["phantom", "gen", "--config", cfg, "--out", str(out)]) == EXIT_OK
     return cfg, out / "cases"
+
+
+class TestParallelMap:
+    """The stages' one case loop: results in input order, item 0 first and
+    on the calling thread, and no pool unless two or more items can share it."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_input_order_with_item_zero_first_on_the_calling_thread(self, threads):
+        caller = threading.get_ident()
+        started, ran_on = [], {}
+
+        def square(i):
+            started.append(i)
+            ran_on[i] = threading.get_ident()
+            time.sleep(0.002 * (8 - i))  # later items finish first
+            return i * i
+
+        assert cli_module._parallel_map(square, range(8), threads) == [i * i for i in range(8)]
+        assert started[0] == 0 and sorted(started) == list(range(8))
+        assert ran_on[0] == caller
+        assert all((ran_on[i] == caller) == (threads == 1) for i in range(1, 8))
+
+    @pytest.mark.parametrize("items, threads", [([], 2), ([5], 2), ([1, 2, 3], 1)])
+    def test_no_pool_without_two_items_and_two_threads(self, monkeypatch, items, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(cli_module, "ThreadPoolExecutor", no_pool)
+        assert cli_module._parallel_map(lambda x: x + 1, items, threads) == [x + 1 for x in items]
 
 
 class TestOperatorsBuiltBeforeThePool:

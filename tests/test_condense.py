@@ -83,42 +83,37 @@ class TestDetectSlices:
 
 class TestChooseScoreThreshold:
     def test_kth_largest_positive(self):
-        val = [(0.9, True), (0.8, True), (0.7, True), (0.95, False)]
-        assert choose_score_threshold(val, 0.99) == 0.7
+        assert choose_score_threshold([0.8, 0.9, 0.7], 0.99) == 0.7
+        assert choose_score_threshold([0.8, 0.9, 0.7, 0.6], 0.5) == 0.8
 
     def test_target_zero_keeps_top_positive(self):
-        val = [(0.9, True), (0.8, True), (0.1, False)]
-        assert choose_score_threshold(val, 0.0) == 0.9
+        assert choose_score_threshold([0.8, 0.9], 0.0) == 0.9
 
     def test_saturated_scores(self):
-        val = [(1.0, True)] * 5
-        assert choose_score_threshold(val, 0.99) == 1.0
+        assert choose_score_threshold([1.0] * 5, 0.99) == 1.0
 
     def test_needs_a_positive(self):
-        with pytest.raises(ValueError):
-            choose_score_threshold([(0.5, False)], 0.9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one positive"):
             choose_score_threshold([], 0.9)
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            choose_score_threshold([(0.5, True)], 1.5)
+        for target in (1.5, -0.1):
+            with pytest.raises(ValueError, match="outside"):
+                choose_score_threshold([0.5], target)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=50),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
         st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_largest_threshold_meeting_target(self, pos, neg, target):
-        val = [(s, True) for s in pos] + [(s, False) for s in neg]
-        t = choose_score_threshold(val, target)
+    def test_largest_threshold_meeting_target(self, pos, target):
+        t = choose_score_threshold(pos, target)
 
         def sens(th):
             return sum(1 for s in pos if s >= th) / len(pos)
 
-        assert sens(t) >= target
-        # negatives never matter
-        assert t == choose_score_threshold([(s, True) for s in pos], target)
+        assert t in pos and sens(t) >= target
+        # the order of the scores never matters
+        assert t == choose_score_threshold(reversed(pos), target)
         # strictly higher candidate thresholds miss the target
         above = [s for s in pos if s > t]
         if above and target > 0:

@@ -32,7 +32,6 @@ from tomoscreen.imaging import (
     quantize,
     read_pgm,
     read_volume,
-    volume_shape,
     write_pgm,
     write_volume,
 )
@@ -584,14 +583,6 @@ class TestPgm:
         assert quantize(data, out[0]) == 3
         assert out[0].tobytes() == u16([[0, 0, 2, 65535, 65535]]).tobytes()
         assert np.all(out[1] == 7)
-
-    def test_volume_shape_reads_the_manifest_alone(self, tmp_path):
-        write_volume(u16(np.ones((3, 5, 4))), tmp_path)
-        (tmp_path / "slice_0000.pgm").unlink()
-        assert volume_shape(tmp_path) == (3, 5, 4)
-        (tmp_path / "manifest.json").write_text("[1, 2]")
-        with pytest.raises(ValueError, match="manifest needs"):
-            volume_shape(tmp_path)
 
     def test_volume_manifest_mismatch_detected(self, tmp_path):
         write_volume(u16(np.zeros((1, 2, 2))), tmp_path / "vol")

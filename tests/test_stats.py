@@ -653,7 +653,6 @@ class TestCountMatrixResampling:
                 p_value=int(np.count_nonzero(deltas < 0)) / n_resamples,
                 point_delta=matched_delta_oracle(scores, labels, recalls),
                 n_redraws=n_redraws,
-                metric="sensitivity",
             )
 
         with mock.patch.object(stats, "_BLOCK_INDICES", block):
@@ -707,9 +706,9 @@ class TestCountMatrixResampling:
         ]
         sizes = np.array([size for _, size in rows])
         if shares == "source":
-            target = source_histogram(sizes)
+            target = source_histogram(sizes, (10.0, 20.0, 50.0))
         else:
-            target = SizeHistogram(shares=shares)
+            target = SizeHistogram(bin_edges=(10.0, 20.0, 50.0), shares=shares)
             assume(len(set(target.bin_of(sizes).tolist())) == target.n_bins)
         with mock.patch.object(stats, "_BLOCK_INDICES", block):
             result = size_matched_auc(cases, target, n_populations, seed)
@@ -815,7 +814,7 @@ class TestResamplingMemory:
             cases, ["r1", "r2", "r3", "r4", "r5"], k, seed=1
         ),
         "size matched": lambda cases, k: size_matched_auc(
-            cases, SizeHistogram(shares=(0.1, 0.3, 0.4, 0.2)), k, seed=1
+            cases, SizeHistogram((10.0, 20.0, 50.0), (0.1, 0.3, 0.4, 0.2)), k, seed=1
         ),
     }
 
