@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tomoscreen import imaging
+from tomoscreen import imaging, phantom
 from tomoscreen.boxes import ScoredBox
 from tomoscreen.imaging import ImageGrid, Volume
 
@@ -89,18 +89,30 @@ def rng():
     return np.random.default_rng(20260817)
 
 
-@pytest.fixture
-def operator_builds(monkeypatch):
-    """Every uncached Gaussian operator build, as (n, sigma, ran on the main
-    thread), through a fresh cache over the builder that replaces
-    `imaging.gaussian_operator` where it is called."""
+def _record_builds(monkeypatch, owner, name):
+    """Replace `owner.name`, a cached (n, sigma) builder, with a fresh cache
+    over it, and return the list of its uncached builds as (n, sigma, ran
+    on the main thread)."""
     builds = []
-    build = imaging.gaussian_operator.__wrapped__
+    build = getattr(owner, name).__wrapped__
 
     def recording(n, sigma):
         builds.append((n, sigma, threading.current_thread() is threading.main_thread()))
         return build(n, sigma)
 
-    cached = functools.lru_cache(maxsize=32)(recording)
-    monkeypatch.setattr(imaging, "gaussian_operator", cached)
+    monkeypatch.setattr(owner, name, functools.lru_cache(maxsize=32)(recording))
     return builds
+
+
+@pytest.fixture
+def operator_builds(monkeypatch):
+    """Every uncached Gaussian operator build, replacing
+    `imaging.gaussian_operator` where it is called."""
+    return _record_builds(monkeypatch, imaging, "gaussian_operator")
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """Every uncached texture interpolation build, replacing
+    `phantom.lattice_interpolation` where it is called."""
+    return _record_builds(monkeypatch, phantom, "lattice_interpolation")

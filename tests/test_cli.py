@@ -920,6 +920,23 @@ class TestPhantomGen:
         assert sorted(manifest["versions"]) == ["numpy", "python", "tomoscreen"]
         assert "out_dir" not in manifest["config"]
 
+    @pytest.mark.parametrize("height,width,sigma", [(32, 32, 32.0), (176, 128, 176.0)])
+    def test_texture_scale_near_the_grid_side_clips_no_voxel(self, tmp_path, height, width, sigma):
+        # a texture this smooth is nearly constant over the grid; with its
+        # mean removed it cannot shift a case's background toward 0
+        cfg = write_config(
+            tmp_path,
+            width=width,
+            height=height,
+            background_texture_scale=sigma,
+            noise_sigma=RunConfig().noise_sigma,
+        )
+        out = tmp_path / "out"
+        assert main(["phantom", "gen", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        truths = sorted(out.rglob("truth.json"))
+        assert len(truths) == 4
+        assert [read_json(p)["clipped_voxels"] for p in truths] == [0] * 4
+
     def test_reruns_are_byte_identical_across_dirs_and_threads(self, tmp_path):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -987,29 +1004,43 @@ class TestOperatorsBuiltBeforeThePool:
     """Threaded stages build every cached operator on the main thread
     before their pool starts; built on a worker, an operator lands in that
     worker's malloc arena and raises peak RSS. A stage builds only the
-    operators it applies: the texture's, and those of the detectors it runs."""
+    operators it applies: the texture's lattice smoothing and interpolation,
+    and those of the detectors it runs."""
 
     @pytest.mark.parametrize("stage", ["phantom-gen", "condense-run", "train-mil", "report"])
-    def test_every_build_runs_on_the_main_thread(self, stage, tmp_path, cohort, operator_builds):
+    def test_every_build_runs_on_the_main_thread(
+        self, stage, tmp_path, cohort, operator_builds, lattice_builds
+    ):
         cfg, cases = cohort
         small = write_config(tmp_path, "small.json", width=64, height=80, n_slices=10)
         report = write_config(tmp_path, "report.json", n_cancer=6, n_negative=6)
-        texture = RunConfig().background_texture_scale
         ensemble = [sigma for s in default_ensemble() for sigma in s.sigmas]
         condense = list(default_condense_scorer().sigmas)
-        args, sides, sigmas = {
-            "phantom-gen": (["phantom", "gen", "--config", cfg], (64, 48), [texture]),
+        args, sides, sigmas, textured = {
+            "phantom-gen": (["phantom", "gen", "--config", cfg], (64, 48), [], True),
             "condense-run": (
-                ["condense", "run", "--config", cfg, "--cases", str(cases)], (64, 48), ensemble
+                ["condense", "run", "--config", cfg, "--cases", str(cases)],
+                (64, 48),
+                ensemble,
+                False,
             ),
-            "train-mil": (["train", "mil", "--config", small], (80, 64), [texture, *condense]),
-            "report": (["report", "--config", report], (64, 48), [texture, *ensemble]),
+            "train-mil": (["train", "mil", "--config", small], (80, 64), condense, True),
+            "report": (["report", "--config", report], (64, 48), ensemble, True),
         }[stage]
+        texture = RunConfig().background_texture_scale
+        lattices = [phantom_module.texture_lattice(n, texture) for n in sides] if textured else []
         assert main(args + ["--out", str(tmp_path / "out"), "--threads", "2"]) == EXIT_OK
-        assert operator_builds and all(on_main for _, _, on_main in operator_builds)
-        built = [(n, sigma) for n, sigma, _ in operator_builds]
-        assert len(built) == len(set(built))
-        assert set(built) == {(n, sigma) for n in sides for sigma in sigmas}
+        for builds in (operator_builds, lattice_builds):
+            assert all(on_main for _, _, on_main in builds)
+            built = [(n, sigma) for n, sigma, _ in builds]
+            assert len(built) == len(set(built))
+        assert operator_builds
+        assert {(n, sigma) for n, sigma, _ in operator_builds} == {
+            (n, sigma) for n in sides for sigma in sigmas
+        } | {(points, texture / spacing) for points, spacing, _ in lattices}
+        assert {(n, sigma) for n, sigma, _ in lattice_builds} == {
+            (n, texture) for n in sides if textured
+        }
 
 
 class TestSmoothingHooks:

@@ -1,5 +1,5 @@
 """Phantom generation: determinism, exact noiseless construction, the
-texture smoothing against scipy's filter, truth IO."""
+lattice texture's moments and stationarity, truth IO."""
 
 import dataclasses
 import math
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from tomoscreen import imaging
+from tomoscreen import imaging, phantom
 from tomoscreen.condense import trimmed_slices
 from tomoscreen.imaging import Volume, fold_operator
 from tomoscreen.phantom import (
@@ -27,9 +27,9 @@ from tomoscreen.phantom import (
     truth_from_dict,
     truth_to_dict,
     write_truth,
+    texture_lattice,
     _texture_field,
 )
-from tomoscreen.seeds import rng_stream
 
 
 def quiet_cfg(seed=0, **kw) -> PhantomConfig:
@@ -241,22 +241,51 @@ def default_cfg(seed=0) -> PhantomConfig:
 
 
 class TestTexture:
-    """The texture smoothing against scipy's nearest-mode filter, which
-    stays the oracle."""
+    """The lattice texture: zero mean and unit sd per field, stationary to
+    the grid edge, and its operators built once per axis."""
 
     GRIDS = [(176, 128), (128, 96), (16, 16), (33, 47), (1, 1)]
 
     @pytest.mark.parametrize("height,width", GRIDS)
-    def test_field_matches_scipy_filter(self, height, width):
+    def test_field_has_zero_mean_and_unit_sd(self, height, width):
         cfg = quiet_cfg(seed=3, width=width, height=height, noise_sigma=1.0)
-        white = rng_stream(cfg.seed, "k").standard_normal((height, width))
-        want = ndimage.gaussian_filter(white, sigma=24.0, mode="nearest")
-        sd = want.std()
-        if sd > 0:
-            want /= sd
-        got = _texture_field(cfg, "k")
-        assert got.shape == (height, width)
-        assert np.abs(got - want).max() <= 1e-12
+        field = _texture_field(cfg, "k")
+        assert field.shape == (height, width)
+        assert abs(field.mean()) <= 1e-12
+        # one pixel is its own mean, so its field is zero
+        assert field.std() == pytest.approx(1.0 if height * width > 1 else 0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("height,width,sigma", [(32, 32, 32.0), (176, 128, 176.0)])
+    def test_field_mean_is_zero_at_a_scale_near_the_grid_side(self, height, width, sigma):
+        # a field this smooth is nearly constant: without its mean removed it
+        # would shift the whole case by many sd
+        cfg = quiet_cfg(
+            width=width, height=height, background_texture_scale=sigma, noise_sigma=1.0
+        )
+        for i in range(20):
+            field = _texture_field(cfg, "texture-slice", i)
+            assert abs(field.mean()) <= 1e-12
+            assert field.std() == pytest.approx(1.0, abs=1e-12)
+
+    def test_edge_variance_stays_near_the_centre_variance(self):
+        cfg = default_cfg()
+        fields = np.stack([_texture_field(cfg, "texture-slice", i) for i in range(240)])
+        variance = fields.var(axis=0)
+        edges = variance[:, [0, -1]].mean()
+        centre = variance[80:96, 56:72].mean()
+        assert edges / centre < 2.0
+
+    @pytest.mark.parametrize("n,sigma", [(176, 24.0), (128, 24.0), (1, 24.0), (33, 0.01), (64, 64.0)])
+    def test_lattice_reaches_three_sigma_past_each_end(self, n, sigma):
+        points, spacing, first = texture_lattice(n, sigma)
+        assert spacing == max(1, int(sigma / 3))
+        assert first * spacing >= 3 * sigma
+        assert (points - 1 - first) * spacing >= n - 1 + 3 * sigma
+        weights = phantom.lattice_interpolation(n, sigma)
+        assert weights.shape == (points, n) and not weights.flags.writeable
+        nodes = (np.arange(points) - first) * spacing
+        assert np.allclose(nodes @ weights, np.arange(n), rtol=0, atol=1e-9)
+        assert np.allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", sorted({n for grid in GRIDS for n in grid}))
     def test_matrix_columns_are_filtered_impulses(self, n):
@@ -279,27 +308,26 @@ class TestTexture:
             generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0)
         assert len(operator_builds) == 2
 
+    def test_lattice_operators_are_built_once_per_axis(self, operator_builds, lattice_builds):
+        cfg = default_cfg()
+        for i in range(3):
+            generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)
+        sigma = cfg.background_texture_scale
+        assert sorted(lattice_builds) == sorted([(cfg.height, sigma, True), (cfg.width, sigma, True)])
+        lattice = [texture_lattice(n, sigma) for n in (cfg.height, cfg.width)]
+        assert [(points, spacing) for points, spacing, _ in lattice] == [(41, 8), (35, 8)]
+        want = [(points, sigma / spacing, True) for points, spacing, _ in lattice]
+        assert sorted(operator_builds) == sorted(want)
+
     def test_threaded_cases_equal_serial(self):
         case_ids = [f"negative-{i:04d}" for i in range(4)]
         imaging.gaussian_operator.cache_clear()
+        phantom.lattice_interpolation.cache_clear()
         with ThreadPoolExecutor(2) as pool:
             threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
         for case_id, (vol, _, _) in zip(case_ids, threaded):
             serial, _, _ = generate_case(default_cfg(), case_id, False)
             assert vol.tobytes() == serial.tobytes()
-
-
-class TestFoldedTexture:
-    def test_folded_operators_are_built_once_per_axis(self, operator_builds):
-        cfg = default_cfg()
-        for i in range(3):
-            generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)
-        want = [(cfg.height, 24.0, True), (cfg.width, 24.0, True)]
-        assert sorted(operator_builds) == sorted(want)
-        for n in (cfg.height, cfg.width):
-            op = imaging.gaussian_operator(n, 24.0)
-            assert not op.even.flags.writeable and not op.odd.flags.writeable
-        assert len(operator_builds) == 2
 
 
 class TestTruthIo:
