@@ -1,4 +1,4 @@
-"""Bounding-box algebra: IOU and greedy non-maximum suppression.
+"""Scored boxes and greedy non-maximum suppression by IOU.
 
 Boxes use continuous corner coordinates (x_min, y_min, x_max, y_max) with
 areas computed as (x_max - x_min) * (y_max - y_min). NMS suppresses on
@@ -46,16 +46,6 @@ class ScoredBox:
 
     def with_slice(self, slice_index: int) -> "ScoredBox":
         return replace(self, slice_index=slice_index)
-
-
-def iou(a: ScoredBox, b: ScoredBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
 
 
 def nms(boxes: list[ScoredBox], iou_threshold: float) -> list[ScoredBox]:

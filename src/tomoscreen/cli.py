@@ -74,6 +74,7 @@ from .miltrain import (
 from .phantom import (
     MIN_LESION_SLICES,
     NOISE_SIGMA_MAX,
+    _JSON_TYPES,
     PhantomConfig,
     clutter_blob_count,
     generate_case,
@@ -229,12 +230,8 @@ def config_from_dict(data: dict) -> RunConfig:
     unknown = sorted(set(data) - _CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    coerced = dict(data)
-    for key in ("contrast_range", "size_bin_edges"):
-        if key in coerced and isinstance(coerced[key], list):
-            coerced[key] = tuple(coerced[key])
     try:
-        return RunConfig(**coerced)
+        return RunConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -252,15 +249,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def config_payload(cfg: RunConfig) -> dict:
-    payload = dataclasses.asdict(cfg)
-    payload["contrast_range"] = list(cfg.contrast_range)
-    payload["size_bin_edges"] = list(cfg.size_bin_edges)
-    return payload
-
-
 def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
-    payload = config_payload(cfg)
+    payload = dataclasses.asdict(cfg)  # json writes its tuples as lists
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("ascii")
     ).hexdigest()
@@ -308,23 +298,12 @@ def _parallel_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _phantom_config(cfg: RunConfig) -> PhantomConfig:
-    return PhantomConfig(
-        width=cfg.width,
-        height=cfg.height,
-        n_slices=cfg.n_slices,
-        background_texture_scale=cfg.background_texture_scale,
-        clutter_density=cfg.clutter_density,
-        noise_sigma=cfg.noise_sigma,
-        seed=cfg.seed,
-    )
-
-
 def _case(cfg: RunConfig, case_id: str, cancer: bool):
     """One phantom case of the configured cohort: (samples, truth, clipped voxels). The uint16
     samples are what phantom gen stores, so report, train mil and threshold selection, which
     normalize them, score exactly what condense run reads back."""
-    return generate_case(_phantom_config(cfg), case_id, cancer, cfg.contrast_range)
+    phantom = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(PhantomConfig)}
+    return generate_case(PhantomConfig(**phantom), case_id, cancer, cfg.contrast_range)
 
 
 def _cohort_ids(prefix: str, n_cancer: int, n_negative: int) -> list[tuple[str, bool]]:
@@ -663,11 +642,12 @@ def cmd_eval_readers(args, cfg: RunConfig, out: Path) -> str:
 
 def _read_histogram(path: str) -> SizeHistogram:
     data = read_json(path)
+    number = _JSON_TYPES["float"]  # a JSON number, never a bool or a string
+    lists = [data.get(k) for k in ("bin_edges", "shares")] if isinstance(data, dict) else [None]
     with reading(path):
-        try:
-            return SizeHistogram(bin_edges=tuple(data["bin_edges"]), shares=tuple(data["shares"]))
-        except (TypeError, KeyError) as exc:
-            raise ValueError("target histogram needs bin_edges and shares") from exc
+        if not all(isinstance(v, list) and all(type(x) in number for x in v) for v in lists):
+            raise ValueError("target histogram needs bin_edges and shares lists of numbers")
+        return SizeHistogram(*map(tuple, lists))
 
 
 def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:

@@ -84,17 +84,6 @@ class ImageGrid:
     def __post_init__(self):
         object.__setattr__(self, "data", _as_readonly(self.data, 2))
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ImageGrid) and np.array_equal(self.data, other.data)
-
 
 def _affine(data: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """(data - lo) / (hi - lo) * 255 - 127.5 as a new float64 array, worked in that one
@@ -134,14 +123,6 @@ class Volume:
     @property
     def n_slices(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[2]
 
     def patch(self, i: int, ys: slice = _WHOLE, xs: slice = _WHOLE) -> np.ndarray:
         """The rows `ys` and columns `xs` of slice i, normalized: `_affine` of
@@ -245,23 +226,6 @@ def _fold_into(top: np.ndarray, even: np.ndarray, odd: np.ndarray) -> None:
         odd[-1] = 0.0
 
 
-def _frozen(even: np.ndarray, odd: np.ndarray, n: int) -> FoldedOperator:
-    even.flags.writeable = False
-    odd.flags.writeable = False
-    return FoldedOperator(even, odd, n)
-
-
-def fold_operator(matrix: np.ndarray) -> FoldedOperator:
-    """Fold a centrosymmetric operator of n columns given at least its
-    first ceil(n / 2) rows; only those rows are read, and the folded form
-    applies their mirror below."""
-    n = matrix.shape[1]
-    k = n - n // 2
-    even, odd = np.empty((k, k)), np.empty((k, k))
-    _fold_into(matrix[:k], even, odd)
-    return _frozen(even, odd, n)
-
-
 @functools.lru_cache(maxsize=32)
 def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
     """The folded `nearest`-mode Gaussian along an axis of length n: the
@@ -275,8 +239,8 @@ def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
     end columns are summed tap by tap in scipy's `correlate1d` order: the
     centre tap, then for j = r ... 1 tap j times the count of its clamped
     sources, max(i - j, 0) and min(i + j, n - 1), that are the end. They
-    fold into column 0 alone and replace it. Bit for bit `fold_operator`
-    of the filtered identity, with O(n r) multiply-adds instead of the
+    fold into column 0 alone and replace it. Bit for bit the fold of the
+    filtered identity, with O(n r) multiply-adds instead of the
     identity's O(n**2 r), and no array beyond the two k x k halves it
     keeps and O(n) scratch.
     """
@@ -298,7 +262,9 @@ def gaussian_operator(n: int, sigma: float) -> FoldedOperator:
         hits += np.minimum(rows + j, n - 1) == ends
         columns += hits * taps[r - j]
     _fold_into(columns, even[:, :1], odd[:, :1])
-    return _frozen(even, odd, n)
+    even.flags.writeable = False
+    odd.flags.writeable = False
+    return FoldedOperator(even, odd, n)
 
 
 def _apply_last_axis(op: FoldedOperator, x: np.ndarray) -> np.ndarray:

@@ -42,22 +42,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .condense import trimmed_slices
 from .errors import reading
-from .imaging import (
-    ImageGrid,
-    Volume,
-    gaussian_filter,
-    normalize_range,
-    quantize,
-    read_json,
-    write_json,
-)
+from .imaging import gaussian_filter, quantize, read_json, write_json
 from .seeds import mix_seed, rng_stream
 
 BACKGROUND_LEVEL = 1500.0
@@ -371,13 +363,6 @@ def generate_volume(
     return samples, truth, clipped
 
 
-def project_dm(vol: Volume) -> ImageGrid:
-    """Mean projection of the samples across slices, normalized. Stands in
-    for a single projection view of the same anatomy: slice-local contrast
-    is diluted by roughly slice_extent / n_slices."""
-    return normalize_range(vol.samples.mean(axis=0))
-
-
 # ---------------------------------------------------------------------------
 # Cohort sampling
 # ---------------------------------------------------------------------------
@@ -440,10 +425,7 @@ def sample_lesion(
 
 
 def generate_case(
-    base_cfg: PhantomConfig,
-    case_id: str,
-    cancer: bool,
-    contrast_range: tuple[float, float] = (60.0, 220.0),
+    base_cfg: PhantomConfig, case_id: str, cancer: bool, contrast_range: tuple[float, float]
 ) -> tuple[np.ndarray, PhantomTruth, int]:
     """Generate one cohort case with a per-case derived seed.
 
@@ -471,19 +453,7 @@ def truth_to_dict(truth: PhantomTruth) -> dict:
         "label": truth.label,
         "tumor_size_mm": truth.tumor_size_mm,
         "mm_per_pixel": MM_PER_PIXEL,
-        "lesions": [
-            {
-                "center_x": les.center_x,
-                "center_y": les.center_y,
-                "radius": les.radius,
-                "center_slice": les.center_slice,
-                "slice_extent": les.slice_extent,
-                "contrast": les.contrast,
-                "malignant": les.malignant,
-                "size_mm": les.size_mm,
-            }
-            for les in truth.lesions
-        ],
+        "lesions": [{**asdict(les), "size_mm": les.size_mm} for les in truth.lesions],
     }
 
 

@@ -87,8 +87,8 @@ class RocAnalysis:
     """Empirical ROC curve: one point per distinct threshold, plus the
     no-recall endpoint at threshold +inf; each point counts the cases
     of each class at or above its threshold. auc is the Mann-Whitney
-    statistic with half credit for ties (auc_mann_whitney), which equals
-    the trapezoidal area under these points."""
+    statistic with half credit for ties, P(pos > neg) + 0.5 P(tie), which
+    equals the trapezoidal area under these points."""
 
     thresholds: tuple[float, ...]
     sensitivity: tuple[float, ...]
@@ -125,12 +125,6 @@ def roc_and_auc(cases: list[CaseRecord]) -> RocAnalysis:
         specificity=(1.0,) + tuple(((n_neg - fp) / n_neg).tolist()),
         auc=float(_twice_u(neg, pos) / (2 * n_pos * n_neg)),
     )
-
-
-def auc_mann_whitney(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC: P(pos > neg) + 0.5 P(tie), the correctly rounded
-    value of 2U / (2 n_pos n_neg); auc_block on the identity row."""
-    return _point(auc_block(scores, labels), len(labels), "AUC needs both classes")
 
 
 def _sens_at_spec_arrays(sens: np.ndarray, spec: np.ndarray, target):
@@ -260,8 +254,8 @@ def _twice_u(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 def auc_block(scores: np.ndarray, labels: np.ndarray):
     """The Mann-Whitney AUC as a block over resample rows of (scores,
-    labels); a row is defined where it drew both classes. Each value
-    equals auc_mann_whitney on that row bit for bit."""
+    labels); a row is defined where it drew both classes. On the identity
+    row it equals roc_and_auc's auc bit for bit."""
     _, _, counts = _class_counts(
         np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool)
     )
@@ -283,12 +277,7 @@ class BootstrapResult:
     n_redraws: int
 
 
-def bootstrap_ci(
-    metric,
-    cases: list[CaseRecord],
-    n_resamples: int = 10000,
-    seed: int = 0,
-) -> BootstrapResult:
+def bootstrap_ci(metric, cases: list[CaseRecord], n_resamples: int, seed: int) -> BootstrapResult:
     """Percentile bootstrap (2.5/97.5) of a case-level metric.
 
     metric(scores, labels) takes the cases' score and label arrays and
@@ -409,10 +398,7 @@ def _matched_delta_block(scores: np.ndarray, labels: np.ndarray, recalls: np.nda
 
 
 def paired_delta_pvalue(
-    cases: list[CaseRecord],
-    reader_ids: list[str],
-    n_resamples: int = 10000,
-    seed: int = 0,
+    cases: list[CaseRecord], reader_ids: list[str], n_resamples: int, seed: int
 ) -> PairedDeltaResult:
     """Bootstrap p-value for model-below-readers at matched specificity.
 
@@ -650,10 +636,7 @@ class SizeMatchedResult:
 
 
 def size_matched_auc(
-    cases: list[CaseRecord],
-    target: SizeHistogram,
-    n_populations: int = 5000,
-    seed: int = 0,
+    cases: list[CaseRecord], target: SizeHistogram, n_populations: int, seed: int
 ) -> SizeMatchedResult:
     """Mean and SD of AUC over resampled populations whose positive tumor
     sizes approximate the target histogram.

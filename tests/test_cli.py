@@ -1620,6 +1620,30 @@ class TestEvalSizeMatched:
         assert capsys.readouterr().err.splitlines() == [want]
         assert not (tmp_path / "o" / "size_matched.json").exists()
 
+    @pytest.mark.parametrize(
+        "histogram",
+        [
+            {"bin_edges": ["10", "20"], "shares": [0.25, 0.25, 0.5]},
+            {"bin_edges": [10.0, 20.0], "shares": ["0", "0.5", "0.5"]},
+            {"bin_edges": [True, 20], "shares": [0.25, 0.25, 0.5]},
+            {"bin_edges": [10.0, 20.0], "shares": [0.25, None, 0.75]},
+            {"bin_edges": 10.0, "shares": [0.5, 0.5]},
+            {"bin_edges": [10.0, 20.0]},
+            {"bin_edges": [10.0, [20.0]], "shares": [0.25, 0.25, 0.5]},
+        ],
+        ids=["string-edges", "string-shares", "bool-edge", "null-share", "bare-edge",
+             "no-shares", "nested-edge"],
+    )
+    def test_non_number_target_exits_two_naming_the_file(self, tmp_path, capsys, histogram):
+        csv_path = scored_csv(tmp_path, sizes=True)
+        target = tmp_path / "target.json"
+        target.write_text(json.dumps(histogram))
+        args = ["eval", "size-matched", "--cases", csv_path, "--target", str(target)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        want = f"error: {target}: target histogram needs bin_edges and shares lists of numbers"
+        assert capsys.readouterr().err.splitlines() == [want]
+        assert not (tmp_path / "o" / "size_matched.json").exists()
+
 
 class TestPipelineChain:
     def test_gen_condense_roc_chain(self, tmp_path):

@@ -50,7 +50,8 @@ def phantom_volumes():
         noise_sigma=18.0,
         seed=4,
     )
-    return [normalize_volume(generate_case(cfg, f"case-{k}", cancer=k == 0)[0]) for k in range(2)]
+    cases = (generate_case(cfg, f"case-{k}", k == 0, (60.0, 220.0)) for k in range(2))
+    return [normalize_volume(samples) for samples, _, _ in cases]
 
 
 class TestSliceRange:
@@ -188,7 +189,7 @@ class TestBuildOptimizedImage:
     def test_no_boxes_keeps_center_slice(self):
         vol = constant_slice_volume(10)
         opt = build_optimized_image(vol, [])
-        assert opt.image == vol.slice(5)
+        assert np.array_equal(opt.image.data, vol.slice(5).data)
         assert np.all(opt.provenance == 5)
         assert opt.kept_boxes == [] and opt.clip_warnings == ()
 

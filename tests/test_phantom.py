@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from conftest import fold_operator
+
 from tomoscreen import imaging, phantom
 from tomoscreen.condense import trimmed_slices
-from tomoscreen.imaging import Volume, fold_operator
 from tomoscreen.phantom import (
     BACKGROUND_LEVEL,
     MM_PER_PIXEL,
@@ -21,7 +22,6 @@ from tomoscreen.phantom import (
     case_seed,
     generate_case,
     generate_volume,
-    project_dm,
     read_truth,
     sample_lesion,
     truth_from_dict,
@@ -30,6 +30,9 @@ from tomoscreen.phantom import (
     texture_lattice,
     _texture_field,
 )
+
+
+CONTRAST = (60.0, 220.0)  # RunConfig's default lesion contrast range
 
 
 def quiet_cfg(seed=0, **kw) -> PhantomConfig:
@@ -153,35 +156,6 @@ class TestGenerateVolume:
             assert trimmed_slices(n_slices) == range(n_edge, n_slices - n_edge)
 
 
-class TestProjectDm:
-    def test_single_slice_volume_is_normalized_slice(self):
-        vol, _, _ = generate_volume(
-            quiet_cfg(n_slices=1),
-            [centered_lesion(50.0, center_slice=0, slice_extent=1)],
-        )
-        proj = project_dm(Volume(vol))
-        assert proj.data.max() == 127.5
-        assert proj.data.min() == -127.5
-
-    def test_constant_volume_projects_to_zero(self):
-        vol, _, _ = generate_volume(quiet_cfg(), [])
-        assert np.all(project_dm(Volume(vol)).data == 0.0)
-
-    def test_contrast_diluted_by_slice_count(self):
-        # 10-slice noiseless volume, lesion on exactly 1 slice, contrast c:
-        # the mean stack carries contrast c/10.
-        c = 120.0
-        vol, _, _ = generate_volume(
-            quiet_cfg(n_slices=10), [centered_lesion(c, slice_extent=1)]
-        )
-        mean_stack = vol.mean(axis=0)
-        assert mean_stack[32, 32] - BACKGROUND_LEVEL == pytest.approx(c / 10, abs=1e-9)
-        # and project_dm is exactly the normalization of that mean
-        span = mean_stack.max() - mean_stack.min()
-        expected = (mean_stack - mean_stack.min()) / span * 255.0 - 127.5
-        assert np.allclose(project_dm(Volume(vol)).data, expected, atol=1e-12)
-
-
 class TestCases:
     def test_case_seed_stable_and_distinct(self):
         assert case_seed(1, "a") == case_seed(1, "a")
@@ -190,27 +164,27 @@ class TestCases:
 
     def test_generate_case_deterministic_per_id(self):
         cfg = quiet_cfg(noise_sigma=8.0, clutter_density=1.0)
-        a, ta, _ = generate_case(cfg, "cancer-0001", True)
-        b, tb, _ = generate_case(cfg, "cancer-0001", True)
+        a, ta, _ = generate_case(cfg, "cancer-0001", True, CONTRAST)
+        b, tb, _ = generate_case(cfg, "cancer-0001", True, CONTRAST)
         assert np.array_equal(a, b)
         assert ta == tb
 
     def test_cancer_case_has_one_malignant_lesion(self):
-        _, truth, _ = generate_case(quiet_cfg(), "cancer-0002", True)
+        _, truth, _ = generate_case(quiet_cfg(), "cancer-0002", True, CONTRAST)
         assert truth.label is True
         assert len(truth.lesions) == 1
         assert truth.lesions[0].malignant
         assert truth.tumor_size_mm == pytest.approx(truth.lesions[0].size_mm)
 
     def test_negative_case_has_no_lesions(self):
-        _, truth, _ = generate_case(quiet_cfg(), "negative-0002", False)
+        _, truth, _ = generate_case(quiet_cfg(), "negative-0002", False, CONTRAST)
         assert truth.label is False and truth.lesions == ()
 
     def test_sampled_lesion_respects_bounds(self):
         cfg = quiet_cfg(width=96, height=96, n_slices=30)
         rng = np.random.default_rng(11)
         for _ in range(50):
-            les = sample_lesion(cfg, rng, (60.0, 220.0))
+            les = sample_lesion(cfg, rng, CONTRAST)
             assert les.radius + 2 <= les.center_x <= cfg.width - les.radius - 2
             assert les.radius + 2 <= les.center_y <= cfg.height - les.radius - 2
             assert math.ceil(0.15 * cfg.n_slices) <= les.center_slice
@@ -305,13 +279,13 @@ class TestTexture:
 
     def test_operators_are_built_once_per_axis(self, operator_builds):
         for i in range(3):
-            generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0)
+            generate_case(default_cfg(), f"cancer-{i:04d}", i % 2 == 0, CONTRAST)
         assert len(operator_builds) == 2
 
     def test_lattice_operators_are_built_once_per_axis(self, operator_builds, lattice_builds):
         cfg = default_cfg()
         for i in range(3):
-            generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0)
+            generate_case(cfg, f"cancer-{i:04d}", i % 2 == 0, CONTRAST)
         sigma = cfg.background_texture_scale
         assert sorted(lattice_builds) == sorted([(cfg.height, sigma, True), (cfg.width, sigma, True)])
         lattice = [texture_lattice(n, sigma) for n in (cfg.height, cfg.width)]
@@ -324,9 +298,11 @@ class TestTexture:
         imaging.gaussian_operator.cache_clear()
         phantom.lattice_interpolation.cache_clear()
         with ThreadPoolExecutor(2) as pool:
-            threaded = list(pool.map(lambda c: generate_case(default_cfg(), c, False), case_ids))
+            threaded = list(
+                pool.map(lambda c: generate_case(default_cfg(), c, False, CONTRAST), case_ids)
+            )
         for case_id, (vol, _, _) in zip(case_ids, threaded):
-            serial, _, _ = generate_case(default_cfg(), case_id, False)
+            serial, _, _ = generate_case(default_cfg(), case_id, False, CONTRAST)
             assert vol.tobytes() == serial.tobytes()
 
 

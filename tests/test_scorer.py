@@ -12,6 +12,7 @@ from scipy import ndimage
 
 from tomoscreen import imaging
 from tomoscreen.boxes import ScoredBox
+from tomoscreen.condense import _pixel_rect
 from tomoscreen.imaging import ImageGrid, normalize_range, normalize_volume
 from tomoscreen.phantom import LesionSpec, PhantomConfig, generate_case, generate_volume
 from tomoscreen.scorer import (
@@ -88,7 +89,7 @@ def assert_mirror_equivariant(scorer: BlobScorer, img: ImageGrid) -> None:
     flipped = mirrored(img)
     direct = scorer.response(img)
     assert scorer.response(flipped).tobytes() == direct[:, ::-1].tobytes()
-    w = img.width
+    w = img.data.shape[1]
     expected = sorted(mirror_box(b, w) for b in scorer.detect(img))
     assert as_tuples(scorer.detect(flipped)) == expected
 
@@ -107,7 +108,7 @@ def phantom_slices() -> list[ImageGrid]:
     )
     slices = []
     for k in range(2):
-        vol, _, _ = generate_case(cfg, f"mirror-{k}", cancer=k % 2 == 0)
+        vol, _, _ = generate_case(cfg, f"mirror-{k}", k % 2 == 0, (60.0, 220.0))
         norm = normalize_volume(vol)
         slices += [norm.slice(i) for i in range(norm.n_slices)]
     return slices
@@ -262,6 +263,17 @@ class TestBlobScorer:
         for scorer in default_ensemble():
             for b in scorer.detect(img):
                 assert 0.5 < b.score < 1.0  # response above floor > 0
+
+
+    @given(any_shape_images, st.floats(0.5, 30.0), st.floats(-5.0, 5.0))
+    def test_every_box_lies_inside_its_image(self, data, prior, floor):
+        # so condensation never clips a detected box: clip_warnings stays empty
+        scorer = BlobScorer(radius_prior=prior, response_floor=floor, response_scale=6.0)
+        h, w = data.shape
+        for box in scorer.detect(ImageGrid(data)):
+            assert 0.0 <= box.x_min < box.x_max <= w
+            assert 0.0 <= box.y_min < box.y_max <= h
+            assert not _pixel_rect(box, w, h)[4]
 
 
 class TestDefaults:

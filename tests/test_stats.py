@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import recall_tally
+from conftest import auc, recall_tally
 
 from tomoscreen import stats
 from tomoscreen.errors import NumericError
@@ -29,7 +29,6 @@ from tomoscreen.stats import (
     SizeHistogram,
     SizeMatchedResult,
     auc_block,
-    auc_mann_whitney,
     bootstrap_ci,
     cases_from_csv,
     delong_test,
@@ -186,7 +185,7 @@ class TestRocAndAuc:
         assert roc_and_auc(cases).auc == pytest.approx(oracle, abs=1e-12)
         scores = np.array([c.score for c in cases])
         labels = np.array([c.label for c in cases])
-        assert auc_mann_whitney(scores, labels) == pytest.approx(oracle, abs=1e-12)
+        assert auc(scores, labels) == pytest.approx(oracle, abs=1e-12)
 
     @given(scores_strategy, scores_strategy)
     @example([0.7, 0.9], [0.1, 0.7, 0.9, 1.0, 0.0, 0.9])
@@ -198,7 +197,7 @@ class TestRocAndAuc:
         exact = float(Fraction(twice_u, 2 * len(pos) * len(neg)))
         scores = np.array([c.score for c in cases])
         labels = np.array([c.label for c in cases])
-        assert roc_and_auc(cases).auc == auc_mann_whitney(scores, labels) == exact
+        assert roc_and_auc(cases).auc == auc(scores, labels) == exact
 
     def test_trapezoid_of_own_curve(self, rng):
         # quantized scores so the curve contains real tie steps
@@ -231,11 +230,13 @@ class TestRocAndAuc:
         assert np.array(roc.thresholds).tobytes() == np.append(np.inf, thresholds).tobytes()
         assert np.array(roc.sensitivity).tobytes() == sens.tobytes()
         assert np.array(roc.specificity).tobytes() == spec.tobytes()
-        assert auc_mann_whitney(scores, labels) == midrank_auc(scores, labels)
+        assert auc(scores, labels) == midrank_auc(scores, labels)
 
-    def test_auc_mann_whitney_needs_both_classes(self):
-        with pytest.raises(ValueError):
-            auc_mann_whitney(np.array([0.1, 0.2]), np.array([True, True]))
+    def test_auc_needs_both_classes(self):
+        with pytest.raises(ValueError, match="at least one positive and one negative"):
+            roc_and_auc(records([0.1, 0.2], []))
+        _, defined = auc_block(np.array([0.1, 0.2]), np.array([True, True]))(np.arange(2)[None])
+        assert not defined.any()
 
 
 class TestRocAnalysisValidation:
@@ -1154,7 +1155,7 @@ class TestSizeMatchedAuc:
         for r in range(2000):
             sp = pos[rng.integers(0, len(pos), size=len(pos))]
             sn = neg[rng.integers(0, len(neg), size=len(neg))]
-            plain[r] = auc_mann_whitney(np.concatenate([sp, sn]), labels)
+            plain[r] = auc(np.concatenate([sp, sn]), labels)
         se = result.sd_auc / math.sqrt(2000)
         assert result.mean_auc == pytest.approx(plain.mean(), abs=8 * se)
 
