@@ -13,7 +13,8 @@ stage succeeded), prints the stage's one-line summary and maps failures
 to exit codes: 2 for a config, flag or input file that is missing,
 unreadable or malformed, 3 for an output that cannot be written (both
 one line `error: <path>: <reason>` naming the file) or for running out
-of memory, 4 for numeric failures.
+of memory, 4 for numeric failures. Every failure prints one line, made
+once in `main` by `errors.one_line`.
 
 Every subcommand writes only into its --out directory; the manifest
 records the resolved config, its sha256, the seed, and tool versions, so
@@ -50,9 +51,10 @@ from .condense import (
     study_max_box_score,
     trimmed_slices,
 )
-from .errors import ConfigError, NumericError, one_line, reading
+from .errors import NumericError, one_line, reading
 from .imaging import (
     PGM_MAXVAL,
+    is_kind,
     normalize_range,
     normalize_volume,
     read_json,
@@ -74,7 +76,6 @@ from .miltrain import (
 from .phantom import (
     MIN_LESION_SLICES,
     NOISE_SIGMA_MAX,
-    _JSON_TYPES,
     PhantomConfig,
     clutter_blob_count,
     generate_case,
@@ -156,22 +157,22 @@ class RunConfig:
     def __post_init__(self):
         def need(cond: bool, msg: str) -> None:
             if not cond:
-                raise ConfigError(msg)
+                raise ValueError(msg)
 
         def finite(value) -> bool:
             try:
-                return type(value) in (int, float) and math.isfinite(value)
+                return math.isfinite(value)
             except OverflowError:  # an integer too large for a float
                 return False
 
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                need(type(value) is int, f"{f.name} must be an integer, got {value!r}")
-            elif f.type == "float":
-                need(finite(value), f"{f.name} must be a finite number")
-            elif f.type.startswith("tuple[float"):
-                need(all(finite(v) for v in value), f"{f.name} must be a finite number")
+                need(is_kind(value, "int"), f"{f.name} must be an integer, got {value!r}")
+            else:  # a float, or a tuple of them
+                values = (value,) if f.type == "float" else value
+                ok = is_kind(value, f.type) and all(map(finite, values))
+                need(ok, f"{f.name} must be a finite number")
         need(self.width >= 32 and self.height >= 32, "grid must be at least 32x32")
         need(self.n_slices >= 1, "n_slices must be >= 1")
         need(self.background_texture_scale > 0, "background_texture_scale must be positive")
@@ -226,27 +227,21 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 
 def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     unknown = sorted(set(data) - _CONFIG_FIELDS)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    try:
-        return RunConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return RunConfig(**data)  # it checks each field's kind first, so it raises only ValueError
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Config file merged with CLI overrides; overrides win. An invalid
-    file raises ConfigError or ValueError naming it."""
+    file raises ValueError naming it."""
     data = {} if path is None else read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    try:
+    if isinstance(data, dict):
+        data.update({k: v for k, v in overrides.items() if v is not None})
+    with reading(path):
         return config_from_dict(data)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
@@ -270,7 +265,7 @@ def write_run_manifest(cfg: RunConfig, out: Path, stage: str) -> None:
 
 def _out_dir(args) -> Path:
     if args.out is None:
-        raise ConfigError("an output directory is required (--out)")
+        raise ValueError("an output directory is required (--out)")
     path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -334,7 +329,7 @@ def _select_threshold(cfg: RunConfig, threads: int) -> float:
     """Score a cancer-only validation cohort and pick the score threshold
     that keeps target_sensitivity of it."""
     if cfg.n_validation < 1:
-        raise ConfigError("threshold selection needs n_validation >= 1")
+        raise ValueError("threshold selection needs n_validation >= 1")
 
     def one(i: int) -> float:
         samples, _, _ = _case(cfg, f"val-{i:04d}", True)
@@ -454,7 +449,7 @@ def _size_matched(cases: list[CaseRecord], target: SizeHistogram, cfg: RunConfig
 def cmd_phantom_gen(args, cfg: RunConfig, out: Path) -> str:
     ids = _cohort_ids("", cfg.n_cancer, cfg.n_negative)
     if not ids:
-        raise ConfigError("nothing to generate: n_cancer + n_negative is 0")
+        raise ValueError("nothing to generate: n_cancer + n_negative is 0")
     cases_dir = out / "cases"
 
     def one(item: tuple[str, bool]) -> str:
@@ -477,7 +472,7 @@ def _condense_one_volume(samples: np.ndarray, threshold: float, iou: float, case
     opt, _, _, score = _condense_and_score(normalize_volume(samples), threshold, iou)
     raw = np.take_along_axis(samples, opt.provenance[None], axis=0)[0]
     if opt.provenance.max() > PGM_MAXVAL:  # the uint16 cast below would wrap it
-        path = one_line(case_dir / "provenance.pgm")
+        path = case_dir / "provenance.pgm"
         raise ValueError(f"{path}: slice index {opt.provenance.max()} does not fit a 16-bit PGM")
     case_dir.mkdir(parents=True, exist_ok=True)
     write_pgm(raw, case_dir / "optimized.pgm")
@@ -493,14 +488,14 @@ def _condense_one_volume(samples: np.ndarray, threshold: float, iou: float, case
 def cmd_condense_run(args, cfg: RunConfig, out: Path) -> str:
     threshold = args.threshold if args.threshold is not None else 0.0
     if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"score threshold {threshold} outside [0, 1]")
+        raise ValueError(f"score threshold {threshold} outside [0, 1]")
 
     if args.volume is not None:
         _condense_one_volume(read_volume(args.volume), threshold, cfg.iou_threshold, out)
         return f"wrote composite bundle under {out}"
 
     if args.cases is None:
-        raise ConfigError("a volume or cases directory is required (--volume or --cases)")
+        raise ValueError("a volume or cases directory is required (--volume or --cases)")
     with reading(args.cases):
         case_dirs = sorted(p for p in Path(args.cases).iterdir() if p.is_dir())
         if not case_dirs:
@@ -532,7 +527,7 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
         if not isinstance(views, list) or not views:
             raise ValueError("'views' must be a nonempty list")
         for entry in views:
-            if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
+            if not (isinstance(entry, dict) and all(is_kind(entry.get(k), "str") for k in keys)):
                 raise ValueError("each view needs 'breast', 'view', 'path'")
             img = normalize_range(read_pgm(manifest_path.parent / entry["path"]))
             score = ensemble_image_score([s.detect(img) for s in scorers])
@@ -553,7 +548,7 @@ def cmd_score_study(args, cfg: RunConfig, out: Path) -> str:
 
 def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_train_cancer < 1 or cfg.n_train_negative < 1:
-        raise ConfigError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
+        raise ValueError("training needs n_train_cancer >= 1 and n_train_negative >= 1")
 
     def one(item: tuple[str, bool]) -> TrainingCase | None:
         case_id, cancer = item
@@ -569,7 +564,7 @@ def cmd_train_mil(args, cfg: RunConfig, out: Path) -> str:
     cancer = tuple(c for c in cases if c.label)
     negative = tuple(c for c in cases if not c.label)
     if not cancer or not negative:
-        raise ConfigError(
+        raise ValueError(
             "training pool lost a class (no candidate boxes); raise contrast or counts"
         )
     pool = DatasetPool(name="phantom", cancer=cancer, non_cancer=negative)
@@ -642,12 +637,11 @@ def cmd_eval_readers(args, cfg: RunConfig, out: Path) -> str:
 
 def _read_histogram(path: str) -> SizeHistogram:
     data = read_json(path)
-    number = _JSON_TYPES["float"]  # a JSON number, never a bool or a string
     lists = [data.get(k) for k in ("bin_edges", "shares")] if isinstance(data, dict) else [None]
     with reading(path):
-        if not all(isinstance(v, list) and all(type(x) in number for x in v) for v in lists):
+        if not all(is_kind(v, "tuple[float, ...]") for v in lists):
             raise ValueError("target histogram needs bin_edges and shares lists of numbers")
-        return SizeHistogram(*map(tuple, lists))
+        return SizeHistogram(*lists)
 
 
 def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:
@@ -670,7 +664,7 @@ def cmd_eval_size_matched(args, cfg: RunConfig, out: Path) -> str:
 
 def cmd_report(args, cfg: RunConfig, out: Path) -> str:
     if cfg.n_cancer < 1 or cfg.n_negative < 1:
-        raise ConfigError("report needs n_cancer >= 1 and n_negative >= 1")
+        raise ValueError("report needs n_cancer >= 1 and n_negative >= 1")
 
     threshold = _select_threshold(cfg, args.threads)
     profiles = reader_profiles(cfg.n_readers)
@@ -816,25 +810,25 @@ def main(argv: list[str] | None = None) -> int:
     failed stage prints one error line, writes no manifest and returns
     its exit code."""
     args = build_parser().parse_args(argv)
+
+    def fail(message, code: int) -> int:
+        print(f"error: {one_line(message)}", file=sys.stderr)
+        return code
+
     try:
         cfg = load_config(args.config, {"seed": args.seed})
         out = _out_dir(args)
         line = args.func(args, cfg, out)
         write_run_manifest(cfg, out, args.stage)
     except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return fail(exc, EXIT_NUMERIC)
     except OSError as exc:
-        where = exc if exc.filename is None else f"{one_line(exc.filename)}: {exc.strerror}"
-        print(f"error: {where}", file=sys.stderr)
-        return EXIT_IO
+        return fail(exc if exc.filename is None else f"{exc.filename}: {exc.strerror}", EXIT_IO)
     except MemoryError as exc:  # e.g. a grid too large to allocate
-        where = f"{one_line(args.config)}: " if args.config else ""
-        print(f"error: out of memory: {where}{exc or 'allocation failed'}", file=sys.stderr)
-        return EXIT_IO
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        where = f"{args.config}: " if args.config else ""
+        return fail(f"out of memory: {where}{exc or 'allocation failed'}", EXIT_IO)
+    except ValueError as exc:
+        return fail(exc, EXIT_CONFIG)
     print(line)
     return EXIT_OK
 

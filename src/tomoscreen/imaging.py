@@ -399,8 +399,17 @@ def write_volume(samples: np.ndarray, directory: str | Path) -> None:
     write_json(manifest, directory / "manifest.json")
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+_KINDS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def is_kind(value, kind: str) -> bool:
+    """Whether a parsed JSON value is of the annotated `kind`, by its exact
+    type: "int" is an int and "float" an int or float, never a bool; "bool"
+    and "str" are exactly those; any "tuple[float..." is a list or tuple of
+    numbers. Finiteness is left to the value checks that report it."""
+    if kind.startswith("tuple[float"):
+        return type(value) in (list, tuple) and all(is_kind(v, "float") for v in value)
+    return type(value) in _KINDS[kind]
 
 
 def read_json(path: str | Path):
@@ -432,8 +441,9 @@ def read_volume(directory: str | Path) -> np.ndarray:
         if not (
             isinstance(manifest, dict)
             and isinstance(manifest.get("slices"), list)
-            and all(isinstance(name, str) for name in manifest["slices"])
-            and all(_is_count(manifest.get(k)) for k in ("slice_count", "width", "height"))
+            and all(is_kind(name, "str") for name in manifest["slices"])
+            and all(is_kind(manifest.get(k), "int") for k in ("slice_count", "width", "height"))
+            and min(manifest["slice_count"], manifest["width"], manifest["height"]) >= 1
         ):
             raise ValueError(
                 "manifest needs a 'slices' list of file names and positive "

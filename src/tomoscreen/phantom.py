@@ -49,7 +49,7 @@ import numpy as np
 
 from .condense import trimmed_slices
 from .errors import reading
-from .imaging import gaussian_filter, quantize, read_json, write_json
+from .imaging import gaussian_filter, is_kind, quantize, read_json, write_json
 from .seeds import mix_seed, rng_stream
 
 BACKGROUND_LEVEL = 1500.0
@@ -184,8 +184,6 @@ def _add_disc(canvas: np.ndarray, cx: float, cy: float, radius: float, amp: floa
     x1 = min(w, int(math.ceil(cx + radius)) + 1)
     y0 = max(0, int(math.floor(cy - radius)))
     y1 = min(h, int(math.ceil(cy + radius)) + 1)
-    if x0 >= x1 or y0 >= y1:
-        return
     xs = np.arange(x0, x1, dtype=np.float64) + 0.5
     ys = np.arange(y0, y1, dtype=np.float64) + 0.5
     d = np.hypot(xs[None, :] - cx, ys[:, None] - cy)
@@ -246,18 +244,12 @@ def clutter_blob_count(clutter_density: float, n_slices: int) -> int:
     return int(round(clutter_density * n_slices / _CLUTTER_MEAN_EXTENT))
 
 
-def _plan_clutter(cfg: PhantomConfig):
-    """Distractor blob plan shared by all slices of a volume.
-
-    Returns a list of (cx, cy, radius, amplitude, covered) tuples where
-    covered maps slice index -> (jitter_x, jitter_y, weight).
-    """
-    n_blobs = clutter_blob_count(cfg.clutter_density, cfg.n_slices)
-    if n_blobs <= 0:
-        return []
+def _plan_clutter(cfg: PhantomConfig) -> dict[int, list[tuple[float, float, float, float]]]:
+    """The distractor discs of a volume by slice, {slice: [(cx, cy, radius,
+    amplitude)]}, each blob's jitter and slice weight already applied."""
     rng = rng_stream(cfg.seed, "clutter")
-    blobs = []
-    for _ in range(n_blobs):
+    discs: dict[int, list[tuple[float, float, float, float]]] = {}
+    for _ in range(clutter_blob_count(cfg.clutter_density, cfg.n_slices)):
         radius = rng.uniform(*CLUTTER_RADIUS_RANGE)
         cx = rng.uniform(radius, cfg.width - radius)
         cy = rng.uniform(radius, cfg.height - radius)
@@ -265,13 +257,12 @@ def _plan_clutter(cfg: PhantomConfig):
         extent = int(rng.integers(CLUTTER_EXTENT_RANGE[0], CLUTTER_EXTENT_RANGE[1] + 1))
         center_slice = int(rng.integers(0, cfg.n_slices))
         first = center_slice - (extent - 1) // 2
-        covered = {}
         for s in range(first, first + extent):
             jx, jy = rng.normal(0.0, CLUTTER_JITTER_SIGMA, size=2)
             if 0 <= s < cfg.n_slices:
-                covered[s] = (jx, jy, _slice_weight(s - center_slice, extent))
-        blobs.append((cx, cy, radius, amp, covered))
-    return blobs
+                weight = _slice_weight(s - center_slice, extent)
+                discs.setdefault(s, []).append((cx + jx, cy + jy, radius, amp * weight))
+    return discs
 
 
 def _check_lesion_bounds(cfg: PhantomConfig, les: LesionSpec) -> None:
@@ -322,15 +313,13 @@ def generate_volume(
     common_amp = COMMON_TEXTURE_RATIO * cfg.noise_sigma
     slice_amp = SLICE_TEXTURE_RATIO * cfg.noise_sigma
     common = common_amp * _texture_field(cfg, "texture-common") if common_amp > 0 else None
-    blobs = _plan_clutter(cfg)
     kept = trimmed_slices(cfg.n_slices)
-
-    lesion_cover: dict[int, list[tuple[LesionSpec, float]]] = {}
+    discs = _plan_clutter(cfg)  # each slice's lesion discs follow its clutter
     for les in lesions:
         first, last = les.slice_span()
         for s in range(first, last + 1):
-            weight = _slice_weight(s - les.center_slice, les.slice_extent)
-            lesion_cover.setdefault(s, []).append((les, weight))
+            amp = les.contrast * _slice_weight(s - les.center_slice, les.slice_extent)
+            discs.setdefault(s, []).append((les.center_x, les.center_y, les.radius, amp))
 
     clipped = 0
     for i in range(cfg.n_slices):
@@ -339,13 +328,8 @@ def generate_volume(
             canvas += common
         if slice_amp > 0:
             canvas += slice_amp * _texture_field(cfg, "texture-slice", i)
-        for cx, cy, radius, amp, covered in blobs:
-            hit = covered.get(i)
-            if hit is not None:
-                jx, jy, weight = hit
-                _add_disc(canvas, cx + jx, cy + jy, radius, amp * weight)
-        for les, weight in lesion_cover.get(i, ()):
-            _add_disc(canvas, les.center_x, les.center_y, les.radius, les.contrast * weight)
+        for disc in discs.get(i, ()):
+            _add_disc(canvas, *disc)
         sigma = cfg.noise_sigma
         if sigma > 0:
             if i not in kept:
@@ -457,23 +441,17 @@ def truth_to_dict(truth: PhantomTruth) -> dict:
     }
 
 
-# JSON types accepted for a LesionSpec field of each annotation; comparing
-# type() keeps a bool from passing as a number.
-_JSON_TYPES = {"float": (int, float), "int": (int,), "bool": (bool,)}
-
-
 def truth_from_dict(data) -> PhantomTruth:
     """Inverse of truth_to_dict; a missing or mistyped field raises
     ValueError."""
-    spec = [(f.name, _JSON_TYPES[f.type]) for f in fields(LesionSpec)]
+    spec = [(f.name, f.type) for f in fields(LesionSpec)]
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("case_id"), str)
-        and isinstance(data.get("label"), bool)
+        and is_kind(data.get("case_id"), "str")
+        and is_kind(data.get("label"), "bool")
         and isinstance(data.get("lesions"), list)
         and all(
-            isinstance(item, dict)
-            and all(type(item.get(name)) in kinds for name, kinds in spec)
+            isinstance(item, dict) and all(is_kind(item.get(k), kind) for k, kind in spec)
             for item in data["lesions"]
         )
     ):

@@ -552,23 +552,26 @@ class SizeHistogram:
     """Target tumor-size distribution over bins split at bin_edges (mm).
 
     len(shares) == len(bin_edges) + 1; bin b holds sizes in
-    [edge[b-1], edge[b]) with open ends.
+    [edge[b-1], edge[b]) with open ends. Both are stored as float tuples,
+    so an integer spelling of a histogram is the same histogram.
     """
 
     bin_edges: tuple[float, ...]
     shares: tuple[float, ...]
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        shares = np.asarray(self.shares, dtype=np.float64)
+        try:
+            for name in ("bin_edges", "shares"):
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        except OverflowError as exc:  # an integer too large for a float
+            raise ValueError("bin_edges and shares must be finite") from exc
+        edges, shares = np.asarray(self.bin_edges), np.asarray(self.shares)
         if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(shares))):
             raise ValueError("bin_edges and shares must be finite")
         if edges.size == 0 or np.any(np.diff(edges) <= 0):
             raise ValueError("bin_edges must be ascending and nonempty")
-        if len(self.shares) != len(self.bin_edges) + 1:
-            raise ValueError(
-                f"need {len(self.bin_edges) + 1} shares, got {len(self.shares)}"
-            )
+        if shares.size != edges.size + 1:
+            raise ValueError(f"need {edges.size + 1} shares, got {shares.size}")
         if np.any(shares < 0):
             raise ValueError("shares must be nonnegative")
         if abs(shares.sum() - 1.0) > 1e-9:
@@ -688,8 +691,6 @@ def size_matched_auc(
     bin_weight[nz] = shares[nz] / (counts[nz] / n_pos)
     w = bin_weight[bins]
     total = w.sum()
-    if total <= 0:
-        raise ValueError("all positives fall in zero-share bins")
     # Generator.choice(p=w)'s inverse CDF, built once
     cdf = np.cumsum(w / total)
     cdf /= cdf[-1]

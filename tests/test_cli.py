@@ -41,7 +41,6 @@ from tomoscreen.cli import (
     synthetic_birads,
 )
 from tomoscreen.condense import OptimizedImage, trimmed_slices
-from tomoscreen.errors import ConfigError
 from tomoscreen.imaging import (
     PGM_MAXVAL,
     ImageGrid,
@@ -130,21 +129,21 @@ class TestRunConfig:
         assert cfg.seed == 0 and cfg.iou_threshold == 0.2
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"learning_rte": 0.1})
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"iou_threshold": 1.5})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"contrast_range": [220.0, 60.0]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"contrast_range": [60.0]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"n_readers": 0})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"size_bin_edges": [20.0, 10.0]})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             config_from_dict({"width": 8})
 
     INT_FIELDS = (
@@ -155,7 +154,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("value", [48.0, 2.5, True, "7", None, [40]])
     @pytest.mark.parametrize("field", INT_FIELDS)
     def test_integer_fields_take_only_integers(self, field, value):
-        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             config_from_dict({field: value})
 
     @pytest.mark.parametrize(
@@ -189,9 +188,11 @@ class TestRunConfig:
         ("learning_rate", "{}"),
         ("size_bin_edges", "[{}, 20, 50]"),
         ("size_bin_edges", "[10, {}]"),
+        ("contrast_range", "{}"),
+        ("size_bin_edges", "{}"),
     )
 
-    @pytest.mark.parametrize("number", ["1e999", "NaN"])
+    @pytest.mark.parametrize("number", ["1e999", "NaN", "true", "null"])
     @pytest.mark.parametrize("field, template", FLOAT_FIELDS)
     def test_float_fields_must_be_finite(self, tmp_path, capsys, field, template, number):
         path = tmp_path / "config.json"
@@ -201,10 +202,18 @@ class TestRunConfig:
         assert code == EXIT_CONFIG
         assert f"{path}: {field} must be a finite number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [10**400, True, "7"], ids=["400 digits", "bool", "str"])
-    def test_float_fields_take_only_finite_numbers(self, value):
-        with pytest.raises(ConfigError, match="^noise_sigma must be a finite number"):
-            config_from_dict({"noise_sigma": value})
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_sigma", 10**400), ("noise_sigma", True), ("noise_sigma", "7"),
+         ("contrast_range", 5), ("contrast_range", True), ("contrast_range", None),
+         ("size_bin_edges", 10), ("size_bin_edges", True), ("size_bin_edges", None)],
+        ids=["400 digits", "bool", "str", "contrast_range 5", "contrast_range true",
+             "contrast_range null", "size_bin_edges 10", "size_bin_edges true",
+             "size_bin_edges null"],
+    )
+    def test_float_fields_take_only_finite_numbers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            config_from_dict({field: value})
 
     @pytest.mark.parametrize("size", [(48, 64), (96, 40)])
     def test_texture_scale_bounded_by_the_grid(self, tmp_path, capsys, size):
@@ -247,7 +256,7 @@ class TestRunConfig:
         counts = {"n_cancer": 0, "n_validation": 0, "n_train_cancer": 0}
         assert config_from_dict({"n_slices": 1, **counts}).n_slices == 1
         for name in counts:
-            with pytest.raises(ConfigError, match="^n_slices must be >= 5"):
+            with pytest.raises(ValueError, match="^n_slices must be >= 5"):
                 config_from_dict({"n_slices": 4, **counts, name: 1})
         assert config_from_dict({"n_slices": 5}).n_slices == 5
 
@@ -371,6 +380,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: out of memory: {tmp_path}/a\\nb.json: ")
         assert err.count("\n") == 1
+
+    def test_config_error_with_a_newline_in_the_config_path_is_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad\ncfg.json"
+        cfg.write_text(json.dumps({"n_readers": 0}))
+        args = ["eval", "roc", "--config", str(cfg), "--cases", scored_csv(tmp_path)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        want = f"error: {tmp_path}/bad\\ncfg.json: n_readers must be in 1..12\n"
+        assert capsys.readouterr().err == want
+
+    # a quoted case_id that holds a newline, on the table's first row (lines 2 and 3)
+    @pytest.mark.parametrize(
+        "command, row, reason",
+        [
+            ("roc", '"a\nb",1,1.5,', "line 3: case a\\nb: score 1.5 outside [0, 1]"),
+            ("readers", '"a\nb",1,0.9,', "case a\\nb missing read from r1"),
+        ],
+        ids=["roc", "readers"],
+    )
+    def test_case_id_with_a_newline_is_one_line(self, tmp_path, capsys, command, row, reason):
+        path = tmp_path / "cases.csv"
+        path.write_text(f"case_id,label,score,birads_r1\n{row}\nc,0,0.2,1\n")
+        args = ["eval", command, "--cases", str(path), "--out", str(tmp_path / "o")]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     def test_numeric_abort_on_hopeless_bootstrap(self, tmp_path):
         csv_path = scored_csv(tmp_path, n_pos=1, n_neg=6)
@@ -1607,8 +1640,9 @@ class TestEvalSizeMatched:
             {"bin_edges": [10.0, 20.0, 50.0], "shares": [float("nan"), 0.5, 0.25, 0.25]},
             {"bin_edges": [10.0, float("nan"), 50.0], "shares": [0.25, 0.25, 0.25, 0.25]},
             {"bin_edges": [10.0, 20.0, float("inf")], "shares": [0.25, 0.25, 0.25, 0.25]},
+            {"bin_edges": [10.0, 20.0, 10**400], "shares": [0.25, 0.25, 0.25, 0.25]},
         ],
-        ids=["nan-share", "nan-edge", "infinite-edge"],
+        ids=["nan-share", "nan-edge", "infinite-edge", "400-digit-edge"],
     )
     def test_non_finite_target_exits_two_naming_the_file(self, tmp_path, capsys, histogram):
         csv_path = scored_csv(tmp_path, sizes=True)
@@ -1643,6 +1677,23 @@ class TestEvalSizeMatched:
         want = f"error: {target}: target histogram needs bin_edges and shares lists of numbers"
         assert capsys.readouterr().err.splitlines() == [want]
         assert not (tmp_path / "o" / "size_matched.json").exists()
+
+    def test_integer_and_float_spellings_write_the_same_bytes(self, tmp_path):
+        csv_path = scored_csv(tmp_path, sizes=True)
+        spellings = {
+            "int": {"bin_edges": [10, 20, 50], "shares": [1, 0, 0, 0]},
+            "float": {"bin_edges": [10.0, 20.0, 50.0], "shares": [1.0, 0.0, 0.0, 0.0]},
+        }
+        written = []
+        for name, histogram in spellings.items():
+            target = tmp_path / f"{name}.json"
+            target.write_text(json.dumps(histogram))
+            out = tmp_path / name
+            args = ["eval", "size-matched", "--cases", csv_path, "--target", str(target)]
+            assert main(args + ["--out", str(out)]) == EXIT_OK
+            written.append((out / "size_matched.json").read_bytes())
+        assert written[0] == written[1]
+        assert json.loads(written[0])["target"]["bin_edges"] == [10.0, 20.0, 50.0]
 
 
 class TestPipelineChain:
